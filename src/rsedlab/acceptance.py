@@ -4,9 +4,9 @@ the CLI `verify` subcommand.
 Every check reports (measured value, threshold, pass flag, runtime).  Four
 sub-checks are expected to fail and carry known_defect=True: they pin
 idealized closed-form statements whose finite-size or bookkeeping
-corrections are analyzed in the repository notes, and corrected counterparts
-are covered by the regular test suite (see tests/test_otoc.py and
-tests/test_cli.py).
+corrections are tabulated in README.md (Acceptance status, the by-design
+failures table), and corrected counterparts are covered by the regular test
+suite (see tests/test_otoc.py and tests/test_cli.py).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .prs import (
 )
 from .randomness import SignFunction, sample_permutation, sample_sign_function
 from .rng import RngSeed, WordStream
-from .rsed import PauliString, RsedOperator, dense_matrix, evolve_basis_state
+from .rsed import PauliString, RsedOperator, dense_embedding, dense_matrix, evolve_basis_state
 from .spectra import (
     ks_distance,
     rsed_sff,
@@ -76,7 +76,7 @@ class CriterionResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        note = " (known defect, see notes)" if (not self.passed and self.known_defect) else ""
+        note = " (known defect, see README by-design failures)" if (not self.passed and self.known_defect) else ""
         return f"[{status}] {self.cid:>3} {self.name}: measured={self.measured:.6g}, require {self.threshold}{note}"
 
 
@@ -236,8 +236,6 @@ def scaling_curve(ns=(4, 6, 8, 11), t: int = 4, ensemble: int = 6, seed: int = 0
     rows = []
     for n in ns:
         k = ceil(log2(n) ** 2)
-        if k > 12:
-            raise ValueError("k-rule exceeds the dense cap k <= 12")
         vals = [
             otoc_zz_f_average(hadamard_sign_power(k, RngSeed(seed, 100 * n + r), t))
             for r in range(ensemble)
@@ -376,14 +374,8 @@ def criterion_9() -> CriterionResult:
         h = pauli_syk(k, RngSeed(0x9B, idx))
         p = sample_permutation(shape, RngSeed(0x9C, idx))
         f = sample_sign_function(shape, RngSeed(0x9D, idx))
-        seeds = np.arange(shape.num_seeds)
         op = RsedOperator(shape, p, f, SubUnitary(k, np.eye(shape.subdim, dtype=complex)))
-        pos = op.block_positions(seeds)
-        sg = op.block_signs(seeds)
-        h_emb = np.zeros((shape.dim, shape.dim), dtype=complex)
-        for a in range(shape.num_seeds):
-            h_emb[np.ix_(pos[a], pos[a])] = (sg[a][:, None] * sg[a][None, :]) * h.matrix
-        evals = np.linalg.eigvalsh(h_emb)
+        evals = np.linalg.eigvalsh(dense_embedding(op, h.matrix))
         beta, t = 0.7, 3.3
         worst_dense = max(worst_dense, abs(sff_from_eigenvalues(evals, beta, t) - rsed_sff(shape, h, beta, t)))
     measured = max(worst_ratio, worst_dense)

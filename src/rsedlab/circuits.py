@@ -28,11 +28,10 @@ from .randomness import (
     sample_sign_function,
 )
 from .rng import RngSeed, WordStream
-from .rsed import StateVector, gate_ccx, gate_cx, gate_h, gate_phase, gate_x
+from .rsed import DENSE_MAX_N, StateVector, gate_ccx, gate_cx, gate_h, gate_phase, gate_x
 from .subsystem import SubUnitary, random_sign_diag
 
 HEADER = "RSEDCIRC 1"
-DENSE_MAX_N = 10
 
 _SINGLE = {"H", "X", "S", "T"}
 

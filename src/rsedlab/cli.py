@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import report_dict, run_all
+from .acceptance import fit_loglog, report_dict, run_all
 from .bitcore import SystemShape
 from .circuits import build_manifest, serialize, simulate_circuit, synthesize_rsed_circuit
 from .otoc import (
@@ -103,6 +103,11 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
         if len(self.sites) != 2 or self.sites[0] == self.sites[1]:
             raise ConfigError("sites must be two distinct site indices")
+        if not all(0 <= s < self.n for s in self.sites):
+            raise ConfigError(f"sites {self.sites} out of range [0, {self.n})")
+        for n in self.n_list:
+            if n < 2 or ceil(log2(n) ** 2) > 12:
+                raise ConfigError(f"n_list entry {n} needs 2 <= n with ceil(log2(n)**2) <= 12")
         if self.u_spec.get("type") not in ("hadamard", "random_sign_hadamard", "pauli_syk", "identity"):
             raise ConfigError(f"unknown u_spec type {self.u_spec.get('type')!r}")
         if self.estimator.get("mode", "exact") not in ("exact", "sampled"):
@@ -215,21 +220,17 @@ def run_otoc_scaling(cfg: ExperimentConfig, out: Path) -> dict:
     t = int(cfg.t_fixed)
     rows = []
     for n in ns:
-        k = resolve_k(cfg, n) if cfg.k_rule else ceil(log2(n) ** 2)
+        k = ceil(log2(n) ** 2)
         vals = [
             otoc_zz_f_average(hadamard_sign_power(k, RngSeed(cfg.seed, 100 * n + r), t))
             for r in range(cfg.ensemble)
         ]
         rows.append([int(n), int(k), float(np.mean(np.abs(vals)))])
     write_csv(out / "otoc_scaling.csv", cfg, ["n", "k", "abs_mean_otoc"], rows)
-    x = np.log([r[0] for r in rows])
-    y = np.log([r[2] for r in rows])
-    slope = float(np.polyfit(x, y, 1)[0])
-    slopes = np.diff(y) / np.diff(x)
-    second = [float(v) for v in np.diff(slopes)]
+    slope, second = fit_loglog(rows)
     summary = {
         "fitted_slope": slope,
-        "second_differences": second,
+        "second_differences": [float(v) for v in second],
         "concave": bool(all(v < 0 for v in second)),
         "rows": [[int(a), int(b), float(c)] for a, b, c in rows],
     }

@@ -24,6 +24,7 @@ from .rsed import (
     StateVector,
     apply,
     apply_pauli,
+    dense_embedding,
     dense_matrix,
     pauli_action,
 )
@@ -242,12 +243,7 @@ def otoc_finite_temperature(
         u = dense_matrix(op)
         # e^{-beta H} assembled blockwise like the dense operator
         gibbs_sub = (h_sub.eigenvectors * np.exp(-beta * h_sub.eigenvalues)[None, :]) @ h_sub.eigenvectors.conj().T
-        seeds = np.arange(op.shape.num_seeds)
-        pos = op.block_positions(seeds)
-        sg = op.block_signs(seeds)
-        gibbs = np.zeros((op.shape.dim, op.shape.dim), dtype=np.complex128)
-        for a in range(op.shape.num_seeds):
-            gibbs[np.ix_(pos[a], pos[a])] = (sg[a][:, None] * sg[a][None, :]) * gibbs_sub
+        gibbs = dense_embedding(op, gibbs_sub)
         rho = gibbs / np.trace(gibbs)
         src_v, ph_v = pauli_action(v, n)
         src_w, ph_w = pauli_action(w, n)

@@ -255,8 +255,14 @@ def load_permutation(path, k: int) -> SubsetPermutation:
         (n,) = struct.unpack("<I", fh.read(4))
         shape = SystemShape(n, k)
         table = np.frombuffer(fh.read(4 * shape.dim), dtype="<u4").astype(np.uint32)
+        trailing = fh.read(1)
     if len(table) != shape.dim:
         raise ValueError("truncated permutation file")
+    if trailing:
+        raise ValueError("trailing bytes after the permutation table")
+    # range first, so bincount never allocates past 2**n
+    if table.max() >= shape.dim or np.any(np.bincount(table, minlength=shape.dim) != 1):
+        raise ValueError("permutation table is not a bijection on [0, 2**n)")
     inv = np.empty_like(table)
     inv[table] = np.arange(shape.dim, dtype=np.uint32)
     return SubsetPermutation(shape, table=table, inverse_table=inv)

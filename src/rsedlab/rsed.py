@@ -76,34 +76,22 @@ class PauliString:
         return flip, phase, ny
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    out = np.zeros(values.shape, dtype=np.int64)
-    v = values.astype(np.int64).copy()
-    while v.any():
-        out += v & 1
-        v >>= 1
-    return out
+def pauli_action(s: PauliString, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source index array, phase array) with (S psi)[x] = phase[x] psi[src[x]].
+
+    X flips, Z phases, Y = i X Z per site; each Z|Y site j contributes
+    (-1)^{bit_j of the KET index} to <x|S|x^flip>.
+    """
+    flip, zmask, ny = s.masks(n)
+    src = np.arange(1 << n) ^ flip
+    par = np.bitwise_count(src & zmask) & 1
+    return src, (1j) ** (ny % 4) * (1.0 - 2.0 * par)
 
 
 def apply_pauli(s: PauliString, psi: StateVector) -> StateVector:
-    """Signed basis permutation: X flips, Z phases, Y = i X Z per site."""
-    n = psi.shape.n
-    flip, zmask, ny = s.masks(n)
-    xs = np.arange(psi.shape.dim)
-    src = xs ^ flip
-    # <x|S|x^flip>: each Z|Y site j contributes (-1)^{bit_j of the KET index}
-    par = _popcount(src & zmask) & 1
-    phase = (1j) ** (ny % 4) * (1.0 - 2.0 * par)
+    """Signed basis permutation S psi."""
+    src, phase = pauli_action(s, psi.shape.n)
     return StateVector(psi.shape, phase * psi.amplitudes[src])
-
-
-def pauli_action(s: PauliString, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(source index array, phase array) with (S psi)[x] = phase[x] psi[src[x]]."""
-    flip, zmask, ny = s.masks(n)
-    xs = np.arange(1 << n)
-    src = xs ^ flip
-    par = _popcount(src & zmask) & 1
-    return src, (1j) ** (ny % 4) * (1.0 - 2.0 * par)
 
 
 def gate_h(amps: np.ndarray, q: int) -> np.ndarray:
@@ -210,8 +198,8 @@ def evolve_basis_state(op: RsedOperator, x: int) -> tuple[np.ndarray, np.ndarray
     return pos.copy(), amps
 
 
-def dense_matrix(op: RsedOperator) -> np.ndarray:
-    """N x N materialization (oracle backend, n <= 10)."""
+def dense_embedding(op: RsedOperator, block: np.ndarray) -> np.ndarray:
+    """N x N matrix sum_a O_a block O_a^dagger for a K x K block (n <= 10)."""
     if op.shape.n > DENSE_MAX_N:
         raise ValueError(f"dense materialization capped at n={DENSE_MAX_N}")
     N = op.shape.dim
@@ -220,5 +208,10 @@ def dense_matrix(op: RsedOperator) -> np.ndarray:
     sg = op.block_signs(seeds)
     out = np.zeros((N, N), dtype=np.complex128)
     for a in range(op.shape.num_seeds):
-        out[np.ix_(pos[a], pos[a])] = (sg[a][:, None] * sg[a][None, :]) * op.sub.matrix
+        out[np.ix_(pos[a], pos[a])] = (sg[a][:, None] * sg[a][None, :]) * block
     return out
+
+
+def dense_matrix(op: RsedOperator) -> np.ndarray:
+    """N x N materialization of U (oracle backend, n <= 10)."""
+    return dense_embedding(op, op.sub.matrix)

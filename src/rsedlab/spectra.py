@@ -106,8 +106,7 @@ def spectral_form_factor(h: SubHamiltonian, beta: float, t: float) -> float:
     """R_2S(beta, t) = |sum_m e^{-beta e_m - i e_m t}|^2 for the subsystem."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    z = np.sum(np.exp(-(beta + 1j * t) * h.eigenvalues))
-    return float(np.abs(z) ** 2)
+    return sff_from_eigenvalues(h.eigenvalues, beta, t)
 
 
 def rsed_sff(shape: SystemShape, h: SubHamiltonian, beta: float, t: float) -> float:

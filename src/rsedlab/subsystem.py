@@ -24,7 +24,10 @@ def _check_k(k: int) -> None:
 
 @dataclass(frozen=True)
 class SubUnitary:
-    """Dense K x K unitary acting on the embedded subsystem."""
+    """Dense K x K unitary acting on the embedded subsystem.
+
+    The constructor checks unitarity (O(K**3)) because the matrix comes from
+    the caller; gates this module builds skip that check via _trusted."""
 
     k: int
     matrix: np.ndarray = field(repr=False)
@@ -45,7 +48,15 @@ class SubUnitary:
         return 1 << self.k
 
     def adjoint(self) -> "SubUnitary":
-        return SubUnitary(self.k, self.matrix.conj().T)
+        return _trusted(self.k, self.matrix.conj().T)
+
+
+def _trusted(k: int, matrix: np.ndarray) -> SubUnitary:
+    """SubUnitary around a matrix this module built as unitary; no check."""
+    u = object.__new__(SubUnitary)
+    object.__setattr__(u, "k", k)
+    object.__setattr__(u, "matrix", np.asarray(matrix, dtype=np.complex128))
+    return u
 
 
 @dataclass(frozen=True)
@@ -76,28 +87,36 @@ class SubHamiltonian:
         return 1 << self.k
 
 
-def hadamard_layer(k: int) -> SubUnitary:
-    """u = H tensor-power k: entries 2**(-k/2) * (-1)**(b . b')."""
-    _check_k(k)
+def _dense_h(k: int) -> np.ndarray:
+    """Real H^{tensor k}: entries 2**(-k/2) * (-1)**(b . b')."""
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     m = np.array([[1.0]])
     for _ in range(k):
         m = np.kron(m, h1)
-    return SubUnitary(k, m.astype(np.complex128))
+    return m
+
+
+def _signs(k: int, seed: RngSeed) -> np.ndarray:
+    """The seeded diagonal of P, (-1)**phi(b), as float."""
+    return 1.0 - 2.0 * WordStream(seed).bits(1 << k).astype(np.float64)
+
+
+def hadamard_layer(k: int) -> SubUnitary:
+    """u = H tensor-power k: entries 2**(-k/2) * (-1)**(b . b')."""
+    _check_k(k)
+    return _trusted(k, _dense_h(k))
 
 
 def random_sign_diag(k: int, seed: RngSeed) -> SubUnitary:
     """Diagonal P with entries (-1)**phi(b), phi seeded."""
     _check_k(k)
-    bits = WordStream(seed).bits(1 << k)
-    return SubUnitary(k, np.diag((1.0 - 2.0 * bits).astype(np.complex128)))
+    return _trusted(k, np.diag(_signs(k, seed)))
 
 
 def random_sign_hadamard(k: int, seed: RngSeed) -> SubUnitary:
     """u = H^{tensor k} P, the workhorse non-chaotic embedded gate."""
-    h = hadamard_layer(k).matrix
-    p = random_sign_diag(k, seed).matrix
-    return SubUnitary(k, h @ p)
+    _check_k(k)
+    return _trusted(k, _dense_h(k) * _signs(k, seed)[None, :])
 
 
 def _single_site(op: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -193,25 +212,17 @@ def unitary_power(u: SubUnitary, t) -> SubUnitary:
     if isinstance(t, (int, np.integer)):
         if t < 0:
             raise ValueError("integer powers must be >= 0")
-        return SubUnitary(u.k, np.linalg.matrix_power(u.matrix, int(t)))
+        return _trusted(u.k, np.linalg.matrix_power(u.matrix, int(t)))
     theta, z = _unitary_eigh(u)
     m = (z * np.exp(1j * theta * float(t))[None, :]) @ z.conj().T
-    return SubUnitary(u.k, m)
+    return _trusted(u.k, m)
 
 
 def evolve(h: SubHamiltonian, t: float) -> SubUnitary:
     """e^{-i h t} via the cached eigendecomposition."""
     phases = np.exp(-1j * h.eigenvalues * float(t))
     m = (h.eigenvectors * phases[None, :]) @ h.eigenvectors.conj().T
-    return SubUnitary(h.k, m)
-
-
-def _dense_h(k: int) -> np.ndarray:
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    m = np.array([[1.0]])
-    for _ in range(k):
-        m = np.kron(m, h1)
-    return m
+    return _trusted(h.k, m)
 
 
 def walsh_hadamard(matrix: np.ndarray) -> np.ndarray:
@@ -241,12 +252,12 @@ def hadamard_sign_power(k: int, seed: RngSeed, t: int) -> SubUnitary:
     """(H^{tensor k} P)^t for integer t via blocked transforms."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    K = 1 << k
-    signs = 1.0 - 2.0 * WordStream(seed).bits(K).astype(np.float64)
-    m = np.eye(K)
+    _check_k(k)
+    signs = _signs(k, seed)
+    m = np.eye(1 << k)
     for _ in range(t):
         m = walsh_hadamard(signs[:, None] * m)
-    return SubUnitary(k, m)
+    return _trusted(k, m)
 
 
 def element_magnitude_stats(u: SubUnitary, eps: float | None = None):

@@ -93,7 +93,7 @@ def test_otoc_scaling_driver(tmp_path):
     summary = json.loads((tmp_path / "otoc_scaling_summary.json").read_text())
     assert summary["fitted_slope"] < -2.0
     assert [row[1] for row in summary["rows"]] == [4, 7, 9, 12]
-    # the ceil staircase breaks concavity on this grid (see notes)
+    # the ceil staircase breaks concavity on this grid (README, by-design failures: 5b)
     assert summary["concave"] is False
     # dropping the misaligned n=6 point restores concavity
     cfg2 = dict(cfg, n_list=[4, 8, 11], seed=11)
@@ -224,3 +224,18 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["otoc-trace", "--config", str(bad), "--out", str(tmp_path)]) == 2
     bad.write_text(json.dumps({"experiment": "sff"}))
     assert main(["otoc-trace", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"experiment": "otoc-trace", "n": 8, "k": 4, "sites": [0, 9]},
+        {"experiment": "otoc-scaling", "n_list": [1, 4]},
+        # ceil(log2(12)**2) = 13 is past the dense cap; rejected before any work
+        {"experiment": "otoc-scaling", "n_list": [4, 12]},
+    ],
+)
+def test_config_boundary_exit_2(tmp_path, cfg):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main([cfg["experiment"], "--config", str(bad), "--out", str(tmp_path)]) == 2

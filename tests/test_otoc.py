@@ -124,7 +124,8 @@ def test_variance_formula_values():
 def test_variance_matches_exact_contraction():
     """Empirical isometry-ensemble variance agrees with the exact
     second-moment contraction 8/2^(n+k) - 12/2^(n+2k) + 4/2^(n+3k) (the
-    printed -6/+1 form overshoots; see notes and acceptance 2)."""
+    printed -6/+1 form overshoots; see acceptance 2 in the README
+    by-design failures table)."""
     n, k = 8, 3
     u = hadamard_layer(k)
     shape = SystemShape(n, k)

@@ -163,7 +163,7 @@ def test_design_variance_flat_vs_powered():
     """One application of H^{x6}P keeps |u|^2 flat, so Ybar = 0 exactly; the
     fourth power has chi-squared-product column statistics with Ybar = O(1)
     (E[(g1^2 g2^2 - 1)^2] = 8 for Gaussian entries), far above K^{-1/2};
-    only flat-magnitude gates meet that threshold (see notes)."""
+    only flat-magnitude gates meet that threshold."""
     flat = design_variance_condition(hadamard_sign_power(6, RngSeed(7), 1), 2, 5)
     assert flat.value == pytest.approx(0.0, abs=1e-12)
     vals = [design_variance_condition(hadamard_sign_power(6, RngSeed(7, s), 4), 2, 5).value for s in range(5)]
@@ -182,7 +182,7 @@ def test_element_condition_check():
 def test_element_condition_statistics_k8():
     """(H^{x8}P)^4 at eps = 0.3 passes in at least 99/100 seeds; at the
     aggressive eps = 0.5 the exceed fraction stays tiny but stray entries do
-    occur (see notes), so only the fraction is asserted there."""
+    occur, so only the fraction is asserted there."""
     passes = 0
     fracs = []
     for s in range(100):

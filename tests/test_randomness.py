@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,21 @@ def test_serialization_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC1" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_permutation(path, k=2)
+
+
+@pytest.mark.parametrize(
+    "table, tail",
+    [
+        ([0, 0, 2, 3, 4, 5, 6, 7], b""),  # duplicate entry
+        ([0, 1, 2, 3, 4, 5, 6, 8], b""),  # entry out of range
+        ([0, 1, 2, 3, 4, 5, 6, 7], b"junk"),  # trailing bytes
+    ],
+)
+def test_serialization_rejects_bad_table(tmp_path, table, tail):
+    path = tmp_path / "bad.rsedperm"
+    path.write_bytes(b"RSEDPERM1" + struct.pack("<I", 3) + np.array(table, dtype="<u4").tobytes() + tail)
+    with pytest.raises(ValueError):
+        load_permutation(path, k=1)
 
 
 def test_explicit_table_capacity_error():

@@ -169,3 +169,36 @@ def test_subhamiltonian_invariants():
     assert np.max(np.abs(recon - h.matrix)) < 1e-8
     with pytest.raises(ValueError):
         SubHamiltonian(2, np.arange(16).reshape(4, 4).astype(complex))
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+def test_library_builders_are_unitary(k):
+    """Library-built gates skip the constructor's unitarity check, so the
+    invariant that check asserted is pinned here for every builder."""
+    seed = RngSeed(48, k)
+    u = random_sign_hadamard(k, seed)
+    h = pauli_syk(k, seed) if k >= 2 else SubHamiltonian(1, X)
+    gates = [hadamard_layer(k), random_sign_diag(k, seed), u, u.adjoint(), evolve(h, 0.9)]
+    gates += [unitary_power(u, 3), unitary_power(u, 0.75)]
+    gates += [hadamard_sign_power(k, seed, t) for t in range(4)]
+    for g in gates:
+        assert g.k == k and g.matrix.dtype == np.complex128
+        assert np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(g.dim))) <= 1e-10
+    assert (u.matrix == hadamard_layer(k).matrix @ random_sign_diag(k, seed).matrix).all()
+
+
+def test_builders_skip_the_constructor_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError("library-built gate went through the public check")
+
+    monkeypatch.setattr(SubUnitary, "__post_init__", refuse)
+    u = random_sign_hadamard(3, RngSeed(49))
+    unitary_power(u.adjoint(), 0.5)
+    hadamard_sign_power(3, RngSeed(49), 2)
+    with pytest.raises(AssertionError):
+        SubUnitary(3, u.matrix)
+
+
+def test_hadamard_sign_power_checks_k_first():
+    with pytest.raises(ValueError, match="k must be"):
+        hadamard_sign_power(13, RngSeed(50), 1)
