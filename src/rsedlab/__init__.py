@@ -4,7 +4,7 @@ spectral form factors, coherence, and pseudorandom-state diagnostics."""
 
 __version__ = "0.1.0"
 
-from .bitcore import SystemShape, flip_bit, get_bit, join, split
+from .bitcore import PauliString, SystemShape, flip_bit, get_bit, join, split
 from .randomness import (
     SignFunction,
     SubsetPermutation,
@@ -19,7 +19,6 @@ from .randomness import (
 )
 from .rng import RngSeed
 from .rsed import (
-    PauliString,
     RsedOperator,
     StateVector,
     apply,

@@ -18,7 +18,7 @@ from math import ceil, log2
 
 import numpy as np
 
-from .bitcore import SystemShape, join
+from .bitcore import PauliString, SystemShape, join
 from .circuits import random_clifford_circuit, simulate_circuit
 from .otoc import (
     early_time_slope,
@@ -42,7 +42,7 @@ from .prs import (
 )
 from .randomness import SignFunction, sample_permutation, sample_sign_function
 from .rng import RngSeed, WordStream
-from .rsed import PauliString, RsedOperator, dense_embedding, dense_matrix, evolve_basis_state
+from .rsed import RsedOperator, dense_embedding, dense_matrix, evolve_basis_state
 from .spectra import (
     ks_distance,
     rsed_sff,

@@ -1,4 +1,5 @@
-"""Basis-index arithmetic: bit layouts, subsystem/seed splits, single-bit flips.
+"""Basis-index arithmetic: bit layouts, subsystem/seed splits, single-bit flips,
+and Pauli strings as signed basis permutations.
 
 Layout convention used everywhere in this package: a full-system basis index
 x splits into a subsystem index b (the LOW k bits) and a seed index a (the
@@ -10,7 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_QUBITS = 30
+
+_AXES = ("X", "Y", "Z")
 
 
 @dataclass(frozen=True)
@@ -76,3 +81,45 @@ def get_bit(x: int, j: int, shape: SystemShape) -> int:
     if not 0 <= j < shape.n:
         raise ValueError(f"site {j} out of range [0, {shape.n})")
     return (x >> j) & 1
+
+
+@dataclass(frozen=True)
+class PauliString:
+    """Product of single-site Paulis, at most one axis per site; squares to I."""
+
+    sites: tuple[tuple[int, str], ...]
+
+    def __post_init__(self):
+        seen = set()
+        for j, axis in self.sites:
+            if axis not in _AXES:
+                raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
+            if j in seen:
+                raise ValueError(f"site {j} repeated in Pauli string")
+            seen.add(j)
+
+    def masks(self, n: int) -> tuple[int, int, int]:
+        """(flip mask from X/Y, Z-phase mask from Z/Y, number of Y sites)."""
+        flip = phase = ny = 0
+        for j, axis in self.sites:
+            if not 0 <= j < n:
+                raise ValueError(f"site {j} out of range [0, {n})")
+            if axis in ("X", "Y"):
+                flip |= 1 << j
+            if axis in ("Z", "Y"):
+                phase |= 1 << j
+            if axis == "Y":
+                ny += 1
+        return flip, phase, ny
+
+
+def pauli_action(s: PauliString, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source index array, phase array) with (S psi)[x] = phase[x] psi[src[x]].
+
+    X flips, Z phases, Y = i X Z per site; each Z|Y site j contributes
+    (-1)^{bit_j of the KET index} to <x|S|x^flip>.
+    """
+    flip, zmask, ny = s.masks(n)
+    src = np.arange(1 << n) ^ flip
+    par = np.bitwise_count(src & zmask) & 1
+    return src, (1j) ** (ny % 4) * (1.0 - 2.0 * par)

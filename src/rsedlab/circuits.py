@@ -28,7 +28,7 @@ from .randomness import (
     sample_sign_function,
 )
 from .rng import RngSeed, WordStream
-from .rsed import DENSE_MAX_N, StateVector, gate_ccx, gate_cx, gate_h, gate_phase, gate_x
+from .rsed import DENSE_MAX_N, StateVector
 from .subsystem import SubUnitary, random_sign_diag
 
 HEADER = "RSEDCIRC 1"
@@ -81,9 +81,6 @@ class GateCircuit:
 
     def gate_counts(self) -> dict[str, int]:
         return dict(Counter(g[0] for g in self.gates))
-
-    def with_registry(self, registry: dict) -> "GateCircuit":
-        return GateCircuit(self.n, self.gates, registry)
 
 
 def serialize(circuit: GateCircuit) -> str:
@@ -204,6 +201,32 @@ def _resolve(circuit: GateCircuit, ref: str, kind):
     return obj
 
 
+def _gate_h(amps: np.ndarray, q: int) -> np.ndarray:
+    """Hadamard on qubit q of a dense amplitude array."""
+    mask = 1 << q
+    xs = np.arange(len(amps))
+    lo = (xs & mask) == 0
+    out = np.empty_like(amps)
+    out[lo] = (amps[lo] + amps[~lo]) / np.sqrt(2.0)
+    out[~lo] = (amps[lo] - amps[~lo]) / np.sqrt(2.0)
+    return out
+
+
+def _gate_phase(amps: np.ndarray, q: int, phase: complex) -> np.ndarray:
+    """diag(1, phase) on qubit q (S: phase=i, T: phase=e^{i pi/4})."""
+    xs = np.arange(len(amps))
+    out = amps.copy()
+    out[(xs & (1 << q)) != 0] *= phase
+    return out
+
+
+def _gate_flip(amps: np.ndarray, controls: tuple, q: int) -> np.ndarray:
+    """Flip qubit q where every control bit is set (X, CX, CCX)."""
+    xs = np.arange(len(amps))
+    cmask = sum(1 << c for c in controls)
+    return amps[np.where((xs & cmask) == cmask, xs ^ (1 << q), xs)]
+
+
 def _run(circuit: GateCircuit, amps: np.ndarray) -> np.ndarray:
     amps = amps.astype(np.complex128, copy=True)
     dim = 1 << circuit.n
@@ -212,17 +235,13 @@ def _run(circuit: GateCircuit, amps: np.ndarray) -> np.ndarray:
     for gate in circuit.gates:
         name = gate[0]
         if name == "H":
-            amps = gate_h(amps, gate[1])
-        elif name == "X":
-            amps = gate_x(amps, gate[1])
+            amps = _gate_h(amps, gate[1])
         elif name == "S":
-            amps = gate_phase(amps, gate[1], 1j)
+            amps = _gate_phase(amps, gate[1], 1j)
         elif name == "T":
-            amps = gate_phase(amps, gate[1], np.exp(1j * np.pi / 4.0))
-        elif name == "CX":
-            amps = gate_cx(amps, gate[1], gate[2])
-        elif name == "CCX":
-            amps = gate_ccx(amps, gate[1], gate[2], gate[3])
+            amps = _gate_phase(amps, gate[1], np.exp(1j * np.pi / 4.0))
+        elif name in ("X", "CX", "CCX"):
+            amps = _gate_flip(amps, gate[1:-1], gate[-1])
         elif name == "PERM":
             perm = _resolve(circuit, gate[2], SubsetPermutation)
             table = perm.forward_array(np.arange(dim, dtype=np.uint32))

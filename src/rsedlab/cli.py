@@ -4,8 +4,9 @@ Subcommands: otoc-trace, otoc-scaling, otoc-average, level-stats, sff,
 design-check, coherence, circuit-emit, verify.  Global flags --config PATH,
 --seed U64, --out DIR, --threads INT; everything else lives in the JSON
 config.  Exit codes: 0 success, 1 verification failure, 2 usage/config
-error.  Outputs embed the config, seed, and library version, and re-running
-with the same config reproduces the numeric columns bit for bit.
+error or input the library rejects (a ValueError raised inside a driver).
+Outputs embed the config, seed, and library version, and re-running with the
+same config reproduces the numeric columns bit for bit.
 """
 
 from __future__ import annotations
@@ -455,6 +456,9 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # input the library rejects, found inside a driver
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

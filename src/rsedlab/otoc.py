@@ -16,19 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bitcore import PauliString, pauli_action
 from .rng import RngSeed, WordStream
 from .rsed import (
     DENSE_MAX_N,
-    PauliString,
     RsedOperator,
     StateVector,
     apply,
     apply_pauli,
     dense_embedding,
     dense_matrix,
-    pauli_action,
 )
-from .subsystem import SubHamiltonian, SubUnitary, evolve
+from .subsystem import SubHamiltonian, SubUnitary
 
 _CHUNK_ENTRIES = 1 << 22  # cap on seeds_per_chunk * K**2 workspace
 
@@ -237,12 +236,12 @@ def otoc_finite_temperature(
     if h_sub.k != op.shape.k:
         raise ValueError("h_sub dimension does not match operator subsystem")
     n = op.shape.n
+    gibbs_sub = (h_sub.eigenvectors * np.exp(-beta * h_sub.eigenvalues)[None, :]) @ h_sub.eigenvectors.conj().T
     if mode == "exact":
         if n > DENSE_MAX_N:
             raise ValueError(f"exact mode capped at n={DENSE_MAX_N}")
         u = dense_matrix(op)
         # e^{-beta H} assembled blockwise like the dense operator
-        gibbs_sub = (h_sub.eigenvectors * np.exp(-beta * h_sub.eigenvalues)[None, :]) @ h_sub.eigenvectors.conj().T
         gibbs = dense_embedding(op, gibbs_sub)
         rho = gibbs / np.trace(gibbs)
         src_v, ph_v = pauli_action(v, n)
@@ -257,7 +256,6 @@ def otoc_finite_temperature(
     if mode == "leading":
         u = op.sub.matrix
         K = op.shape.subdim
-        gibbs_sub = (h_sub.eigenvectors * np.exp(-beta * h_sub.eigenvalues)[None, :]) @ h_sub.eigenvectors.conj().T
         rho_sub = gibbs_sub / np.trace(gibbs_sub)
         off_diag = np.sum(rho_sub) - np.trace(rho_sub)
         factor = 1.0 + off_diag / (op.shape.dim - 1)
@@ -284,7 +282,3 @@ def early_time_slope(h: SubHamiltonian) -> float:
     val = 0.5 * np.trace(3.0 * d_hh + hh - 2.0 * d_abs - 2.0 * d_h) / h.dim
     return float(np.real(val))
 
-
-def evolved_operator(op: RsedOperator, h: SubHamiltonian, t: float) -> RsedOperator:
-    """op with sub replaced by e^{-i h t} (continuous-time RSED at time t)."""
-    return op.with_sub(evolve(h, t))

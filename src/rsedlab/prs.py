@@ -12,10 +12,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitcore import SystemShape, join
-from .circuits import random_clifford_gates
+from .circuits import GateCircuit, random_clifford_gates, simulate_circuit
 from .randomness import SignFunction, SubsetPermutation
 from .rng import RngSeed
-from .rsed import StateVector, gate_cx, gate_h, gate_phase
+from .rsed import StateVector
 from .subsystem import SubUnitary
 
 TCOPY_MAX_QUBITS = 16  # dense t-copy algebra capped at dimension 2**16
@@ -246,30 +246,18 @@ class HadamardLayer:
 
 
 def append_layer(psi: StateVector, layer) -> StateVector:
-    """Apply a resource layer (RandomClifford / TLayer / HadamardLayer)."""
+    """Apply a resource layer (RandomClifford / TLayer / HadamardLayer) as a
+    gate circuit."""
     n = psi.shape.n
-    amps = psi.amplitudes.copy()
     if isinstance(layer, HadamardLayer):
-        for q in layer.pattern:
-            if not 0 <= q < n:
-                raise ValueError(f"site {q} out of range [0, {n})")
-            amps = gate_h(amps, q)
+        gates = tuple(("H", q) for q in layer.pattern)
     elif isinstance(layer, TLayer):
-        for q in layer.pattern:
-            if not 0 <= q < n:
-                raise ValueError(f"site {q} out of range [0, {n})")
-            amps = gate_phase(amps, q, np.exp(1j * np.pi / 4.0))
+        gates = tuple(("T", q) for q in layer.pattern)
     elif isinstance(layer, RandomClifford):
-        for gate in random_clifford_gates(n, layer.seed, layer.length):
-            if gate[0] == "H":
-                amps = gate_h(amps, gate[1])
-            elif gate[0] == "S":
-                amps = gate_phase(amps, gate[1], 1j)
-            else:
-                amps = gate_cx(amps, gate[1], gate[2])
+        gates = random_clifford_gates(n, layer.seed, layer.length)
     else:
         raise TypeError(f"unsupported layer {type(layer)!r}")
-    return StateVector(psi.shape, amps)
+    return simulate_circuit(GateCircuit(n, gates), psi)
 
 
 def entanglement_entropy(psi: StateVector, cut) -> float:

@@ -252,7 +252,10 @@ def load_permutation(path, k: int) -> SubsetPermutation:
         magic = fh.read(len(PERM_MAGIC))
         if magic != PERM_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {PERM_MAGIC!r}")
-        (n,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(4)
+        if len(header) != 4:
+            raise ValueError("truncated permutation file")
+        (n,) = struct.unpack("<I", header)
         shape = SystemShape(n, k)
         table = np.frombuffer(fh.read(4 * shape.dim), dtype="<u4").astype(np.uint32)
         trailing = fh.read(1)

@@ -12,13 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcore import SystemShape, check_index, split
+from .bitcore import PauliString, SystemShape, check_index, pauli_action, split
 from .randomness import SignFunction, SubsetPermutation
 from .subsystem import SubUnitary, unitary_power
 
 DENSE_MAX_N = 10
-
-_AXES = ("X", "Y", "Z")
 
 
 @dataclass(frozen=True)
@@ -46,89 +44,10 @@ class StateVector:
         return cls(shape, amps)
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Product of single-site Paulis, at most one axis per site; squares to I."""
-
-    sites: tuple[tuple[int, str], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for j, axis in self.sites:
-            if axis not in _AXES:
-                raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-            if j in seen:
-                raise ValueError(f"site {j} repeated in Pauli string")
-            seen.add(j)
-
-    def masks(self, n: int) -> tuple[int, int, int]:
-        """(flip mask from X/Y, Z-phase mask from Z/Y, number of Y sites)."""
-        flip = phase = ny = 0
-        for j, axis in self.sites:
-            if not 0 <= j < n:
-                raise ValueError(f"site {j} out of range [0, {n})")
-            if axis in ("X", "Y"):
-                flip |= 1 << j
-            if axis in ("Z", "Y"):
-                phase |= 1 << j
-            if axis == "Y":
-                ny += 1
-        return flip, phase, ny
-
-
-def pauli_action(s: PauliString, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(source index array, phase array) with (S psi)[x] = phase[x] psi[src[x]].
-
-    X flips, Z phases, Y = i X Z per site; each Z|Y site j contributes
-    (-1)^{bit_j of the KET index} to <x|S|x^flip>.
-    """
-    flip, zmask, ny = s.masks(n)
-    src = np.arange(1 << n) ^ flip
-    par = np.bitwise_count(src & zmask) & 1
-    return src, (1j) ** (ny % 4) * (1.0 - 2.0 * par)
-
-
 def apply_pauli(s: PauliString, psi: StateVector) -> StateVector:
     """Signed basis permutation S psi."""
     src, phase = pauli_action(s, psi.shape.n)
     return StateVector(psi.shape, phase * psi.amplitudes[src])
-
-
-def gate_h(amps: np.ndarray, q: int) -> np.ndarray:
-    """Hadamard on qubit q of a dense amplitude array."""
-    mask = 1 << q
-    xs = np.arange(len(amps))
-    lo = (xs & mask) == 0
-    out = np.empty_like(amps)
-    out[lo] = (amps[lo] + amps[~lo]) / np.sqrt(2.0)
-    out[~lo] = (amps[lo] - amps[~lo]) / np.sqrt(2.0)
-    return out
-
-
-def gate_phase(amps: np.ndarray, q: int, phase: complex) -> np.ndarray:
-    """diag(1, phase) on qubit q (S: phase=i, T: phase=e^{i pi/4})."""
-    xs = np.arange(len(amps))
-    out = amps.copy()
-    out[(xs & (1 << q)) != 0] *= phase
-    return out
-
-
-def gate_x(amps: np.ndarray, q: int) -> np.ndarray:
-    xs = np.arange(len(amps))
-    return amps[xs ^ (1 << q)]
-
-
-def gate_cx(amps: np.ndarray, c: int, q: int) -> np.ndarray:
-    xs = np.arange(len(amps))
-    src = np.where((xs & (1 << c)) != 0, xs ^ (1 << q), xs)
-    return amps[src]
-
-
-def gate_ccx(amps: np.ndarray, c1: int, c2: int, q: int) -> np.ndarray:
-    xs = np.arange(len(amps))
-    both = ((xs & (1 << c1)) != 0) & ((xs & (1 << c2)) != 0)
-    src = np.where(both, xs ^ (1 << q), xs)
-    return amps[src]
 
 
 @dataclass(frozen=True)

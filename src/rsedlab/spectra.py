@@ -13,6 +13,7 @@ from .bitcore import SystemShape
 from .subsystem import SubHamiltonian
 
 DEGENERACY_TOL_SCALE = 1e-10
+HISTOGRAM_BINS = 40
 
 
 @dataclass(frozen=True)
@@ -23,24 +24,20 @@ class SpectrumReport:
     histogram: tuple[np.ndarray, np.ndarray]  # (bin edges, densities)
 
 
-def level_spacing_stats(
-    evals: np.ndarray,
-    exclude_degenerate: bool = False,
-    tolerance: float | None = None,
-    bins: int = 40,
-) -> SpectrumReport:
+def level_spacing_stats(evals: np.ndarray, exclude_degenerate: bool = False) -> SpectrumReport:
     """Sorted spectrum, unit-mean normalized gaps, histogram.
 
-    exclude_degenerate drops gaps below the tolerance (default 1e-10 times
-    the spectral range) before normalizing.  degeneracy_multiplicity is the
+    exclude_degenerate drops gaps below the tolerance (1e-10 times the
+    spectral range) before normalizing.  degeneracy_multiplicity is the
     modal size of eigenvalue clusters at that tolerance (1 for a simple
-    spectrum, 2**(n-k) for an embedded one).
+    spectrum, 2**(n-k) for an embedded one).  The histogram has
+    HISTOGRAM_BINS bins over [0, max(4, largest spacing)].
     """
     evals = np.sort(np.asarray(evals, dtype=np.float64))
     if len(evals) < 3:
         raise ValueError("need at least 3 eigenvalues")
     spread = evals[-1] - evals[0]
-    tol = tolerance if tolerance is not None else DEGENERACY_TOL_SCALE * spread
+    tol = DEGENERACY_TOL_SCALE * spread
     gaps = np.diff(evals)
     cluster_sizes = []
     run = 1
@@ -59,7 +56,7 @@ def level_spacing_stats(
         raise ValueError("no nonzero gaps to normalize")
     spacings = gaps / gaps.mean()
     top = max(4.0, float(spacings.max()))
-    dens, edges = np.histogram(spacings, bins=bins, range=(0.0, top), density=True)
+    dens, edges = np.histogram(spacings, bins=HISTOGRAM_BINS, range=(0.0, top), density=True)
     return SpectrumReport(evals, spacings, multiplicity, (edges, dens))
 
 

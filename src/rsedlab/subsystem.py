@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import schur
 
+from .bitcore import PauliString, pauli_action
 from .rng import RngSeed, WordStream
 
 MAX_SUB_QUBITS = 12  # dense K x K with K = 2**k capped at 4096
@@ -119,45 +120,35 @@ def random_sign_hadamard(k: int, seed: RngSeed) -> SubUnitary:
     return _trusted(k, _dense_h(k) * _signs(k, seed)[None, :])
 
 
-def _single_site(op: np.ndarray, m: int, k: int) -> np.ndarray:
-    """op on qubit m; bit m of the basis index addresses qubit m."""
-    out = np.array([[1.0 + 0.0j]])
-    for q in range(k - 1, -1, -1):
-        out = np.kron(out, op if q == m else np.eye(2, dtype=np.complex128))
-    return out
-
-
-def pauli_syk(k: int, seed: RngSeed, couplings: np.ndarray | None = None) -> SubHamiltonian:
+def pauli_syk(k: int, seed: RngSeed) -> SubHamiltonian:
     """All-to-all four-body random Hamiltonian over Pauli Majorana labels.
 
     chi_{2m-1} = X_m, chi_{2m} = Y_m (labels 1-based), couplings J standard
     normal.  Each term carries i**eta with eta the number of same-site label
     pairs among the four (0, 1, or 2), which is exactly the phase needed to
-    keep every term Hermitian.  The result is rescaled by 1/max(|E_min|,
-    |E_max|) so the spectrum lies in [-1, 1] with one endpoint at magnitude 1.
+    keep every term Hermitian.  Since X_m Y_m = i Z_m, the four labels
+    multiply to i**eta times one Pauli string (Z on each paired site), so a
+    term is J (-1)**eta times that string, added through its signed-permutation
+    action.  The result is rescaled by 1/max(|E_min|, |E_max|) so the spectrum
+    lies in [-1, 1] with one endpoint at magnitude 1.
     """
     if k < 2:
         raise ValueError(f"pauli_syk needs k >= 2, got k={k}")
     _check_k(k)
-    n_maj = 2 * k
     K = 1 << k
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-    chi = []
-    for label in range(1, n_maj + 1):
-        site = (label + 1) // 2 - 1
-        chi.append(_single_site(x if label % 2 == 1 else y, site, k))
-    quads = list(combinations(range(1, n_maj + 1), 4))
-    if couplings is None:
-        couplings = WordStream(seed).standard_normal(len(quads))
-    couplings = np.asarray(couplings, dtype=np.float64)
-    if couplings.shape != (len(quads),):
-        raise ValueError(f"expected {len(quads)} couplings, got {couplings.shape}")
-    site_of = lambda label: (label + 1) // 2
+    # 0-based label L sits on site L // 2, as X for even L and Y for odd L
+    quads = list(combinations(range(2 * k), 4))
+    couplings = WordStream(seed).standard_normal(len(quads))
+    rows = np.arange(K)
     h = np.zeros((K, K), dtype=np.complex128)
-    for J, (a, b, c, d) in zip(couplings, quads):
-        eta = int(site_of(a) == site_of(b)) + int(site_of(b) == site_of(c)) + int(site_of(c) == site_of(d))
-        h += J * (1j ** eta) * (chi[a - 1] @ chi[b - 1] @ chi[c - 1] @ chi[d - 1])
+    for J, quad in zip(couplings, quads):
+        axes: dict[int, str] = {}
+        for label in quad:
+            site = label // 2
+            axes[site] = "Z" if site in axes else "XY"[label % 2]
+        eta = 4 - len(axes)
+        src, phase = pauli_action(PauliString(tuple(axes.items())), k)
+        h[rows, src] += J * (-1.0) ** eta * phase
     lam = np.linalg.eigvalsh(h)
     scale = max(abs(lam[0]), abs(lam[-1]))
     if scale > 0:

@@ -68,12 +68,15 @@ def test_empty_and_single_gate_simulation():
 
 
 def test_ccx_truth_table():
-    circ = GateCircuit(3, (("CCX", 0, 1, 2),))
+    """X, CX and CCX flip qubit 2 exactly where all their control bits are set."""
     shape = SystemShape(3, 1)
-    for x in range(8):
-        out = simulate_circuit(circ, StateVector.basis(shape, x)).amplitudes
-        target = x ^ (1 << 2) if (x & 0b11) == 0b11 else x
-        assert out[target] == pytest.approx(1.0)
+    for gate, controls in ((("X", 2), 0b00), (("CX", 1, 2), 0b10), (("CCX", 0, 1, 2), 0b11)):
+        circ = GateCircuit(3, (gate,))
+        for x in range(8):
+            out = simulate_circuit(circ, StateVector.basis(shape, x)).amplitudes
+            target = x ^ (1 << 2) if (x & controls) == controls else x
+            assert out[target] == 1.0
+            assert np.count_nonzero(out) == 1
 
 
 def test_synthesized_circuit_matches_rsed_dense():

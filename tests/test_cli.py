@@ -233,6 +233,10 @@ def test_config_errors_exit_2(tmp_path):
         {"experiment": "otoc-scaling", "n_list": [1, 4]},
         # ceil(log2(12)**2) = 13 is past the dense cap; rejected before any work
         {"experiment": "otoc-scaling", "n_list": [4, 12]},
+        # library ValueErrors raised inside a driver
+        {"experiment": "otoc-trace", "estimator": {"mode": "sampled", "num_seeds": 1}},
+        {"experiment": "otoc-trace", "n": 4, "k": 1, "u_spec": {"type": "pauli_syk", "seed": 3}},
+        {"experiment": "otoc-trace", "n": 25, "k": 2, "ensemble": 1},
     ],
 )
 def test_config_boundary_exit_2(tmp_path, cfg):

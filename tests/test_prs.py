@@ -208,6 +208,12 @@ def test_append_layer_examples():
     assert abs(cliff.norm - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("layer", [HadamardLayer((0, 4)), TLayer((-1,))])
+def test_append_layer_rejects_out_of_range_site(layer):
+    with pytest.raises(ValueError):
+        append_layer(StateVector.basis(SystemShape(4, 2), 0), layer)
+
+
 def test_coherence_enhancement_after_hadamard_layer():
     n, k = 10, 5
     shape = SystemShape(n, k)

@@ -193,6 +193,13 @@ def test_serialization_rejects_bad_table(tmp_path, table, tail):
         load_permutation(path, k=1)
 
 
+def test_serialization_rejects_truncated_header(tmp_path):
+    path = tmp_path / "short.rsedperm"
+    path.write_bytes(b"RSEDPERM1" + b"\x03\x00")
+    with pytest.raises(ValueError, match="truncated"):
+        load_permutation(path, k=1)
+
+
 def test_explicit_table_capacity_error():
     with pytest.raises(ValueError):
         sample_permutation(SystemShape(25, 4), RngSeed(1), backend="explicit")

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from rsedlab.subsystem import (
 )
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -60,6 +63,35 @@ def test_pauli_syk_hermitian_and_normalized():
         lam = h.eigenvalues
         assert max(abs(lam[0]), abs(lam[-1])) == pytest.approx(1.0, abs=1e-9)
         assert lam[0] >= -1.0 - 1e-9 and lam[-1] <= 1.0 + 1e-9
+
+
+def _dense_syk(k: int, seed: RngSeed) -> np.ndarray:
+    """Reference spin-SYK from dense Majoranas: chi_{2m-1} = X_m, chi_{2m} = Y_m
+    as Kronecker products (bit m of the index is qubit m), each four-label
+    product times i**eta, then rescaled to max |E| = 1."""
+
+    def on_site(op, m):
+        out = np.array([[1.0 + 0.0j]])
+        for q in range(k - 1, -1, -1):
+            out = np.kron(out, op if q == m else np.eye(2, dtype=complex))
+        return out
+
+    chi = [on_site(X if label % 2 == 1 else Y, (label + 1) // 2 - 1) for label in range(1, 2 * k + 1)]
+    quads = list(combinations(range(1, 2 * k + 1), 4))
+    couplings = WordStream(seed).standard_normal(len(quads))
+    site = lambda label: (label + 1) // 2
+    h = np.zeros((1 << k, 1 << k), dtype=complex)
+    for J, (a, b, c, d) in zip(couplings, quads):
+        eta = int(site(a) == site(b)) + int(site(b) == site(c)) + int(site(c) == site(d))
+        h += J * (1j**eta) * (chi[a - 1] @ chi[b - 1] @ chi[c - 1] @ chi[d - 1])
+    lam = np.linalg.eigvalsh(h)
+    return h / max(abs(lam[0]), abs(lam[-1]))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_pauli_syk_matches_dense_majorana_reference(k):
+    for s in (0, 1):
+        assert np.array_equal(pauli_syk(k, RngSeed(50 + s, k)).matrix, _dense_syk(k, RngSeed(50 + s, k)))
 
 
 def test_pauli_syk_requires_k2():
