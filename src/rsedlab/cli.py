@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from math import ceil, log2
 from pathlib import Path
 
@@ -67,6 +67,17 @@ class ConfigError(ValueError):
     pass
 
 
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str, "list": list, "dict": dict, "None": type(None)}
+
+
+def _type_ok(value, annotation: str) -> bool:
+    """isinstance against a field annotation such as "int | None"; a bool is no number."""
+    kinds = annotation.split(" | ")
+    if isinstance(value, bool):
+        return "bool" in kinds
+    return any(isinstance(value, _FIELD_TYPES[kind]) for kind in kinds)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -92,6 +103,10 @@ class ExperimentConfig:
     inject_fault: str | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _type_ok(value, f.type):
+                raise ConfigError(f"config field {f.name!r} must be {f.type}, got {type(value).__name__}")
         if self.experiment not in _DRIVERS and self.experiment != "verify":
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.k is not None and self.k_rule is None and not 1 <= self.k <= min(self.n, 12):
@@ -102,17 +117,19 @@ class ExperimentConfig:
             raise ConfigError("ensemble and trials must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if len(self.sites) != 2 or self.sites[0] == self.sites[1]:
+        if len(self.sites) != 2 or not all(_type_ok(s, "int") for s in self.sites) or self.sites[0] == self.sites[1]:
             raise ConfigError("sites must be two distinct site indices")
         if not all(0 <= s < self.n for s in self.sites):
             raise ConfigError(f"sites {self.sites} out of range [0, {self.n})")
         for n in self.n_list:
-            if n < 2 or ceil(log2(n) ** 2) > 12:
+            if not _type_ok(n, "int") or n < 2 or ceil(log2(n) ** 2) > 12:
                 raise ConfigError(f"n_list entry {n} needs 2 <= n with ceil(log2(n)**2) <= 12")
         if self.u_spec.get("type") not in ("hadamard", "random_sign_hadamard", "pauli_syk", "identity"):
             raise ConfigError(f"unknown u_spec type {self.u_spec.get('type')!r}")
         if self.estimator.get("mode", "exact") not in ("exact", "sampled"):
             raise ConfigError(f"unknown estimator mode {self.estimator.get('mode')!r}")
+        if not _type_ok(self.u_spec.get("seed", 7), "int") or not _type_ok(self.estimator.get("num_seeds", 64), "int"):
+            raise ConfigError("u_spec seed and estimator num_seeds must be integers")
 
 
 def resolve_k(cfg: ExperimentConfig, n: int) -> int:

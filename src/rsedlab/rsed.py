@@ -65,19 +65,20 @@ class RsedOperator:
         if self.perm.shape != self.shape or self.sign.shape != self.shape:
             raise ValueError("permutation/sign shapes do not match operator shape")
 
+    def _block_indices(self, seeds: np.ndarray) -> np.ndarray:
+        """Row a holds join(b, seeds[a]) over b in [0, K)."""
+        seeds = np.asarray(seeds, dtype=np.uint32)
+        return (seeds[:, None] << np.uint32(self.shape.k)) | np.arange(self.shape.subdim, dtype=np.uint32)[None, :]
+
     def block_positions(self, seeds: np.ndarray) -> np.ndarray:
         """Row a of the result holds p(join(b, seeds[a])) over b in [0, K)."""
-        seeds = np.asarray(seeds, dtype=np.uint32)
-        K = self.shape.subdim
-        xs = (seeds[:, None].astype(np.uint32) << np.uint32(self.shape.k)) | np.arange(K, dtype=np.uint32)[None, :]
-        return self.perm.forward_array(xs.reshape(-1)).reshape(len(seeds), K)
+        xs = self._block_indices(seeds)
+        return self.perm.forward_array(xs.reshape(-1)).reshape(xs.shape)
 
     def block_signs(self, seeds: np.ndarray) -> np.ndarray:
         """Row a holds (-1)^{f(join(b, seeds[a]))} over b, as float."""
-        seeds = np.asarray(seeds, dtype=np.uint32)
-        K = self.shape.subdim
-        xs = (seeds[:, None].astype(np.uint32) << np.uint32(self.shape.k)) | np.arange(K, dtype=np.uint32)[None, :]
-        return 1.0 - 2.0 * self.sign.sign_array(xs.reshape(-1)).reshape(len(seeds), K).astype(np.float64)
+        xs = self._block_indices(seeds)
+        return 1.0 - 2.0 * self.sign.sign_array(xs.reshape(-1)).reshape(xs.shape).astype(np.float64)
 
     def with_sub(self, sub: SubUnitary) -> "RsedOperator":
         return RsedOperator(self.shape, self.perm, self.sign, sub)

@@ -237,6 +237,18 @@ def test_config_errors_exit_2(tmp_path):
         {"experiment": "otoc-trace", "estimator": {"mode": "sampled", "num_seeds": 1}},
         {"experiment": "otoc-trace", "n": 4, "k": 1, "u_spec": {"type": "pauli_syk", "seed": 3}},
         {"experiment": "otoc-trace", "n": 25, "k": 2, "ensemble": 1},
+        # field types, checked before any value is used
+        {"experiment": "otoc-trace", "n": "8"},
+        {"experiment": "otoc-trace", "u_spec": "hadamard"},
+        {"experiment": "otoc-trace", "sites": 5},
+        {"experiment": "otoc-trace", "estimator": []},
+        # a fractional site would shift by bit 0 and give a wrong curve silently
+        {"experiment": "otoc-trace", "sites": [0.5, 1]},
+        {"experiment": "otoc-scaling", "n_list": [4, "8"]},
+        {"experiment": "otoc-trace", "exclude_degenerate": 1},
+        {"experiment": "otoc-trace", "ensemble": True},
+        {"experiment": "otoc-trace", "u_spec": {"type": "random_sign_hadamard", "seed": "x"}},
+        {"experiment": "otoc-trace", "estimator": {"mode": "sampled", "num_seeds": "4"}},
     ],
 )
 def test_config_boundary_exit_2(tmp_path, cfg):

@@ -2,7 +2,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from rsedlab import otoc
 from rsedlab.bitcore import SystemShape
 from rsedlab.otoc import (
     OtocEstimate,
@@ -18,7 +21,7 @@ from rsedlab.otoc import (
     zz_f_variance_hadamard_exact,
 )
 from rsedlab.randomness import SignFunction, sample_permutation, sample_sign_function
-from rsedlab.rng import RngSeed
+from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import PauliString, RsedOperator, dense_matrix
 from rsedlab.subsystem import (
     SubHamiltonian,
@@ -80,14 +83,19 @@ def test_zz_is_sign_function_independent():
     assert len(vals) == 1
 
 
+def _zz_block_trace(row, u, i, j):
+    """tr(Di u Dj u^dag Di u Dj u^dag) for one block's positions (oracle helper)."""
+    di = 1.0 - 2.0 * ((row >> i) & 1)
+    dj = 1.0 - 2.0 * ((row >> j) & 1)
+    x = (di[:, None] * u * dj[None, :]) @ u.conj().T
+    return np.einsum("ij,ji->", x, x)
+
+
 def _zz_trace_from_positions(pos, u, i, j):
     """Per-seed ZZ reduction for an arbitrary index map (oracle helper)."""
     total = 0j
     for row in pos:
-        di = 1.0 - 2.0 * ((row >> i) & 1)
-        dj = 1.0 - 2.0 * ((row >> j) & 1)
-        x = (di[:, None] * u * dj[None, :]) @ u.conj().T
-        total += np.einsum("ij,ji->", x, x)
+        total += _zz_block_trace(row, u, i, j)
     return total / (pos.size)
 
 
@@ -154,6 +162,61 @@ def test_sampled_exhaustive_bitwise_and_identity_case():
     opi = make_op(8, 4, SubUnitary(4, np.eye(16, dtype=complex)), 13)
     est = otoc_zz_sampled(opi, 0, 7, num_seeds=8, seed=RngSeed(14))
     assert est.value == pytest.approx(1.0) and est.std_error < 1e-12
+
+
+@given(
+    n=st.integers(2, 9),
+    data=st.data(),
+    perm_backend=st.sampled_from(["explicit", "feistel"]),
+    sign_backend=st.sampled_from(["explicit", "keyed_prf"]),
+    gate=st.sampled_from(["integer_power", "fractional_power", "syk"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_zz_kernel_matches_generic_pauli_otoc(n, data, perm_backend, sign_backend, gate, seed):
+    """The ZZ reduction equals the dense Pauli OTOC on either backend, for a
+    real gate (integer Hadamard-sign power), a complex one (fractional power)
+    and a chaotic one (evolved spin SYK)."""
+    k = data.draw(st.integers(1, n - 1))
+    assume(gate != "syk" or k >= 2)
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    shape = SystemShape(n, k)
+    if gate == "syk":
+        u = evolve(pauli_syk(k, RngSeed(seed, 3)), data.draw(st.floats(0.1, 4.0)))
+    else:
+        base = random_sign_hadamard(k, RngSeed(seed, 3))
+        t = data.draw(st.integers(1, 4)) if gate == "integer_power" else data.draw(st.floats(0.1, 3.9))
+        u = unitary_power(base, t)
+        assert (not u.matrix.imag.any()) == (gate == "integer_power")
+    op = RsedOperator(
+        shape,
+        sample_permutation(shape, RngSeed(seed, 1), backend=perm_backend),
+        sample_sign_function(shape, RngSeed(seed, 2), backend=sign_backend),
+        u,
+    )
+    zz = otoc_zz_exact(op, i, j).value
+    generic = otoc_pauli(op, PauliString(((i, "Z"),)), PauliString(((j, "Z"),)), mode="exact").value
+    assert abs(zz - generic) <= 1e-10
+
+
+@pytest.mark.parametrize("t", [2, 0.5], ids=["real", "complex"])
+def test_zz_kernel_chunk_boundaries(monkeypatch, t):
+    """Seeds split into 25 + 25 + 14 at n = 10, k = 4: the ragged chunking
+    keeps the exact value, the exhaustive clamp and the per-seed traces."""
+    u = unitary_power(random_sign_hadamard(4, RngSeed(20)), t)
+    op = make_op(10, 4, u, 21)
+    single = otoc_zz_exact(op, 2, 7).value
+    monkeypatch.setattr(otoc, "_CHUNK_ENTRIES", 25 * 16 * 16)
+    exact = otoc_zz_exact(op, 2, 7)
+    assert abs(exact.value - single) <= 1e-13
+    assert otoc_zz_sampled(op, 2, 7, num_seeds=64, seed=RngSeed(22)).value == exact.value
+    draws = WordStream(RngSeed(23)).integers(op.shape.num_seeds, 60).astype(np.uint32)
+    assert len(np.unique(draws)) < len(draws)
+    _, traces = otoc._zz_trace_sum(op, 2, 7, draws)
+    oracle = [_zz_block_trace(row, u.matrix, 2, 7) for row in op.block_positions(draws)]
+    assert np.max(np.abs(traces - oracle)) <= 1e-12
+    sampled = otoc_zz_sampled(op, 2, 7, num_seeds=60, seed=RngSeed(23))
+    assert abs(sampled.value - np.mean(oracle) / 16) <= 1e-12
 
 
 def test_sampled_subsample_consistency():
