@@ -258,12 +258,13 @@ def run_otoc_scaling(cfg: ExperimentConfig, out: Path) -> dict:
 
 def run_otoc_average(cfg: ExperimentConfig, out: Path) -> dict:
     k = resolve_k(cfg, cfg.n)
+    cols = []  # one gate per realization, so its Schur form serves every t
+    for r in range(cfg.ensemble):
+        u, h = base_unitary(cfg, k, r)
+        cols.append([otoc_zz_f_average(evolved(u, h, float(t))) for t in cfg.t_grid])
     rows = []
-    for t in cfg.t_grid:
-        vals = []
-        for r in range(cfg.ensemble):
-            u, h = base_unitary(cfg, k, r)
-            vals.append(otoc_zz_f_average(evolved(u, h, float(t))))
+    for t_idx, t in enumerate(cfg.t_grid):
+        vals = [col[t_idx] for col in cols]
         rows.append([float(t), float(np.mean(vals)), float(1.0 - np.mean(vals))])
     write_csv(out / "otoc_average.csv", cfg, ["t", "mean_EfO", "mean_C"], rows)
     summary = {"final_mean_EfO": rows[-1][1], "k": k}

@@ -90,6 +90,8 @@ def _check_zz_sites(op: RsedOperator, i: int, j: int) -> None:
     if i == j:
         raise ValueError("ZZ OTOC requires distinct sites i != j")
     for s in (i, j):
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ValueError(f"site {s!r} is not an integer")
         if not 0 <= s < op.shape.n:
             raise ValueError(f"site {s} out of range [0, {op.shape.n})")
 

@@ -16,6 +16,7 @@ MAX_SUB_QUBITS = 12  # dense K x K with K = 2**k capped at 4096
 
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
+PHASE_SNAP = 1e-6  # arccos eigenphases this close to 0 or pi are exactly 0 or pi
 
 
 def _check_k(k: int) -> None:
@@ -28,10 +29,13 @@ class SubUnitary:
     """Dense K x K unitary acting on the embedded subsystem.
 
     The constructor checks unitarity (O(K**3)) because the matrix comes from
-    the caller; gates this module builds skip that check via _trusted."""
+    the caller; gates this module builds skip that check via _trusted.  The
+    Schur eigenpath (theta, z) is computed on first use and kept with the
+    gate (see _unitary_eigh), so treat `matrix` as read-only."""
 
     k: int
     matrix: np.ndarray = field(repr=False)
+    _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_k(self.k)
@@ -57,6 +61,7 @@ def _trusted(k: int, matrix: np.ndarray) -> SubUnitary:
     u = object.__new__(SubUnitary)
     object.__setattr__(u, "k", k)
     object.__setattr__(u, "matrix", np.asarray(matrix, dtype=np.complex128))
+    object.__setattr__(u, "_eig", None)
     return u
 
 
@@ -157,22 +162,51 @@ def pauli_syk(k: int, seed: RngSeed) -> SubHamiltonian:
 
 
 def _unitary_eigh(u: SubUnitary) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases theta in (-pi, pi] and an orthonormal eigenbasis.
+    """Eigenphases theta in (-pi, pi] and an orthonormal eigenbasis, computed
+    once per gate and cached on it (read-only arrays).
 
     Schur of a normal matrix is diagonal, so Z gives orthonormal eigenvectors
-    even under degeneracies (unlike np.linalg.eig).
+    even under degeneracies (unlike np.linalg.eig).  Every fractional power,
+    parent_hamiltonian and the criteria share the one factorization.
     """
-    t_mat, z = schur(u.matrix, output="complex")
-    ev = np.diag(t_mat)
-    if np.max(np.abs(np.abs(ev) - 1.0)) > 1e-8:
-        raise ValueError("input is not unitary to working precision")
-    return np.angle(ev), z
+    if u._eig is None:
+        t_mat, z = schur(u.matrix, output="complex")
+        ev = np.diag(t_mat)
+        if np.max(np.abs(np.abs(ev) - 1.0)) > 1e-8:
+            raise ValueError("input is not unitary to working precision")
+        theta = np.angle(ev)
+        theta.flags.writeable = False
+        z.flags.writeable = False
+        object.__setattr__(u, "_eig", (theta, z))
+    return u._eig
 
 
 def _phase_branch(theta: np.ndarray) -> np.ndarray:
     lam = -theta / (2.0 * np.pi)
     lam[np.isclose(lam, -0.5, atol=1e-12)] = 0.5
     return lam
+
+
+def _orthogonal_phases(m: np.ndarray) -> np.ndarray:
+    """Eigenphases of a real orthogonal m from the symmetric eigenproblem.
+
+    m is normal, so the real parts of its eigenvalues are the eigenvalues of
+    (m + m^T)/2, and its spectrum is closed under theta -> -theta.  Sorted in
+    descending order, each conjugate pair e^{+-i theta} shows up as two
+    adjacent cos(theta) entries, so alternate signs +, - rebuild it.  arccos
+    loses ~1e-8 next to +-1, so theta within PHASE_SNAP of 0 or pi is set to
+    exactly 0 or pi (the real eigenvalues +1 and -1).
+    """
+    K = m.shape[0]
+    dev = np.max(np.abs(m.T @ m - np.eye(K)))
+    if not dev <= 1e-8:
+        raise ValueError(f"input is not unitary to working precision (deviation {dev:.3g})")
+    c = np.linalg.eigvalsh(0.5 * (m + m.T))[::-1]
+    theta = np.arccos(np.clip(c, -1.0, 1.0))
+    theta[theta < PHASE_SNAP] = 0.0
+    theta[theta > np.pi - PHASE_SNAP] = np.pi
+    theta[1::2] *= -1.0
+    return theta
 
 
 def parent_hamiltonian(u: SubUnitary) -> SubHamiltonian:
@@ -187,19 +221,32 @@ def parent_hamiltonian(u: SubUnitary) -> SubHamiltonian:
 
 def parent_spectrum(u: SubUnitary) -> np.ndarray:
     """Sorted eigenvalues of the parent Hamiltonian, without the dense
-    reconstruction (same branch as parent_hamiltonian)."""
+    reconstruction (same branch as parent_hamiltonian).
+
+    A real (orthogonal) gate goes through the symmetric eigenproblem of
+    (u + u^T)/2 (_orthogonal_phases), several times faster than a general
+    eigensolver; a complex gate keeps np.linalg.eigvals.
+    """
     m = u.matrix
     if np.max(np.abs(m.imag)) < 1e-14:
-        m = m.real  # real orthogonal input: real eigensolver is ~4x faster
-    ev = np.linalg.eigvals(m)
-    if np.max(np.abs(np.abs(ev) - 1.0)) > 1e-8:
-        raise ValueError("input is not unitary to working precision")
-    return np.sort(_phase_branch(np.angle(ev)))
+        theta = _orthogonal_phases(m.real)
+    else:
+        ev = np.linalg.eigvals(m)
+        if np.max(np.abs(np.abs(ev) - 1.0)) > 1e-8:
+            raise ValueError("input is not unitary to working precision")
+        theta = np.angle(ev)
+    return np.sort(_phase_branch(theta))
 
 
 def unitary_power(u: SubUnitary, t) -> SubUnitary:
     """u**t: repeated multiplication for Python ints t >= 0, eigenpath
-    V e^{i theta t} V^dagger (theta in (-pi, pi]) for real t."""
+    V e^{i theta t} V^dagger (theta in (-pi, pi]) for real t, from the Schur
+    form cached on u, so a grid of t costs one factorization per gate.
+
+    theta is np.angle of the Schur diagonal, so for an eigenvalue -1 the
+    rounding of that factorization picks +pi or -pi: unlike
+    parent_hamiltonian, this path has no fixed branch.
+    """
     if isinstance(t, (int, np.integer)):
         if t < 0:
             raise ValueError("integer powers must be >= 0")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rsedlab import subsystem
 from rsedlab.cli import main
 
 
@@ -76,6 +77,27 @@ def test_otoc_trace_threads_match_serial(tmp_path):
     s = (tmp_path / "s" / "otoc_trace.csv").read_text().splitlines()[3:]
     p = (tmp_path / "p" / "otoc_trace.csv").read_text().splitlines()[3:]
     assert s == p
+
+
+@pytest.mark.parametrize("experiment", ["otoc-trace", "otoc-average"])
+def test_one_schur_form_per_realization(tmp_path, monkeypatch, experiment):
+    """A t grid with six fractional points factorizes each realization's gate
+    once; integer t take the matrix_power path."""
+    calls = []
+    schur = subsystem.schur
+    monkeypatch.setattr(subsystem, "schur", lambda *a, **kw: calls.append(1) or schur(*a, **kw))
+    cfg = {
+        "experiment": experiment,
+        "n": 8,
+        "k": 5,
+        "sites": [0, 7],
+        "ensemble": 2,
+        "t_grid": [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.25],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == cfg["ensemble"]
 
 
 def test_otoc_scaling_driver(tmp_path):

@@ -61,6 +61,20 @@ def test_zz_requires_distinct_sites():
         otoc_zz_exact(op, 2, 2)
 
 
+def test_zz_rejects_non_integer_sites():
+    """A fractional or bool site is an error, not the site it truncates to;
+    numpy integer sites give the same value as Python ints."""
+    op = make_op(8, 3, hadamard_layer(3), 3)
+    seed = RngSeed(3, 9)
+    for bad in ((0.5, 5), (5, 2.0), (True, 5), (0, np.float64(5.0))):
+        with pytest.raises(ValueError, match="not an integer"):
+            otoc_zz_exact(op, *bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            otoc_zz_sampled(op, *bad, 4, seed)
+    assert otoc_zz_exact(op, np.int64(0), np.uint8(5)).value == otoc_zz_exact(op, 0, 5).value
+    assert otoc_zz_sampled(op, np.int32(0), 5, 4, seed).value == otoc_zz_sampled(op, 0, 5, 4, seed).value
+
+
 def test_zz_exact_matches_dense_definition():
     """Blocked per-seed reduction equals the dense four-point trace."""
     u = unitary_power(random_sign_hadamard(4, RngSeed(4)), 2)

@@ -21,10 +21,12 @@ from rsedlab.subsystem import (
     parent_spectrum,
     SubHamiltonian,
     SubUnitary,
+    _trusted,
     hadamard_layer,
     parent_hamiltonian,
     pauli_syk,
     random_sign_hadamard,
+    unitary_power,
 )
 
 
@@ -134,9 +136,57 @@ def test_embed_spectrum_examples():
 
 def test_parent_spectrum_matches_parent_hamiltonian():
     u = random_sign_hadamard(5, RngSeed(9))
-    fast = parent_spectrum(u)
-    slow = np.sort(parent_hamiltonian(u).eigenvalues)
-    assert np.max(np.abs(fast - slow)) < 1e-10
+    half = unitary_power(u, 0.5)
+    assert half.matrix.imag.any()  # complex, so it takes the eigvals path
+    for gate in (u, half):
+        fast = parent_spectrum(gate)
+        slow = np.sort(parent_hamiltonian(gate).eigenvalues)
+        assert np.max(np.abs(fast - slow)) < 1e-10
+
+
+def _parent_spectrum_eigvals(u: SubUnitary) -> np.ndarray:
+    """parent_spectrum through the general eigensolver, as it was before real
+    gates took the symmetric eigenproblem: the reference for that path."""
+    m = u.matrix
+    if np.max(np.abs(m.imag)) < 1e-14:
+        m = m.real
+    ev = np.linalg.eigvals(m)
+    assert np.max(np.abs(np.abs(ev) - 1.0)) <= 1e-8
+    lam = -np.angle(ev) / (2.0 * np.pi)
+    lam[np.isclose(lam, -0.5, atol=1e-12)] = 0.5
+    return np.sort(lam)
+
+
+_REAL_GATES = {
+    "hadamard": lambda: (hadamard_layer(k) for k in range(1, 11)),
+    "identity": lambda: (SubUnitary(k, np.eye(1 << k)) for k in (1, 5, 10)),
+    "criterion_10": lambda: (random_sign_hadamard(8, RngSeed(0xA0, s)) for s in range(40)),
+    "goe_fit_k10": lambda: (random_sign_hadamard(10, RngSeed(7, s)) for s in range(20)),
+    "level_stats_workload": lambda: (
+        random_sign_hadamard(10, RngSeed(s, r)) for s in range(1, 21) for r in (0, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(_REAL_GATES))
+def test_real_parent_spectrum_matches_eigvals(family):
+    """The symmetric-eigenproblem spectrum of real gates keeps every spacing
+    count after the 1e-12 degeneracy cut and agrees with the general
+    eigensolver to 1e-9, on the gates the criteria, tests and the level-stats
+    workload use (H^{tensor k} has only the eigenvalues +-1)."""
+    for u in _REAL_GATES[family]():
+        fast = parent_spectrum(u)
+        ref = _parent_spectrum_eigvals(u)
+        assert np.max(np.abs(fast - ref)) <= 1e-9
+        assert np.count_nonzero(np.diff(fast) >= 1e-12) == np.count_nonzero(np.diff(ref) >= 1e-12)
+
+
+def test_real_parent_spectrum_rejects_non_orthogonal():
+    """Gates wrapped without the constructor check still fail loudly when not
+    orthogonal, including a Jordan block whose eigenvalues all have modulus 1."""
+    for m in (2.0 * np.eye(8), np.array([[1.0, 1.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="not unitary"):
+            parent_spectrum(_trusted(len(m).bit_length() - 1, m))
 
 
 def test_level_statistics_goe_fit_k10():

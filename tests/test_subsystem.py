@@ -2,7 +2,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.linalg import schur
 
+from rsedlab import subsystem
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.subsystem import (
     SubHamiltonian,
@@ -146,6 +148,27 @@ def test_unitary_power_paths_agree_random_sign_hadamard():
             a = unitary_power(u, t).matrix
             b = unitary_power(u, float(t)).matrix
             assert np.max(np.abs(a - b)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_sign_hadamard(6, RngSeed(43)), lambda: hadamard_layer(6)],
+    ids=["random_sign_hadamard", "hadamard"],
+)
+def test_cached_schur_form_is_bit_identical(monkeypatch, make):
+    """Powers and the parent Hamiltonian of a gate whose Schur form is cached
+    equal those of a fresh, uncached copy byte for byte, with one schur call
+    for the cached gate."""
+    u = make()
+    calls = []
+    monkeypatch.setattr(subsystem, "schur", lambda *a, **kw: calls.append(1) or schur(*a, **kw))
+    unitary_power(u, 0.25)
+    for t in (0.5, 1.5, 2.75):
+        assert unitary_power(u, t).matrix.tobytes() == unitary_power(make(), t).matrix.tobytes()
+    assert parent_hamiltonian(u).matrix.tobytes() == parent_hamiltonian(make()).matrix.tobytes()
+    assert len(calls) == 1 + 4  # u once, then each fresh copy once
+    theta, z = u._eig
+    assert not theta.flags.writeable and not z.flags.writeable
 
 
 def test_evolve_examples():
