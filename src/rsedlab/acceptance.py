@@ -14,12 +14,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from math import ceil, log2
 
 import numpy as np
 
 from .bitcore import PauliString, SystemShape, join
 from .circuits import random_clifford_circuit, simulate_circuit
+from .cli import fit_loglog, scaling_curve
 from .otoc import (
     early_time_slope,
     otoc_finite_temperature,
@@ -31,20 +31,13 @@ from .otoc import (
     otoc_zz_sampled,
     poisson_bracket,
 )
-from .prs import (
-    coherence_rel_entropy,
-    HadamardLayer,
-    append_layer,
-    hybrid3_state,
-    subset_phase_state,
-    trace_distance,
-    DensityMatrix,
-)
+from .prs import DensityMatrix, coherence_trial, hybrid3_state, trace_distance
 from .randomness import SignFunction, sample_permutation, sample_sign_function
 from .rng import RngSeed, WordStream
 from .rsed import RsedOperator, dense_embedding, dense_matrix, evolve_basis_state
 from .spectra import (
     ks_distance,
+    pooled_spacings,
     rsed_sff,
     sff_from_eigenvalues,
     spectral_form_factor,
@@ -225,37 +218,12 @@ def criterion_4() -> CriterionResult:
 # --- criterion 5: scaling curve ----------------------------------------------
 
 
-_SCALING_CACHE: dict = {}
-
-
-def scaling_curve(ns=(4, 6, 8, 11), t: int = 4, ensemble: int = 6, seed: int = 0x55):
-    """(n, k, mean |E_f[O]|) points with k = ceil(log2(n)**2)."""
-    key = (tuple(ns), t, ensemble, seed)
-    if key in _SCALING_CACHE:
-        return _SCALING_CACHE[key]
-    rows = []
-    for n in ns:
-        k = ceil(log2(n) ** 2)
-        vals = [
-            otoc_zz_f_average(hadamard_sign_power(k, RngSeed(seed, 100 * n + r), t))
-            for r in range(ensemble)
-        ]
-        rows.append((n, k, float(np.mean(vals))))
-    _SCALING_CACHE[key] = rows
-    return rows
-
-
-def fit_loglog(rows) -> tuple[float, list[float]]:
-    """(least-squares slope, divided second differences) of log|O| vs log n."""
-    x = np.log([r[0] for r in rows])
-    y = np.log([abs(r[2]) for r in rows])
-    slope = float(np.polyfit(x, y, 1)[0])
-    slopes = np.diff(y) / np.diff(x)
-    return slope, list(np.diff(slopes))
+# scaling_curve(ns, t, ensemble, seed) of criteria 5a and 5b
+_CURVE = ((4, 6, 8, 11), 4, 6, 0x55)
 
 
 def criterion_5a() -> CriterionResult:
-    rows = scaling_curve()
+    rows = scaling_curve(*_CURVE)
     slope, _ = fit_loglog(rows)
     return CriterionResult(
         "5a", "log-log scaling slope (n in 4..11, k-rule)", slope, "< -2", slope < -2.0,
@@ -269,7 +237,7 @@ def criterion_5b() -> CriterionResult:
     (0.41,0.29,0.32), so the middle slope is the shallowest and one second
     difference is positive for any ensemble size.  Concavity does hold on
     power-of-two grids (covered in tests/test_cli.py)."""
-    rows = scaling_curve()
+    rows = scaling_curve(*_CURVE)
     _, second = fit_loglog(rows)
     measured = max(second)
     return CriterionResult(
@@ -390,14 +358,8 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10() -> CriterionResult:
-    k = 8
-    pooled = []
-    for s in range(40):
-        u = random_sign_hadamard(k, RngSeed(0xA0, s))
-        gaps = np.diff(parent_spectrum(u))
-        gaps = gaps[gaps >= 1e-12]
-        pooled.append(gaps / gaps.mean())
-    ks = ks_distance(np.concatenate(pooled), "GOE")
+    spectra = [parent_spectrum(random_sign_hadamard(8, RngSeed(0xA0, s))) for s in range(40)]
+    ks = ks_distance(pooled_spacings(spectra), "GOE")
     return CriterionResult("10", "pooled parent-spectrum spacings vs GOE surmise (k=8, 40 seeds)", ks, "<= 0.08", ks <= 0.08)
 
 
@@ -439,12 +401,9 @@ def criterion_12() -> CriterionResult:
     for s in range(trials):
         p = sample_permutation(shape, RngSeed(0xC1, s))
         f = sample_sign_function(shape, RngSeed(0xC2, s))
-        psi = subset_phase_state(p, f, s % shape.num_seeds, shape)
-        coh = coherence_rel_entropy(psi)
-        worst_exact = max(worst_exact, abs(coh - k * np.log(2.0)))
-        phi = append_layer(psi, HadamardLayer(tuple(range(n))))
-        if coherence_rel_entropy(phi) >= (n / 4.0) * np.log(2.0):
-            passes += 1
+        c0, c1 = coherence_trial(p, f, s % shape.num_seeds, shape)
+        worst_exact = max(worst_exact, abs(c0 - k * np.log(2.0)))
+        passes += int(c1 >= (n / 4.0) * np.log(2.0))
     ok = worst_exact <= 1e-9 and passes >= 95
     return CriterionResult(
         "12", "subset-phase coherence k log2; Hadamard layer lifts to >= n/4 log2",

@@ -33,7 +33,9 @@ from .subsystem import SubUnitary, random_sign_diag
 
 HEADER = "RSEDCIRC 1"
 
-_SINGLE = {"H", "X", "S", "T"}
+# arguments per mnemonic; gates on qubits take integer indices, the rest names
+_ARITY = {"H": 1, "X": 1, "S": 1, "T": 1, "CX": 2, "CCX": 3, "PERM": 2, "PHASE_F": 1, "SUB": 1}
+_QUBIT_GATES = {"H", "X", "S", "T", "CX", "CCX"}
 
 
 class CircuitParseError(ValueError):
@@ -48,25 +50,21 @@ class GateCircuit:
 
     def __post_init__(self):
         for gate in self.gates:
-            name = gate[0]
-            if name in _SINGLE:
-                (q,) = gate[1:]
-                self._check_qubits(q)
-            elif name == "CX":
-                self._check_qubits(*gate[1:])
-            elif name == "CCX":
-                self._check_qubits(*gate[1:])
-            elif name == "PERM":
-                direction, ref = gate[1:]
-                if direction not in ("fwd", "inv"):
-                    raise ValueError(f"bad PERM direction {direction!r}")
-                self._check_ref(ref, SubsetPermutation)
-            elif name == "PHASE_F":
-                self._check_ref(gate[1], SignFunction)
-            elif name == "SUB":
-                self._check_ref(gate[1], SubUnitary)
-            else:
+            name, args = gate[0], gate[1:]
+            if name not in _ARITY:
                 raise ValueError(f"unknown gate {name!r}")
+            if len(args) != _ARITY[name]:
+                raise ValueError(f"{name} takes {_ARITY[name]} arguments, got {args}")
+            if name in _QUBIT_GATES:
+                self._check_qubits(*args)
+            elif name == "PERM":
+                if args[0] not in ("fwd", "inv"):
+                    raise ValueError(f"bad PERM direction {args[0]!r}")
+                self._check_ref(args[1], SubsetPermutation)
+            elif name == "PHASE_F":
+                self._check_ref(args[0], SignFunction)
+            else:
+                self._check_ref(args[0], SubUnitary)
 
     def _check_qubits(self, *qs):
         if len(set(qs)) != len(qs):
@@ -106,34 +104,17 @@ def parse(text: str, registry: dict | None = None) -> GateCircuit:
         line = raw.strip()
         if not line:
             continue
-        parts = line.split()
-        name = parts[0]
+        name, *args = line.split()
+        if name not in _ARITY:
+            raise CircuitParseError(f"line {lineno}: unknown mnemonic {name!r}")
+        malformed = CircuitParseError(f"line {lineno}: malformed gate {line!r}")
+        if len(args) != _ARITY[name]:
+            raise malformed
         try:
-            if name in _SINGLE:
-                gates.append((name, int(parts[1])) if len(parts) == 2 else _bad(parts))
-            elif name == "CX":
-                gates.append((name, int(parts[1]), int(parts[2])) if len(parts) == 3 else _bad(parts))
-            elif name == "CCX":
-                gates.append(
-                    (name, int(parts[1]), int(parts[2]), int(parts[3])) if len(parts) == 4 else _bad(parts)
-                )
-            elif name == "PERM":
-                gates.append((name, parts[1], parts[2]) if len(parts) == 3 else _bad(parts))
-            elif name == "PHASE_F":
-                gates.append((name, parts[1]) if len(parts) == 2 else _bad(parts))
-            elif name == "SUB":
-                gates.append((name, parts[1]) if len(parts) == 2 else _bad(parts))
-            else:
-                raise CircuitParseError(f"line {lineno}: unknown mnemonic {name!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, CircuitParseError):
-                raise
-            raise CircuitParseError(f"line {lineno}: malformed gate {line!r}") from exc
+            gates.append((name, *map(int, args)) if name in _QUBIT_GATES else (name, *args))
+        except ValueError as exc:
+            raise malformed from exc
     return GateCircuit(n, tuple(gates), registry or {})
-
-
-def _bad(parts):
-    raise ValueError(f"malformed gate {' '.join(parts)!r}")
 
 
 def synthesize_rsed_circuit(

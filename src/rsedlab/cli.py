@@ -12,17 +12,17 @@ same config reproduces the numeric columns bit for bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from math import ceil, log2
+from math import ceil, inf, log2
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .acceptance import fit_loglog, report_dict, run_all
 from .bitcore import SystemShape
 from .circuits import build_manifest, serialize, simulate_circuit, synthesize_rsed_circuit
 from .otoc import (
@@ -31,14 +31,7 @@ from .otoc import (
     otoc_zz_sampled,
     poisson_bracket,
 )
-from .prs import (
-    HadamardLayer,
-    append_layer,
-    coherence_rel_entropy,
-    design_variance_condition,
-    element_condition_check,
-    subset_phase_state,
-)
+from .prs import coherence_trial, design_variance_condition, element_condition_check
 from .randomness import sample_permutation, sample_sign_function, save_permutation
 from .rng import RngSeed
 from .rsed import RsedOperator, dense_matrix
@@ -46,6 +39,7 @@ from .spectra import (
     export_histogram_csv,
     ks_distance,
     level_spacing_stats,
+    pooled_spacings,
     rsed_sff,
     spectral_form_factor,
 )
@@ -83,7 +77,7 @@ class ExperimentConfig:
     experiment: str
     n: int = 8
     k: int | None = 4
-    k_rule: str | None = None  # "log2sq" resolves k = ceil(log2(n)**2)
+    k_rule: str | None = None  # "log2sq" resolves k = log2sq_k(n)
     n_list: list = field(default_factory=list)
     u_spec: dict = field(default_factory=lambda: {"type": "random_sign_hadamard", "seed": 7})
     t_grid: list = field(default_factory=lambda: [0.0, 1.0, 2.0, 3.0, 4.0])
@@ -122,8 +116,17 @@ class ExperimentConfig:
         if not all(0 <= s < self.n for s in self.sites):
             raise ConfigError(f"sites {self.sites} out of range [0, {self.n})")
         for n in self.n_list:
-            if not _type_ok(n, "int") or n < 2 or ceil(log2(n) ** 2) > 12:
-                raise ConfigError(f"n_list entry {n} needs 2 <= n with ceil(log2(n)**2) <= 12")
+            if not _type_ok(n, "int") or n < 2 or log2sq_k(n) > 12:
+                raise ConfigError(f"n_list entry {n} needs n >= 2 and k = log2sq_k(n) <= 12")
+        if not self.t_grid:
+            raise ConfigError("t_grid must not be empty")
+        if not all(_type_ok(v, "float") and -inf < v < inf for v in [*self.t_grid, *self.beta_list, self.t_fixed]):
+            raise ConfigError("t_grid and beta_list entries and t_fixed must be finite numbers")
+        if self.experiment == "otoc-scaling":
+            if self.t_fixed < 0 or not float(self.t_fixed).is_integer():
+                raise ConfigError(f"otoc-scaling needs an integer t_fixed >= 0, got {self.t_fixed}")
+            if self.n_list and (len(self.n_list) < 3 or any(a >= b for a, b in zip(self.n_list, self.n_list[1:]))):
+                raise ConfigError(f"n_list {self.n_list} needs at least 3 strictly increasing entries")
         if self.u_spec.get("type") not in ("hadamard", "random_sign_hadamard", "pauli_syk", "identity"):
             raise ConfigError(f"unknown u_spec type {self.u_spec.get('type')!r}")
         if self.estimator.get("mode", "exact") not in ("exact", "sampled"):
@@ -132,9 +135,14 @@ class ExperimentConfig:
             raise ConfigError("u_spec seed and estimator num_seeds must be integers")
 
 
+def log2sq_k(n: int) -> int:
+    """The subsystem size k = ceil(log2(n)^2) = omega(log n) of the scaling curve."""
+    return ceil(log2(n) ** 2)
+
+
 def resolve_k(cfg: ExperimentConfig, n: int) -> int:
     if cfg.k_rule == "log2sq":
-        k = ceil(log2(n) ** 2)
+        k = log2sq_k(n)
     else:
         k = cfg.k if cfg.k is not None else min(n, 4)
     if k > 12:
@@ -191,6 +199,12 @@ def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _realization(cfg: ExperimentConfig, shape: SystemShape, r: int):
+    """(p, f) of realization r: p from stream 2r of the run seed, f from 2r + 1."""
+    p = sample_permutation(shape, RngSeed(cfg.seed, 2 * r))
+    return p, sample_sign_function(shape, RngSeed(cfg.seed, 2 * r + 1))
+
+
 def _parallel(cfg: ExperimentConfig, fn, args_list):
     """Ordered map over realizations; results identical for any thread count."""
     if cfg.threads == 1:
@@ -209,8 +223,7 @@ def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
 
     def one(r: int) -> list[float]:
         u, h = base_unitary(cfg, k, r)
-        p = sample_permutation(shape, RngSeed(cfg.seed, 2 * r))
-        f = sample_sign_function(shape, RngSeed(cfg.seed, 2 * r + 1))
+        p, f = _realization(cfg, shape, r)
         col = []
         for t in cfg.t_grid:
             op = RsedOperator(shape, p, f, evolved(u, h, float(t)))
@@ -233,24 +246,43 @@ def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def run_otoc_scaling(cfg: ExperimentConfig, out: Path) -> dict:
-    ns = cfg.n_list or [4, 6, 8, 11]
-    t = int(cfg.t_fixed)
+@functools.cache
+def scaling_curve(ns: tuple[int, ...], t: int, ensemble: int, seed: int) -> tuple[tuple[int, int, float], ...]:
+    """(n, k, mean |E_f[O]|) points of the late-time OTOC, k = log2sq_k(n).
+
+    Realization r at size n draws its gate (H^{tensor k} P)^t from
+    RngSeed(seed, 100 n + r).  Memoized: `rsed verify` reads one curve for
+    criteria 5a and 5b.
+    """
     rows = []
     for n in ns:
-        k = ceil(log2(n) ** 2)
+        k = log2sq_k(n)
         vals = [
-            otoc_zz_f_average(hadamard_sign_power(k, RngSeed(cfg.seed, 100 * n + r), t))
-            for r in range(cfg.ensemble)
+            otoc_zz_f_average(hadamard_sign_power(k, RngSeed(seed, 100 * n + r), t))
+            for r in range(ensemble)
         ]
-        rows.append([int(n), int(k), float(np.mean(np.abs(vals)))])
+        rows.append((n, k, float(np.mean(np.abs(vals)))))
+    return tuple(rows)
+
+
+def fit_loglog(rows) -> tuple[float, list[float]]:
+    """(least-squares slope, divided second differences) of log|O| vs log n."""
+    x = np.log([r[0] for r in rows])
+    y = np.log([abs(r[2]) for r in rows])
+    slope = float(np.polyfit(x, y, 1)[0])
+    slopes = np.diff(y) / np.diff(x)
+    return slope, list(np.diff(slopes))
+
+
+def run_otoc_scaling(cfg: ExperimentConfig, out: Path) -> dict:
+    rows = scaling_curve(tuple(cfg.n_list) or (4, 6, 8, 11), int(cfg.t_fixed), cfg.ensemble, cfg.seed)
     write_csv(out / "otoc_scaling.csv", cfg, ["n", "k", "abs_mean_otoc"], rows)
     slope, second = fit_loglog(rows)
     summary = {
         "fitted_slope": slope,
         "second_differences": [float(v) for v in second],
         "concave": bool(all(v < 0 for v in second)),
-        "rows": [[int(a), int(b), float(c)] for a, b, c in rows],
+        "rows": [list(row) for row in rows],
     }
     write_json(out / "otoc_scaling_summary.json", cfg, summary)
     return summary
@@ -277,14 +309,9 @@ def run_level_stats(cfg: ExperimentConfig, out: Path) -> dict:
 
     def one(r: int) -> np.ndarray:
         u, h = base_unitary(cfg, k, r)
-        evals = np.sort(h.eigenvalues) if h is not None else parent_spectrum(u)
-        gaps = np.diff(evals)
-        if cfg.exclude_degenerate:
-            gaps = gaps[gaps >= 1e-12]
-        return gaps / gaps.mean() if gaps.size else gaps
+        return np.sort(h.eigenvalues) if h is not None else parent_spectrum(u)
 
-    pooled = [g for g in _parallel(cfg, one, range(cfg.ensemble)) if g.size]
-    spac = np.concatenate(pooled)
+    spac = pooled_spacings(_parallel(cfg, one, range(cfg.ensemble)), cfg.exclude_degenerate)
     # histogram the pooled spacings by feeding their cumulative sum back in
     # as a synthetic spectrum whose gaps are exactly `spac`
     report = level_spacing_stats(np.cumsum(np.concatenate([[0.0], spac])), exclude_degenerate=False)
@@ -346,12 +373,8 @@ def run_coherence(cfg: ExperimentConfig, out: Path) -> dict:
     shape = SystemShape(cfg.n, k)
 
     def one(r: int) -> tuple[float, float]:
-        p = sample_permutation(shape, RngSeed(cfg.seed, 2 * r))
-        f = sample_sign_function(shape, RngSeed(cfg.seed, 2 * r + 1))
-        psi = subset_phase_state(p, f, r % shape.num_seeds, shape)
-        c0 = coherence_rel_entropy(psi)
-        c1 = coherence_rel_entropy(append_layer(psi, HadamardLayer(tuple(range(cfg.n)))))
-        return float(c0), float(c1)
+        p, f = _realization(cfg, shape, r)
+        return coherence_trial(p, f, r % shape.num_seeds, shape)
 
     rows = []
     passes = 0
@@ -399,6 +422,8 @@ def run_circuit_emit(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_verify(cfg: ExperimentConfig, out: Path) -> int:
+    from .acceptance import report_dict, run_all  # acceptance imports this module
+
     results = run_all(inject=cfg.inject_fault)
     payload = report_dict(results)
     write_json(out / "verify_report.json", cfg, payload)

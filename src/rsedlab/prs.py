@@ -202,6 +202,8 @@ def design_variance_condition(u: SubUnitary, t: int, b_star: int) -> DesignVaria
     K = u.dim
     if K > 64 or t > 3:
         raise ValueError("enumeration capped at K <= 64, t <= 3")
+    if t < 1:
+        raise ValueError(f"need t >= 1 copies, got {t}")
     if not 0 <= b_star < K:
         raise ValueError(f"b_star out of range [0, {K})")
     col = np.abs(u.matrix[:, b_star]) ** 2
@@ -258,6 +260,14 @@ def append_layer(psi: StateVector, layer) -> StateVector:
     else:
         raise TypeError(f"unsupported layer {type(layer)!r}")
     return simulate_circuit(GateCircuit(n, gates), psi)
+
+
+def coherence_trial(p: SubsetPermutation, f: SignFunction, a: int, shape: SystemShape) -> tuple[float, float]:
+    """(c0, c1) in nats: the coherence of the subset-phase state of seed a,
+    which is exactly k log 2, and that after a Hadamard on every qubit."""
+    psi = subset_phase_state(p, f, a, shape)
+    phi = append_layer(psi, HadamardLayer(tuple(range(shape.n))))
+    return coherence_rel_entropy(psi), coherence_rel_entropy(phi)
 
 
 def entanglement_entropy(psi: StateVector, cut) -> float:

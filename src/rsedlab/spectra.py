@@ -60,6 +60,28 @@ def level_spacing_stats(evals: np.ndarray, exclude_degenerate: bool = False) -> 
     return SpectrumReport(evals, spacings, multiplicity, (edges, dens))
 
 
+def pooled_spacings(spectra, exclude_degenerate: bool = True) -> np.ndarray:
+    """Nearest-neighbor gaps of each sorted spectrum, each set scaled to unit
+    mean, concatenated in order.
+
+    exclude_degenerate drops gaps below an absolute 1e-12 before the scaling,
+    and a spectrum with no gap left adds nothing.  The cut is absolute, not
+    1e-10 of the spread as in level_spacing_stats: it removes only gaps that
+    are zero up to rounding (pooled spectra are parent eigenphases in
+    [-pi, pi] or SYK energies of order one), at one threshold for every
+    spectrum of the pool.  level_spacing_stats scales its tolerance because
+    it also sizes the degenerate clusters of one spectrum at any energy scale.
+    """
+    pooled = []
+    for evals in spectra:
+        gaps = np.diff(evals)
+        if exclude_degenerate:
+            gaps = gaps[gaps >= 1e-12]
+        if gaps.size:
+            pooled.append(gaps / gaps.mean())
+    return np.concatenate(pooled)
+
+
 def wigner_dyson_pdf(s, ensemble: str = "GOE"):
     """Wigner-surmise nearest-neighbor spacing density.
 

@@ -46,6 +46,14 @@ def test_parse_simple_and_errors():
         parse("BADHEADER\nH 0\n")
 
 
+@pytest.mark.parametrize("gate", [("CX", 1), ("CCX", 0, 1), ("H", 0, 1), ("PHASE_F",)])
+def test_gate_arity_is_checked(gate):
+    """A CX with one qubit would run as an X and serialize to text that parse
+    rejects; every mnemonic takes exactly its own number of arguments."""
+    with pytest.raises(ValueError, match="takes"):
+        GateCircuit(3, (gate,))
+
+
 def test_reference_names_roundtrip():
     shape = SystemShape(6, 3)
     circ = synthesize_rsed_circuit(shape, "hadamard", 11, 12)

@@ -271,6 +271,24 @@ def test_config_errors_exit_2(tmp_path):
         {"experiment": "otoc-trace", "ensemble": True},
         {"experiment": "otoc-trace", "u_spec": {"type": "random_sign_hadamard", "seed": "x"}},
         {"experiment": "otoc-trace", "estimator": {"mode": "sampled", "num_seeds": "4"}},
+        # an empty t grid has no final row; a string t would reach float() unchecked
+        {"experiment": "otoc-trace", "t_grid": []},
+        {"experiment": "otoc-average", "t_grid": []},
+        {"experiment": "otoc-trace", "t_grid": ["0.5"]},
+        {"experiment": "sff", "beta_list": [0.0, True]},
+        # JSON NaN and Infinity parse as floats and gave NaN rows with exit 0
+        {"experiment": "otoc-trace", "t_grid": [float("nan")]},
+        {"experiment": "sff", "beta_list": [float("inf")]},
+        {"experiment": "design-check", "t_fixed": float("nan")},
+        # scaling inputs that gave a truncated t, a one-point fit or NaN second differences
+        {"experiment": "otoc-scaling", "t_fixed": 2.5},
+        {"experiment": "otoc-scaling", "t_fixed": -1},
+        {"experiment": "otoc-scaling", "n_list": [4]},
+        {"experiment": "otoc-scaling", "n_list": [4, 8]},
+        {"experiment": "otoc-scaling", "n_list": [4, 4, 8]},
+        {"experiment": "otoc-scaling", "n_list": [8, 6, 4]},
+        # zero copies would make the design condition vacuously 0
+        {"experiment": "design-check", "n": 6, "k": 3, "ensemble": 1, "t_copies": 0},
     ],
 )
 def test_config_boundary_exit_2(tmp_path, cfg):

@@ -159,6 +159,11 @@ def test_design_variance_condition():
     assert res_i.degenerate
 
 
+def test_design_variance_condition_needs_a_copy():
+    with pytest.raises(ValueError, match="t >= 1"):
+        design_variance_condition(hadamard_layer(3), 0, 0)
+
+
 def test_design_variance_flat_vs_powered():
     """One application of H^{x6}P keeps |u|^2 flat, so Ybar = 0 exactly; the
     fourth power has chi-squared-product column statistics with Ybar = O(1)

@@ -11,6 +11,7 @@ from rsedlab.spectra import (
     export_histogram_csv,
     ks_distance,
     level_spacing_stats,
+    pooled_spacings,
     rsed_sff,
     sff_from_eigenvalues,
     spectral_form_factor,
@@ -200,6 +201,16 @@ def test_level_statistics_goe_fit_k10():
         pooled.append(gaps / gaps.mean())
     ks = ks_distance(np.concatenate(pooled), "GOE")
     assert ks <= 0.08
+
+
+def test_pooled_spacings_unit_mean_per_spectrum():
+    """Each spectrum's gaps are scaled to unit mean before pooling; gaps
+    below 1e-12 go only when excluding, and a spectrum with none left adds
+    nothing."""
+    spectra = [np.array([0.0, 1.0, 3.0]), np.array([0.0, 0.0, 5e-13]), np.array([-1.0, -1.0, 0.0, 2.0])]
+    assert np.array_equal(pooled_spacings(spectra), [2 / 3, 4 / 3, 2 / 3, 4 / 3])
+    kept = pooled_spacings(spectra, exclude_degenerate=False)
+    assert kept.size == 7 and np.allclose(kept[2:4], [0.0, 2.0]) and np.allclose(kept[4:], [0.0, 1.0, 2.0])
 
 
 def test_level_spacing_stats_errors():
