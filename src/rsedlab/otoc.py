@@ -16,6 +16,7 @@ arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from .rsed import (
     dense_embedding,
     dense_matrix,
 )
-from .subsystem import SubHamiltonian, SubUnitary
+from .subsystem import SubHamiltonian, SubUnitary, column_batches
 
 _CHUNK_ENTRIES = 1 << 18  # cap on seeds_per_chunk * K**2 workspace
 
@@ -142,14 +143,29 @@ def otoc_zz_sampled(
     })
 
 
-def otoc_zz_f_average(u: SubUnitary) -> float:
+def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:
     """Ensemble-averaged ZZ OTOC closed form 2**-k sum_{b,b'} |u_{b,b'}|**4.
 
     This is the average over ideally-random subset isometries (independent
-    fair sign bits); see the notes in otoc_zz_f_variance_hadamard.
+    fair sign bits); see the notes in otoc_zz_f_variance_hadamard.  u is a
+    SubUnitary, or an iterable of the column blocks of one, left to right
+    (hadamard_sign_power(k, seed, t, cols) for cols in column_batches(k)
+    never forms the K x K matrix).  The sum runs block by block, a SubUnitary
+    in the blocks of column_batches(k), so a gate and its column batches give
+    the same float bit for bit; for k <= 10 that is one block.
     """
-    mags = np.abs(u.matrix) ** 2
-    return float(np.sum(mags * mags)) / u.dim
+    blocks = u
+    if isinstance(u, SubUnitary):
+        blocks = (u.matrix[:, cols.start : cols.stop] for cols in column_batches(u.k))
+    total, K = 0.0, 0
+    for block in blocks:
+        mags = np.abs(block)
+        np.square(mags, out=mags)
+        np.square(mags, out=mags)
+        total += float(np.sum(mags))
+        K = block.shape[0]
+        del block, mags  # free this block before the iterable builds the next
+    return total / K
 
 
 def otoc_zz_f_variance_hadamard(n: int, k: int) -> float:

@@ -17,6 +17,7 @@ MAX_SUB_QUBITS = 12  # dense K x K with K = 2**k capped at 4096
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 PHASE_SNAP = 1e-6  # arccos eigenphases this close to 0 or pi are exactly 0 or pi
+_F_BATCH_ENTRIES = 1 << 21  # cap on K * columns of one Hadamard-sign column batch
 
 
 def _check_k(k: int) -> None:
@@ -264,38 +265,76 @@ def evolve(h: SubHamiltonian, t: float) -> SubUnitary:
 
 
 def walsh_hadamard(matrix: np.ndarray) -> np.ndarray:
-    """H^{tensor k} @ matrix via a blocked tensor split (two BLAS calls).
+    """H^{tensor k} @ matrix via a blocked tensor split (two BLAS calls);
+    see _walsh_hadamard_inplace."""
+    m = np.asarray(matrix)
+    a = np.array(m.reshape(m.shape[0], -1), dtype=np.result_type(m, np.float64), order="C")
+    _walsh_hadamard_inplace(a, np.empty_like(a))
+    return a.reshape(m.shape)
+
+
+def _walsh_hadamard_inplace(a: np.ndarray, scratch: np.ndarray) -> None:
+    """a <- H^{tensor k} @ a for a C-contiguous (K, cols) array, with a
+    scratch array of the same shape and dtype, allocating nothing.
 
     The row index splits into (high k1 bits, low k2 bits) and H^{tensor k}
     factorizes accordingly, so the transform is two dense multiplications by
-    small Hadamard blocks instead of one K x K product.
+    small Hadamard blocks instead of one K x K product, each followed by a
+    transpose copy that brings the other half of the row bits to the front.
     """
-    m = np.asarray(matrix)
-    K = m.shape[0]
+    K, cols = a.shape
     k = K.bit_length() - 1
-    cols = m.reshape(K, -1).shape[1]
-    k1 = k // 2
-    k2 = k - k1
-    K1, K2 = 1 << k1, 1 << k2
-    if k1 == 0:
-        return (_dense_h(k2) @ m.reshape(K, -1)).reshape(m.shape)
-    t = _dense_h(k1) @ m.reshape(K1, K2 * cols)
-    t = t.reshape(K1, K2, cols).transpose(1, 0, 2).reshape(K2, K1 * cols)
-    t = _dense_h(k2) @ t
-    out = t.reshape(K2, K1, cols).transpose(1, 0, 2).reshape(K, cols)
-    return out.reshape(m.shape)
+    K1, K2 = 1 << (k // 2), 1 << (k - k // 2)
+    np.matmul(_dense_h(k // 2), a.reshape(K1, K2 * cols), out=scratch.reshape(K1, K2 * cols))
+    np.copyto(a.reshape(K2, K1, cols), scratch.reshape(K1, K2, cols).transpose(1, 0, 2))
+    np.matmul(_dense_h(k - k // 2), a.reshape(K2, K1 * cols), out=scratch.reshape(K2, K1 * cols))
+    np.copyto(a.reshape(K1, K2, cols), scratch.reshape(K2, K1, cols).transpose(1, 0, 2))
 
 
-def hadamard_sign_power(k: int, seed: RngSeed, t: int) -> SubUnitary:
-    """(H^{tensor k} P)^t for integer t via blocked transforms."""
+def column_batches(k: int):
+    """The column ranges, left to right, of a K x K gate (K = 2**k) that
+    hadamard_sign_power builds and otoc_zz_f_average sums one at a time:
+    _F_BATCH_ENTRIES // K columns each, so K**2 <= _F_BATCH_ENTRIES (k <= 10)
+    is one batch and k = 12 is eight batches of 512 columns."""
+    _check_k(k)
+    K = 1 << k
+    width = max(1, _F_BATCH_ENTRIES // K)
+    for lo in range(0, K, width):
+        yield range(lo, min(lo + width, K))
+
+
+def hadamard_sign_power(k: int, seed: RngSeed, t: int, columns=None) -> SubUnitary | np.ndarray:
+    """(H^{tensor k} P)^t for integer t >= 0, from columns of the identity.
+
+    A batch of identity columns goes t times through signs * m ->
+    walsh_hadamard.  Without `columns` the K x K gate is assembled from the
+    batches of column_batches(k), so each of its columns is bit for bit the
+    one its batch gives alone.  With `columns` (column indices) only those
+    columns are computed and returned as a real (K, len(columns)) array;
+    otoc_zz_f_average reads the gate that way without the K x K matrix.
+    """
+    _check_k(k)
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise ValueError(f"t must be an integer, got {t!r}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    _check_k(k)
-    signs = _signs(k, seed)
-    m = np.eye(1 << k)
+    K = 1 << k
+    if columns is None:
+        m = np.empty((K, K), dtype=np.complex128)
+        for cols in column_batches(k):
+            m[:, cols.start : cols.stop] = hadamard_sign_power(k, seed, t, cols)
+        return _trusted(k, m)
+    cols = np.asarray(columns, dtype=np.intp).reshape(-1)
+    if cols.size and not (0 <= cols.min() and cols.max() < K):
+        raise ValueError(f"columns must lie in [0, {K})")
+    signs = _signs(k, seed)[:, None]
+    m = np.zeros((K, cols.size))
+    m[cols, np.arange(cols.size)] = 1.0
+    scratch = np.empty_like(m)
     for _ in range(t):
-        m = walsh_hadamard(signs[:, None] * m)
-    return _trusted(k, m)
+        np.multiply(m, signs, out=m)
+        _walsh_hadamard_inplace(m, scratch)
+    return m
 
 
 def element_magnitude_stats(u: SubUnitary, eps: float | None = None):

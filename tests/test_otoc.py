@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rsedlab import otoc
+from rsedlab import otoc, subsystem
 from rsedlab.bitcore import SystemShape
+from rsedlab.cli import hadamard_sign_f_average
 from rsedlab.otoc import (
     OtocEstimate,
     early_time_slope,
@@ -26,8 +28,10 @@ from rsedlab.rsed import PauliString, RsedOperator, dense_matrix
 from rsedlab.subsystem import (
     SubHamiltonian,
     SubUnitary,
+    column_batches,
     evolve,
     hadamard_layer,
+    hadamard_sign_power,
     parent_hamiltonian,
     pauli_syk,
     random_sign_diag,
@@ -132,6 +136,48 @@ def test_f_average_examples():
     for k in range(2, 9):
         assert abs(otoc_zz_f_average(hadamard_layer(k)) - 2.0**-k) < 1e-12
     assert otoc_zz_f_average(SubUnitary(3, np.eye(8, dtype=complex))) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 4])
+def test_matrix_free_f_average_is_the_dense_value_bitwise(t):
+    """k = 11 at the production batch width: the gate is several column
+    batches, and the matrix-free sum equals the dense gate's sum exactly."""
+    seed = RngSeed(51, t)
+    assert len(list(column_batches(11))) >= 2
+    dense = otoc_zz_f_average(hadamard_sign_power(11, seed, t))
+    assert hadamard_sign_f_average(11, seed, t) == dense
+    if t == 0:
+        assert dense == 1.0
+
+
+@pytest.mark.parametrize("k", [3, 6, 8])
+@pytest.mark.parametrize("t", [0, 1, 2, 4])
+def test_matrix_free_f_average_over_narrow_batches(monkeypatch, k, t):
+    """Batches narrowed to K/4 - 1 columns (one column at k = 3): every case
+    spans at least 4 batches, the last one shorter, and is still bitwise."""
+    K = 1 << k
+    monkeypatch.setattr(subsystem, "_F_BATCH_ENTRIES", K * max(1, K // 4 - 1))
+    assert len(list(column_batches(k))) >= 4
+    seed = RngSeed(52, k)
+    u = hadamard_sign_power(k, seed, t)
+    slow = unitary_power(random_sign_hadamard(k, seed), t)
+    assert np.max(np.abs(u.matrix - slow.matrix)) < 1e-12
+    assert hadamard_sign_f_average(k, seed, t) == otoc_zz_f_average(u)
+    if t == 0:
+        assert hadamard_sign_f_average(k, seed, t) == 1.0
+
+
+def test_matrix_free_f_average_stays_below_one_dense_gate():
+    """The k = 12, t = 4 f-average never holds a K x K array: its traced
+    peak stays below one dense float64 gate (128 MiB; the dense complex
+    path peaks at 512 MiB)."""
+    tracemalloc.start()
+    try:
+        hadamard_sign_f_average(12, RngSeed(53), 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1 << 24)
 
 
 def test_variance_formula_values():

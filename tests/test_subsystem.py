@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import schur
 
 from rsedlab import subsystem
+from rsedlab.cli import hadamard_sign_f_average
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.subsystem import (
     SubHamiltonian,
@@ -208,6 +209,9 @@ def test_walsh_hadamard_matches_dense():
     m = WordStream(RngSeed(45)).standard_normal(64 * 5).reshape(64, 5)
     dense = hadamard_layer(6).matrix.real @ m
     assert np.max(np.abs(walsh_hadamard(m) - dense)) < 1e-10
+    # a Fortran-ordered input is copied to C order before the in-place passes
+    f = np.asfortranarray(m)
+    assert np.max(np.abs(walsh_hadamard(f) - dense)) < 1e-10 and f.flags.f_contiguous
 
 
 def test_hadamard_sign_power_matches_unitary_power():
@@ -252,6 +256,29 @@ def test_builders_skip_the_constructor_check(monkeypatch):
     hadamard_sign_power(3, RngSeed(49), 2)
     with pytest.raises(AssertionError):
         SubUnitary(3, u.matrix)
+
+
+@pytest.mark.parametrize("t", [2.0, 2.5, np.float64(2.0), True, False])
+def test_hadamard_sign_power_needs_an_integer_t(t):
+    with pytest.raises(ValueError, match="t must be an integer"):
+        hadamard_sign_power(3, RngSeed(52), t)
+    with pytest.raises(ValueError, match="t must be an integer"):
+        hadamard_sign_power(3, RngSeed(52), t, range(2))
+    with pytest.raises(ValueError, match="t must be an integer"):
+        hadamard_sign_f_average(3, RngSeed(52), t)
+
+
+def test_hadamard_sign_power_columns():
+    seed = RngSeed(53)
+    u = hadamard_sign_power(6, seed, np.int64(3))
+    cols = hadamard_sign_power(6, seed, 3, [5, 0, 63])
+    assert cols.shape == (64, 3) and cols.dtype == np.float64
+    assert np.max(np.abs(cols - u.matrix[:, [5, 0, 63]].real)) < 1e-12
+    for bad in ([64], [-1]):
+        with pytest.raises(ValueError, match="columns"):
+            hadamard_sign_power(6, seed, 3, bad)
+    with pytest.raises(ValueError, match=">= 0"):
+        hadamard_sign_power(6, seed, -1)
 
 
 def test_hadamard_sign_power_checks_k_first():
