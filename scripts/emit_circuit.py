@@ -26,10 +26,11 @@ def main() -> None:
         "seed": args.seed,
     }
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(cfg, fh)
-        path = fh.name
-    raise SystemExit(rsed_main(["circuit-emit", "--config", path, "--out", args.out]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = rsed_main(["circuit-emit", "--config", str(path), "--out", args.out])
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -33,10 +33,10 @@ SCALING = {
 
 def run(config: dict, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config, fh)
-        path = fh.name
-    code = rsed_main([config["experiment"], "--config", path, "--out", str(out)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        code = rsed_main([config["experiment"], "--config", str(path), "--out", str(out)])
     if code != 0:
         sys.exit(code)
 

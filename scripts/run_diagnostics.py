@@ -58,10 +58,10 @@ def main() -> None:
     for job in JOBS:
         out = root / job["experiment"]
         out.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(job, fh)
-            path = fh.name
-        code = rsed_main([job["experiment"], "--config", path, "--out", str(out)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(job))
+            code = rsed_main([job["experiment"], "--config", str(path), "--out", str(out)])
         if code != 0:
             sys.exit(code)
     print(f"wrote diagnostics under {root}")

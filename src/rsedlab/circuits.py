@@ -117,34 +117,46 @@ def parse(text: str, registry: dict | None = None) -> GateCircuit:
     return GateCircuit(n, tuple(gates), registry or {})
 
 
+def _named_spec(u_spec: dict) -> dict:
+    """The canonical form of a named gate spec, as a manifest records it:
+    {"type": "hadamard"}, or {"type": "random_sign_hadamard", "seed": s}
+    with s = 7 unless given (the default of a config's u_spec)."""
+    kind = u_spec.get("type") if isinstance(u_spec, dict) else None
+    if kind == "hadamard":
+        return {"type": kind}
+    if kind == "random_sign_hadamard":
+        return {"type": kind, "seed": u_spec.get("seed", 7)}
+    raise ValueError(f"unsupported u_spec {u_spec!r}")
+
+
 def synthesize_rsed_circuit(
-    shape: SystemShape, u_spec, perm_seed: int, sign_seed: int
+    shape: SystemShape, u_spec: dict | SubUnitary, perm_seed: int, sign_seed: int
 ) -> GateCircuit:
     """PERM(inv) PHASE_F [u gates] PHASE_F PERM(fwd), realizing
     sum_a O_a u O_a^dagger.
 
-    u_spec: "hadamard", ("random_sign_hadamard", seed), or a SubUnitary
-    (kept as an opaque SUB block on the low k qubits).
+    u_spec is a gate spec dict, {"type": "hadamard"} (k H gates) or {"type":
+    "random_sign_hadamard", "seed": s} (a PHASE_F of the seeded sign
+    diagonal, then k H gates; see _named_spec), or a SubUnitary, kept as an
+    opaque SUB block on the low k qubits.
     """
     registry = {
         "perm0": sample_permutation(shape, RngSeed(perm_seed)),
         "f0": sample_sign_function(shape, RngSeed(sign_seed)),
     }
-    mid: list[tuple] = []
-    if u_spec == "hadamard":
-        mid = [("H", q) for q in range(shape.k)]
-    elif isinstance(u_spec, tuple) and len(u_spec) == 2 and u_spec[0] == "random_sign_hadamard":
-        phi = random_sign_diag(shape.k, RngSeed(u_spec[1]))
-        bits = (np.real(np.diag(phi.matrix)) < 0).astype(np.uint8)
-        registry["psign0"] = SignFunction(shape, bits=np.tile(bits, shape.num_seeds))
-        mid = [("PHASE_F", "psign0")] + [("H", q) for q in range(shape.k)]
-    elif isinstance(u_spec, SubUnitary):
+    if isinstance(u_spec, SubUnitary):
         if u_spec.k != shape.k:
             raise ValueError("explicit sub-unitary does not match shape.k")
         registry["u0"] = u_spec
         mid = [("SUB", "u0")]
     else:
-        raise ValueError(f"unsupported u_spec {u_spec!r}")
+        spec = _named_spec(u_spec)
+        mid = [("H", q) for q in range(shape.k)]
+        if spec["type"] == "random_sign_hadamard":
+            phi = random_sign_diag(shape.k, RngSeed(spec["seed"]))
+            bits = (np.real(np.diag(phi.matrix)) < 0).astype(np.uint8)
+            registry["psign0"] = SignFunction(shape, bits=np.tile(bits, shape.num_seeds))
+            mid = [("PHASE_F", "psign0")] + mid
     gates = (
         [("PERM", "inv", "perm0"), ("PHASE_F", "f0")]
         + mid
@@ -296,23 +308,13 @@ class CircuitManifest:
         return cls(d["n"], d["k"], d["u_spec"], d["perm_seed"], d["sign_seed"], d["gate_counts"])
 
     def regenerate(self) -> GateCircuit:
-        shape = SystemShape(self.n, self.k)
-        kind = self.u_spec["type"]
-        if kind == "hadamard":
-            spec = "hadamard"
-        elif kind == "random_sign_hadamard":
-            spec = ("random_sign_hadamard", self.u_spec["seed"])
-        else:
-            raise ValueError(f"manifest cannot regenerate u_spec {kind!r}")
-        return synthesize_rsed_circuit(shape, spec, self.perm_seed, self.sign_seed)
+        return synthesize_rsed_circuit(SystemShape(self.n, self.k), self.u_spec, self.perm_seed, self.sign_seed)
 
 
-def build_manifest(shape: SystemShape, u_spec, perm_seed: int, sign_seed: int) -> CircuitManifest:
-    circuit = synthesize_rsed_circuit(shape, u_spec, perm_seed, sign_seed)
-    if u_spec == "hadamard":
-        spec_desc = {"type": "hadamard"}
-    elif isinstance(u_spec, tuple) and u_spec[0] == "random_sign_hadamard":
-        spec_desc = {"type": "random_sign_hadamard", "seed": u_spec[1]}
-    else:
-        raise ValueError("manifests cover named u_specs only")
-    return CircuitManifest(shape.n, shape.k, spec_desc, perm_seed, sign_seed, circuit.gate_counts())
+def build_manifest(circuit: GateCircuit, u_spec: dict, perm_seed: int, sign_seed: int) -> CircuitManifest:
+    """The manifest of a circuit that synthesize_rsed_circuit built from
+    (u_spec, perm_seed, sign_seed): those inputs, with u_spec in canonical
+    form (_named_spec), and the circuit's gate counts.  Only named gate
+    specs have a manifest; an explicit SubUnitary is a ValueError."""
+    k = circuit.registry["perm0"].shape.k
+    return CircuitManifest(circuit.n, k, _named_spec(u_spec), perm_seed, sign_seed, circuit.gate_counts())

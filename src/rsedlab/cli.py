@@ -44,6 +44,7 @@ from .spectra import (
     spectral_form_factor,
 )
 from .subsystem import (
+    MAX_SUB_QUBITS,
     SubHamiltonian,
     SubUnitary,
     column_batches,
@@ -104,10 +105,13 @@ class ExperimentConfig:
                 raise ConfigError(f"config field {f.name!r} must be {f.type}, got {type(value).__name__}")
         if self.experiment not in _DRIVERS and self.experiment != "verify":
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.k is not None and self.k_rule is None and not 1 <= self.k <= min(self.n, 12):
-            raise ConfigError(f"k={self.k} out of range for n={self.n}")
         if self.k_rule not in (None, "log2sq"):
             raise ConfigError(f"unknown k_rule {self.k_rule!r}")
+        k = resolve_k(self, self.n)
+        # otoc-scaling under the k rule takes k = log2sq_k(n) per n_list entry, not from n
+        per_entry = self.experiment == "otoc-scaling" and self.k_rule is not None
+        if not per_entry and not 1 <= k <= min(self.n, MAX_SUB_QUBITS):
+            raise ConfigError(f"k={k} out of range for n={self.n} (at most min(n, {MAX_SUB_QUBITS}))")
         if self.ensemble < 1 or self.trials < 1:
             raise ConfigError("ensemble and trials must be >= 1")
         if self.threads < 1:
@@ -117,8 +121,8 @@ class ExperimentConfig:
         if not all(0 <= s < self.n for s in self.sites):
             raise ConfigError(f"sites {self.sites} out of range [0, {self.n})")
         for n in self.n_list:
-            if not _type_ok(n, "int") or n < 2 or log2sq_k(n) > 12:
-                raise ConfigError(f"n_list entry {n} needs n >= 2 and k = log2sq_k(n) <= 12")
+            if not _type_ok(n, "int") or n < 2 or log2sq_k(n) > MAX_SUB_QUBITS:
+                raise ConfigError(f"n_list entry {n} needs n >= 2 and k = log2sq_k(n) <= {MAX_SUB_QUBITS}")
         if not self.t_grid:
             raise ConfigError("t_grid must not be empty")
         if not all(_type_ok(v, "float") and -inf < v < inf for v in [*self.t_grid, *self.beta_list, self.t_fixed]):
@@ -134,6 +138,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator mode {self.estimator.get('mode')!r}")
         if not _type_ok(self.u_spec.get("seed", 7), "int") or not _type_ok(self.estimator.get("num_seeds", 64), "int"):
             raise ConfigError("u_spec seed and estimator num_seeds must be integers")
+        for name, known in (("u_spec", {"type", "seed"}), ("estimator", {"mode", "num_seeds"})):
+            if unknown := set(getattr(self, name)) - known:
+                raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
 
 
 def log2sq_k(n: int) -> int:
@@ -142,37 +149,37 @@ def log2sq_k(n: int) -> int:
 
 
 def resolve_k(cfg: ExperimentConfig, n: int) -> int:
+    """k at size n: log2sq_k(n) under the k rule, else cfg.k or min(n, 4)."""
     if cfg.k_rule == "log2sq":
-        k = log2sq_k(n)
-    else:
-        k = cfg.k if cfg.k is not None else min(n, 4)
-    if k > 12:
-        raise ConfigError(f"k={k} exceeds the dense cap 12")
-    return min(k, n) if cfg.k_rule is None else k
+        return log2sq_k(n)
+    return cfg.k if cfg.k is not None else min(n, 4)
 
 
-def base_unitary(cfg: ExperimentConfig, k: int, realization: int) -> tuple[SubUnitary, SubHamiltonian | None]:
-    """(u, h) for one ensemble member; h is set for Hamiltonian dynamics."""
+def base_gate(cfg: ExperimentConfig, k: int, realization: int) -> SubUnitary | SubHamiltonian:
+    """Realization r's gate as cfg.u_spec names it, seeded by RngSeed(u_spec
+    seed, r): a SubUnitary u, or for pauli_syk the SubHamiltonian h of the
+    dynamics u = e^{-iht} (see evolved)."""
     kind = cfg.u_spec["type"]
     seed = RngSeed(cfg.u_spec.get("seed", 7), realization)
     if kind == "identity":
-        return SubUnitary(k, np.eye(1 << k, dtype=complex)), None
+        return SubUnitary(k, np.eye(1 << k, dtype=complex))
     if kind == "hadamard":
-        return hadamard_layer(k), None
+        return hadamard_layer(k)
     if kind == "random_sign_hadamard":
-        return random_sign_hadamard(k, seed), None
+        return random_sign_hadamard(k, seed)
     if kind == "pauli_syk":
-        h = pauli_syk(k, seed)
-        return evolve(h, 0.0), h
+        return pauli_syk(k, seed)
     raise ConfigError(f"unknown u_spec type {kind!r}")
 
 
-def evolved(u: SubUnitary, h: SubHamiltonian | None, t: float) -> SubUnitary:
-    if h is not None:
-        return evolve(h, t)
+def evolved(gate: SubUnitary | SubHamiltonian, t: float) -> SubUnitary:
+    """The gate at time t: e^{-iht} for a SubHamiltonian h, else u**t
+    (matrix_power for whole t >= 0, the Schur eigenpath cached on u else)."""
+    if isinstance(gate, SubHamiltonian):
+        return evolve(gate, t)
     if float(t).is_integer() and t >= 0:
-        return unitary_power(u, int(t))
-    return unitary_power(u, float(t))
+        return unitary_power(gate, int(t))
+    return unitary_power(gate, float(t))
 
 
 def _meta_lines(cfg: ExperimentConfig) -> list[str]:
@@ -223,11 +230,11 @@ def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
     i, j = cfg.sites
 
     def one(r: int) -> list[float]:
-        u, h = base_unitary(cfg, k, r)
+        gate = base_gate(cfg, k, r)
         p, f = _realization(cfg, shape, r)
         col = []
         for t in cfg.t_grid:
-            op = RsedOperator(shape, p, f, evolved(u, h, float(t)))
+            op = RsedOperator(shape, p, f, evolved(gate, float(t)))
             if cfg.estimator.get("mode") == "sampled":
                 est = otoc_zz_sampled(op, i, j, cfg.estimator.get("num_seeds", 64), RngSeed(cfg.seed, 10_000 + r), t=float(t))
             else:
@@ -303,8 +310,8 @@ def run_otoc_average(cfg: ExperimentConfig, out: Path) -> dict:
     k = resolve_k(cfg, cfg.n)
     cols = []  # one gate per realization, so its Schur form serves every t
     for r in range(cfg.ensemble):
-        u, h = base_unitary(cfg, k, r)
-        cols.append([otoc_zz_f_average(evolved(u, h, float(t))) for t in cfg.t_grid])
+        gate = base_gate(cfg, k, r)
+        cols.append([otoc_zz_f_average(evolved(gate, float(t))) for t in cfg.t_grid])
     rows = []
     for t_idx, t in enumerate(cfg.t_grid):
         vals = [col[t_idx] for col in cols]
@@ -319,8 +326,8 @@ def run_level_stats(cfg: ExperimentConfig, out: Path) -> dict:
     k = resolve_k(cfg, cfg.n)
 
     def one(r: int) -> np.ndarray:
-        u, h = base_unitary(cfg, k, r)
-        return np.sort(h.eigenvalues) if h is not None else parent_spectrum(u)
+        gate = base_gate(cfg, k, r)
+        return np.sort(gate.eigenvalues) if isinstance(gate, SubHamiltonian) else parent_spectrum(gate)
 
     spac = pooled_spacings(_parallel(cfg, one, range(cfg.ensemble)), cfg.exclude_degenerate)
     # histogram the pooled spacings by feeding their cumulative sum back in
@@ -343,8 +350,8 @@ def run_level_stats(cfg: ExperimentConfig, out: Path) -> dict:
 def run_sff(cfg: ExperimentConfig, out: Path) -> dict:
     k = resolve_k(cfg, cfg.n)
     shape = SystemShape(cfg.n, k)
-    u, h = base_unitary(cfg, k, 0)
-    h_par = h if h is not None else parent_hamiltonian(u)
+    gate = base_gate(cfg, k, 0)
+    h_par = gate if isinstance(gate, SubHamiltonian) else parent_hamiltonian(gate)
     rows = []
     ok = True
     for beta in cfg.beta_list:
@@ -366,8 +373,7 @@ def run_design_check(cfg: ExperimentConfig, out: Path) -> dict:
     rows = []
     worst = 0.0
     for r in range(cfg.ensemble):
-        u, h = base_unitary(cfg, k, r)
-        ut = evolved(u, h, cfg.t_fixed)
+        ut = evolved(base_gate(cfg, k, r), cfg.t_fixed)
         dv = design_variance_condition(ut, cfg.t_copies, cfg.b_star)
         ec = element_condition_check(ut, cfg.eps)
         rows.append([r, float(dv.value), int(dv.degenerate), float(ec.max_column_fraction), int(ec.passed)])
@@ -407,16 +413,11 @@ def run_coherence(cfg: ExperimentConfig, out: Path) -> dict:
 def run_circuit_emit(cfg: ExperimentConfig, out: Path) -> dict:
     k = resolve_k(cfg, cfg.n)
     shape = SystemShape(cfg.n, k)
-    kind = cfg.u_spec["type"]
-    if kind == "hadamard":
-        spec = "hadamard"
-    elif kind == "random_sign_hadamard":
-        spec = ("random_sign_hadamard", cfg.u_spec.get("seed", 7))
-    else:
+    if cfg.u_spec["type"] not in ("hadamard", "random_sign_hadamard"):
         raise ConfigError("circuit-emit supports hadamard / random_sign_hadamard u_specs")
-    circuit = synthesize_rsed_circuit(shape, spec, cfg.seed, cfg.seed + 1)
+    circuit = synthesize_rsed_circuit(shape, cfg.u_spec, cfg.seed, cfg.seed + 1)
     (out / "circuit.txt").write_text(serialize(circuit))
-    manifest = build_manifest(shape, spec, cfg.seed, cfg.seed + 1)
+    manifest = build_manifest(circuit, cfg.u_spec, cfg.seed, cfg.seed + 1)
     (out / "circuit_manifest.json").write_text(manifest.to_json() + "\n")
     perm = circuit.registry["perm0"]
     sidecar = out / "perm0.rsedperm"
@@ -424,8 +425,7 @@ def run_circuit_emit(cfg: ExperimentConfig, out: Path) -> dict:
         save_permutation(perm, sidecar)
     summary: dict = {"gates": circuit.gate_counts(), "sidecar": sidecar.name}
     if cfg.n <= 10:
-        u, _ = base_unitary(cfg, k, 0)
-        op = RsedOperator(shape, perm, circuit.registry["f0"], u)
+        op = RsedOperator(shape, perm, circuit.registry["f0"], base_gate(cfg, k, 0))
         dev = float(np.max(np.abs(simulate_circuit(circuit, dense=True) - dense_matrix(op))))
         summary["dense_deviation"] = dev
     write_json(out / "circuit_summary.json", cfg, summary)
@@ -494,18 +494,11 @@ def main(argv=None) -> int:
         sp.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            cfg = load_config("verify", args) if args.config else ExperimentConfig(experiment="verify")
-            if args.out is not None:
-                cfg.out = args.out
-            if args.seed is not None:
-                cfg.seed = args.seed
-            out = Path(cfg.out)
-            out.mkdir(parents=True, exist_ok=True)
-            return run_verify(cfg, out)
         cfg = load_config(args.command, args)
         out = Path(cfg.out)
         out.mkdir(parents=True, exist_ok=True)
+        if args.command == "verify":
+            return run_verify(cfg, out)
         _DRIVERS[args.command](cfg, out)
         return 0
     except ConfigError as exc:

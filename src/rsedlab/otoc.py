@@ -114,23 +114,20 @@ def otoc_zz_exact(op: RsedOperator, i: int, j: int, t: float = 0.0) -> OtocEstim
 def otoc_zz_sampled(
     op: RsedOperator, i: int, j: int, num_seeds: int, seed: RngSeed, t: float = 0.0
 ) -> OtocEstimate:
-    """Uniform seed-sampling estimator; M >= 2**(n-k) clamps to exhaustive.
+    """Uniform seed-sampling estimator: 2**-k times the sample mean of the
+    per-seed traces of num_seeds seeds drawn with replacement.
 
-    The estimator is 2**-k times the sample mean of the per-seed traces, so
-    the exhaustive clamp reproduces otoc_zz_exact bit for bit.
+    num_seeds >= 2**(n-k) clamps to exhaustive: the result is otoc_zz_exact's
+    value, bit for bit, with std_error 0 and meta "exhaustive": True, and
+    exact mode's n - k <= 20 cap applies.
     """
     _check_zz_sites(op, i, j)
     if num_seeds < 2:
         raise ValueError("need at least 2 sampled seeds")
     A = op.shape.num_seeds
     if num_seeds >= A:
-        seeds = np.arange(A, dtype=np.uint32)
-        total, _ = _zz_trace_sum(op, i, j, seeds)
-        value = (total / A) * (2.0 ** -op.shape.k)
-        return OtocEstimate(value, 0.0, t, {
-            "estimator": "zz-sampled", "n": op.shape.n, "k": op.shape.k,
-            "sites": (i, j), "seed_count": A, "exhaustive": True,
-        })
+        exact = otoc_zz_exact(op, i, j, t)
+        return OtocEstimate(exact.value, 0.0, t, {**exact.meta, "estimator": "zz-sampled", "exhaustive": True})
     draws = WordStream(seed).integers(A, num_seeds).astype(np.uint32)
     _, traces = _zz_trace_sum(op, i, j, draws)
     mean = traces.mean()

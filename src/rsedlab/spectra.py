@@ -71,14 +71,22 @@ def pooled_spacings(spectra, exclude_degenerate: bool = True) -> np.ndarray:
     [-pi, pi] or SYK energies of order one), at one threshold for every
     spectrum of the pool.  level_spacing_stats scales its tolerance because
     it also sizes the degenerate clusters of one spectrum at any energy scale.
+
+    A kept gap set of mean 0 (one repeated eigenvalue, without the cut) or an
+    empty pool (every spectrum degenerate, with it) is a ValueError.
     """
     pooled = []
-    for evals in spectra:
+    for r, evals in enumerate(spectra):
         gaps = np.diff(evals)
         if exclude_degenerate:
             gaps = gaps[gaps >= 1e-12]
         if gaps.size:
-            pooled.append(gaps / gaps.mean())
+            mean = gaps.mean()
+            if not mean > 0:
+                raise ValueError(f"spectrum {r} has gaps of mean {mean}; a degenerate spectrum has no unit scale")
+            pooled.append(gaps / mean)
+    if not pooled:
+        raise ValueError("no spectrum has a gap above the 1e-12 degeneracy cut; nothing to pool")
     return np.concatenate(pooled)
 
 

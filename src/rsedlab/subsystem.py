@@ -168,7 +168,8 @@ def _unitary_eigh(u: SubUnitary) -> tuple[np.ndarray, np.ndarray]:
 
     Schur of a normal matrix is diagonal, so Z gives orthonormal eigenvectors
     even under degeneracies (unlike np.linalg.eig).  Every fractional power,
-    parent_hamiltonian and the criteria share the one factorization.
+    parent_hamiltonian, parent_spectrum of a complex gate and the criteria
+    share the one factorization.
     """
     if u._eig is None:
         t_mat, z = schur(u.matrix, output="complex")
@@ -226,16 +227,12 @@ def parent_spectrum(u: SubUnitary) -> np.ndarray:
 
     A real (orthogonal) gate goes through the symmetric eigenproblem of
     (u + u^T)/2 (_orthogonal_phases), several times faster than a general
-    eigensolver; a complex gate keeps np.linalg.eigvals.
+    eigensolver.  A complex gate reads the eigenphases of the Schur form
+    cached on it (_unitary_eigh), the one factorization its fractional
+    powers and parent_hamiltonian also use.
     """
     m = u.matrix
-    if np.max(np.abs(m.imag)) < 1e-14:
-        theta = _orthogonal_phases(m.real)
-    else:
-        ev = np.linalg.eigvals(m)
-        if np.max(np.abs(np.abs(ev) - 1.0)) > 1e-8:
-            raise ValueError("input is not unitary to working precision")
-        theta = np.angle(ev)
+    theta = _orthogonal_phases(m.real) if np.max(np.abs(m.imag)) < 1e-14 else _unitary_eigh(u)[0]
     return np.sort(_phase_branch(theta))
 
 

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsedlab.bitcore import SystemShape
 from rsedlab.circuits import (
@@ -13,9 +17,10 @@ from rsedlab.circuits import (
     simulate_circuit,
     synthesize_rsed_circuit,
 )
+from rsedlab.randomness import sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
-from rsedlab.rsed import RsedOperator, StateVector, dense_matrix
-from rsedlab.subsystem import SubUnitary, hadamard_layer, random_sign_hadamard
+from rsedlab.rsed import RsedOperator, StateVector, apply, dense_matrix
+from rsedlab.subsystem import SubUnitary, hadamard_layer, random_sign_hadamard, unitary_power
 
 
 def test_serialize_parse_roundtrip_random():
@@ -56,7 +61,7 @@ def test_gate_arity_is_checked(gate):
 
 def test_reference_names_roundtrip():
     shape = SystemShape(6, 3)
-    circ = synthesize_rsed_circuit(shape, "hadamard", 11, 12)
+    circ = synthesize_rsed_circuit(shape, {"type": "hadamard"}, 11, 12)
     text = serialize(circ)
     again = parse(text, registry=circ.registry)
     assert again.gates == circ.gates
@@ -89,9 +94,9 @@ def test_ccx_truth_table():
 
 def test_synthesized_circuit_matches_rsed_dense():
     shape = SystemShape(8, 4)
-    for spec in ("hadamard", ("random_sign_hadamard", 5)):
+    for spec in ({"type": "hadamard"}, {"type": "random_sign_hadamard", "seed": 5}):
         circ = synthesize_rsed_circuit(shape, spec, 21, 22)
-        sub = hadamard_layer(4) if spec == "hadamard" else random_sign_hadamard(4, RngSeed(5))
+        sub = hadamard_layer(4) if spec["type"] == "hadamard" else random_sign_hadamard(4, RngSeed(5))
         op = RsedOperator(shape, circ.registry["perm0"], circ.registry["f0"], sub)
         dev = np.max(np.abs(simulate_circuit(circ, dense=True) - dense_matrix(op)))
         assert dev < 1e-12
@@ -115,7 +120,7 @@ def test_identity_sub_gives_identity_circuit():
 
 def test_hadamard_gate_count():
     shape = SystemShape(7, 3)
-    circ = synthesize_rsed_circuit(shape, "hadamard", 1, 2)
+    circ = synthesize_rsed_circuit(shape, {"type": "hadamard"}, 1, 2)
     counts = circ.gate_counts()
     assert counts["H"] == 3
     assert counts["PERM"] == 2 and counts["PHASE_F"] == 2
@@ -123,7 +128,8 @@ def test_hadamard_gate_count():
 
 def test_manifest_roundtrip_and_determinism():
     shape = SystemShape(6, 3)
-    manifest = build_manifest(shape, ("random_sign_hadamard", 9), 51, 52)
+    spec = {"type": "random_sign_hadamard", "seed": 9}
+    manifest = build_manifest(synthesize_rsed_circuit(shape, spec, 51, 52), spec, 51, 52)
     again = CircuitManifest.from_json(manifest.to_json())
     assert again == manifest
     c1 = manifest.regenerate()
@@ -131,6 +137,65 @@ def test_manifest_roundtrip_and_determinism():
     assert c1.gates == c2.gates
     assert (c1.registry["perm0"].table == c2.registry["perm0"].table).all()
     assert (c1.registry["f0"].bits == c2.registry["f0"].bits).all()
+
+
+@pytest.mark.parametrize(
+    "u_spec, recorded",
+    [
+        ({"type": "hadamard", "seed": 3}, {"type": "hadamard"}),
+        ({"type": "random_sign_hadamard"}, {"type": "random_sign_hadamard", "seed": 7}),
+        ({"type": "random_sign_hadamard", "seed": 4}, {"type": "random_sign_hadamard", "seed": 4}),
+    ],
+)
+def test_manifest_records_the_canonical_spec(u_spec, recorded):
+    """A hadamard spec records no seed, a random-sign one its seed (7 unless
+    given), and regenerate rebuilds the very circuit from that record."""
+    shape = SystemShape(6, 3)
+    circ = synthesize_rsed_circuit(shape, u_spec, 5, 6)
+    manifest = build_manifest(circ, u_spec, 5, 6)
+    assert json.loads(manifest.to_json())["u_spec"] == recorded
+    again = CircuitManifest.from_json(manifest.to_json()).regenerate()
+    assert again.gates == circ.gates
+    assert np.array_equal(simulate_circuit(again, dense=True), simulate_circuit(circ, dense=True))
+
+
+@pytest.mark.parametrize("u_spec", ["hadamard", ("random_sign_hadamard", 5), {"type": "pauli_syk"}, {}])
+def test_unsupported_gate_specs_are_rejected(u_spec):
+    with pytest.raises(ValueError, match="unsupported u_spec"):
+        synthesize_rsed_circuit(SystemShape(4, 2), u_spec, 1, 2)
+
+
+@given(
+    n=st.integers(2, 10),
+    data=st.data(),
+    perm_backend=st.sampled_from(["explicit", "feistel"]),
+    sign_backend=st.sampled_from(["explicit", "keyed_prf"]),
+    gate=st.sampled_from(["hadamard", "random_sign_hadamard", "sub"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_apply_dense_and_circuit_agree(n, data, perm_backend, sign_backend, gate, seed):
+    """Blockwise apply, dense_matrix and the simulated sandwich circuit give
+    the same U psi, with the Feistel and keyed-PRF backends forced at small n
+    (by default they serve only n > 16)."""
+    k = data.draw(st.integers(1, min(n, 6)))
+    shape = SystemShape(n, k)
+    if gate == "sub":
+        sub = u_spec = unitary_power(random_sign_hadamard(k, RngSeed(seed, 3)), 0.5)  # complex
+    elif gate == "hadamard":
+        sub, u_spec = hadamard_layer(k), {"type": "hadamard"}
+    else:
+        sub, u_spec = random_sign_hadamard(k, RngSeed(seed % 1000)), {"type": gate, "seed": seed % 1000}
+    perm = sample_permutation(shape, RngSeed(seed, 1), backend=perm_backend)
+    sign = sample_sign_function(shape, RngSeed(seed, 2), backend=sign_backend)
+    circ = synthesize_rsed_circuit(shape, u_spec, 0, 0)
+    circ = GateCircuit(n, circ.gates, {**circ.registry, "perm0": perm, "f0": sign})
+    op = RsedOperator(shape, perm, sign, sub)
+    stream = WordStream(RngSeed(seed, 4))
+    psi = StateVector(shape, stream.standard_normal(shape.dim) + 1j * stream.standard_normal(shape.dim))
+    blockwise = apply(op, psi).amplitudes
+    assert np.max(np.abs(dense_matrix(op) @ psi.amplitudes - blockwise)) < 1e-12
+    assert np.max(np.abs(simulate_circuit(circ, psi).amplitudes - blockwise)) < 1e-12
 
 
 def test_unresolved_reference_error():

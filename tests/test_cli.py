@@ -289,9 +289,72 @@ def test_config_errors_exit_2(tmp_path):
         {"experiment": "otoc-scaling", "n_list": [8, 6, 4]},
         # zero copies would make the design condition vacuously 0
         {"experiment": "design-check", "n": 6, "k": 3, "ensemble": 1, "t_copies": 0},
+        # misspelled nested keys silently ran 64 seeds and gate seed 7
+        {"experiment": "otoc-trace", "estimator": {"mode": "sampled", "num_seed": 8}},
+        {"experiment": "otoc-trace", "u_spec": {"type": "random_sign_hadamard", "sed": 3}},
+        # a fully degenerate parent spectrum: NaN KS with the cut off, nothing to pool with it on
+        {"experiment": "level-stats", "u_spec": {"type": "identity"}, "exclude_degenerate": False},
+        {"experiment": "level-stats", "u_spec": {"type": "identity"}},
+        # the exhaustive clamp of a sampled run keeps exact mode's n - k <= 20 cap
+        {"experiment": "otoc-trace", "n": 25, "k": 2, "ensemble": 1, "t_grid": [0.0],
+         "estimator": {"mode": "sampled", "num_seeds": 2**23}},
     ],
 )
 def test_config_boundary_exit_2(tmp_path, cfg):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     assert main([cfg["experiment"], "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+def test_resolved_k_is_checked_as_a_config_error(tmp_path, capsys):
+    """k = log2sq_k(5) = 6 exceeds n = 5: rejected by the config check, not
+    later by SystemShape inside the driver."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"experiment": "otoc-trace", "n": 5, "k_rule": "log2sq"}))
+    assert main(["otoc-trace", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: k=6 out of range for n=5")
+
+
+def test_verify_flags_are_validated(tmp_path):
+    """verify takes the drivers' config path, so --threads 0 is a config error
+    with or without --config (it ran the whole suite without one)."""
+    assert main(["verify", "--threads", "0", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_circuit_emit_samples_once(tmp_path, monkeypatch):
+    """The manifest counts the gates of the circuit already built, so the
+    permutation and sign function are sampled once per run."""
+    from rsedlab import circuits
+
+    calls = []
+    for name in ("sample_permutation", "sample_sign_function"):
+        fn = getattr(circuits, name)
+        monkeypatch.setattr(circuits, name, lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "circuit-emit", "n": 8, "k": 4, "seed": 13}))
+    assert main(["circuit-emit", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == ["sample_permutation", "sample_sign_function"]
+
+
+def test_pauli_syk_trace_evolves_once_per_t(tmp_path, monkeypatch):
+    """A Hamiltonian gate is evolved once per t and realization, with no
+    extra e^{-ih0} for a unitary nobody reads."""
+    from rsedlab import cli
+
+    calls = []
+    evolve = cli.evolve
+    monkeypatch.setattr(cli, "evolve", lambda *a, **kw: calls.append(a[1]) or evolve(*a, **kw))
+    cfg = {
+        "experiment": "otoc-trace",
+        "n": 6,
+        "k": 3,
+        "u_spec": {"type": "pauli_syk", "seed": 2},
+        "t_grid": [0.0, 0.5, 2.0],
+        "ensemble": 2,
+        "sites": [0, 5],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["otoc-trace", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert calls == cfg["t_grid"] * cfg["ensemble"]

@@ -224,6 +224,18 @@ def test_sampled_exhaustive_bitwise_and_identity_case():
     assert est.value == pytest.approx(1.0) and est.std_error < 1e-12
 
 
+def test_sampled_exhaustive_clamp_keeps_the_exact_cap():
+    """num_seeds >= 2**(n-k) runs otoc_zz_exact, so n - k > 20 is refused
+    before an enumeration of 2**21 seeds starts."""
+    shape = SystemShape(23, 2)
+    op = RsedOperator(
+        shape, sample_permutation(shape, RngSeed(1)), sample_sign_function(shape, RngSeed(2)), hadamard_layer(2)
+    )
+    with pytest.raises(ValueError, match="n - k <= 20"):
+        otoc_zz_sampled(op, 0, 5, num_seeds=shape.num_seeds, seed=RngSeed(3))
+    assert otoc_zz_sampled(op, 0, 5, num_seeds=4, seed=RngSeed(3)).meta["exhaustive"] is False
+
+
 @given(
     n=st.integers(2, 9),
     data=st.data(),

@@ -18,6 +18,7 @@ from rsedlab.spectra import (
     wigner_dyson_cdf,
     wigner_dyson_pdf,
 )
+from rsedlab import subsystem
 from rsedlab.subsystem import (
     parent_spectrum,
     SubHamiltonian,
@@ -138,11 +139,30 @@ def test_embed_spectrum_examples():
 def test_parent_spectrum_matches_parent_hamiltonian():
     u = random_sign_hadamard(5, RngSeed(9))
     half = unitary_power(u, 0.5)
-    assert half.matrix.imag.any()  # complex, so it takes the eigvals path
+    assert half.matrix.imag.any()  # complex, so it reads the cached Schur form
     for gate in (u, half):
         fast = parent_spectrum(gate)
         slow = np.sort(parent_hamiltonian(gate).eigenvalues)
         assert np.max(np.abs(fast - slow)) < 1e-10
+
+
+def test_one_schur_form_serves_a_complex_gate(monkeypatch):
+    """parent_spectrum, parent_hamiltonian and the fractional powers of one
+    complex gate share the Schur form cached on it: one factorization."""
+    calls = []
+    schur = subsystem.schur
+    monkeypatch.setattr(subsystem, "schur", lambda *a, **kw: calls.append(1) or schur(*a, **kw))
+    q, r = np.linalg.qr(WordStream(RngSeed(5)).standard_normal(64).reshape(8, 8) + 1j * np.eye(8))
+    u = SubUnitary(3, q * (np.diag(r) / np.abs(np.diag(r)))[None, :])
+    spectrum = parent_spectrum(u)
+    assert len(calls) == 1  # no second, general eigensolver
+    h = parent_hamiltonian(u)
+    for t in (0.25, 0.5, 1.5):
+        unitary_power(u, t)
+    assert len(calls) == 1
+    assert np.array_equal(spectrum, parent_spectrum(u))
+    assert np.max(np.abs(spectrum - np.sort(h.eigenvalues))) < 1e-12
+    assert np.max(np.abs(spectrum - _parent_spectrum_eigvals(u))) < 1e-12
 
 
 def _parent_spectrum_eigvals(u: SubUnitary) -> np.ndarray:
@@ -211,6 +231,21 @@ def test_pooled_spacings_unit_mean_per_spectrum():
     assert np.array_equal(pooled_spacings(spectra), [2 / 3, 4 / 3, 2 / 3, 4 / 3])
     kept = pooled_spacings(spectra, exclude_degenerate=False)
     assert kept.size == 7 and np.allclose(kept[2:4], [0.0, 2.0]) and np.allclose(kept[4:], [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "spectra, exclude, match",
+    [
+        ([np.array([0.0, 1.0]), np.zeros(4)], False, "spectrum 1 has gaps of mean 0.0"),
+        ([np.zeros(4), np.full(3, 0.5)], True, "nothing to pool"),
+        ([], True, "nothing to pool"),
+    ],
+)
+def test_pooled_spacings_rejects_degenerate_pools(spectra, exclude, match):
+    """A gap set of mean 0 has no unit scale (it gave NaN spacings), and an
+    empty pool has nothing to concatenate."""
+    with pytest.raises(ValueError, match=match):
+        pooled_spacings(spectra, exclude_degenerate=exclude)
 
 
 def test_level_spacing_stats_errors():
