@@ -48,6 +48,7 @@ from .otoc import (
     otoc_zz_exact,
     otoc_zz_f_average,
     otoc_zz_f_variance_hadamard,
+    otoc_zz_grid,
     otoc_zz_sampled,
     poisson_bracket,
 )

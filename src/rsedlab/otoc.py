@@ -4,24 +4,35 @@ O_VW(U) = 2**-n tr(V U W U^dag V U W U^dag); the Poisson-bracket form is
 C_VW = 1 - Re O_VW for involutive V, W.  For V = Z_i, W = Z_j the trace
 reduces to one K x K trace per seed block,
 
-    O = 2**-n sum_a tr(D_i(a) u~ D_j(a) u~^dag D_i(a) u~ D_j(a) u~^dag),
+    O = 2**-n sum_a T_a,  T_a = tr(D_i(a) G D_i(a) G),  G = u~ D_j(a) u~^dag,
 
 with D_i(a) the diagonal of (-1)^{bit i of p(join(b, a))} and u~ the evolved
 subsystem gate.  The sign function f cancels identically in this reduction.
-With the Hermitian G = u~ D_j u~^dag each trace is sum_{b,c} di_b di_c |G_bc|**2,
-so one matrix product forms G for a whole chunk of seeds; a gate with zero
-imaginary part (any integer power of a Hadamard-family gate) is run in real
-arithmetic.
+
+Each T_a comes from a minor of u~ of at most K/2 x K/2.  Let R_a be the rows
+b of block a where bit i of p(join(b, a)) takes its minority value, S_a the
+same set for bit j, and W_a = u~[R_a, S_a].  Then
+
+    T_a = K - 16 ||W_a||_F**2 + 16 ||W_a^dag W_a||_F**2.
+
+Derivation: D_j = I - 2 P_S gives G = I - 2 V V^dag with V = u~[:, S], and
+D_i = I - 2 P_R.  Using G**2 = I, tr(D_i G D_i G) = tr(D_i) - 2 tr(P_R)
++ 4 tr((P_R G P_R)**2) = K - 4|R| + 4 tr((I_R - 2 W W^dag)**2), which
+expands to the line above.  T_a is unchanged by D_i -> -D_i and by
+G -> -G (that is D_j -> -D_j), so both sets may be taken as minority sets:
+|R_a|, |S_a| <= K/2, and a seed costs at most K**3/8 multiply-adds where
+forming G costs K**3.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcore import PauliString, pauli_action
+from .bitcore import PauliString, SystemShape, pauli_action
+from .randomness import SignFunction, SubsetPermutation
 from .rng import RngSeed, WordStream
 from .rsed import (
     DENSE_MAX_N,
@@ -34,7 +45,7 @@ from .rsed import (
 )
 from .subsystem import SubHamiltonian, SubUnitary, column_batches
 
-_CHUNK_ENTRIES = 1 << 18  # cap on seeds_per_chunk * K**2 workspace
+_CHUNK_ENTRIES = 1 << 18  # seeds per chunk and gates per group: max(1, this // K**2)
 
 
 @dataclass(frozen=True)
@@ -54,61 +65,142 @@ def poisson_bracket(estimate: OtocEstimate) -> float:
     return 1.0 - float(np.real(estimate.value))
 
 
-def _zz_trace_sum(op: RsedOperator, i: int, j: int, seeds: np.ndarray) -> tuple[complex, np.ndarray]:
-    """Per-seed traces T_a and their ordered sum for the ZZ reduction.
+def _minor_indices(pos: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Indices (chunk, m, m) of each W_a = u[R_a, S_a] in a gate's entries
+    with a zero row and column appended (see _zero_padded), for the rows a of
+    a chunk's positions.
 
-    T_a = sum_{b,c} di_b di_c |G_bc|**2 with the Hermitian G = u Dj u^dag, so
-    G for a whole chunk of seeds is one (chunk * K, K) @ (K, K) product.  A
-    gate whose imaginary part is exactly zero (every integer power of a
-    Hadamard-family gate) runs the same code in real arithmetic.
+    R_a (S_a) holds the columns b where bit i (bit j) of pos[a, b] takes its
+    less frequent value, the 1s on a tie.  Both sets are padded to the
+    chunk's largest, m <= K/2, with the zero row and column.  The order
+    within a set is whatever argsort gives; neither norm depends on it.
     """
-    K = op.shape.subdim
-    u = op.sub.matrix
+    K = pos.shape[1]
+    bits = (pos[:, None, :] & np.array([[1 << i], [1 << j]], dtype=np.uint32)) != 0
+    ones = bits.sum(axis=2)
+    minority = ones <= K // 2  # the minority value of each row's bit: 1 or 0
+    order = np.argsort(bits != minority[:, :, None], axis=2)  # members first
+    size = np.where(minority, ones, K - ones)
+    m = int(size.max())
+    sets = np.where(np.arange(m) < size[:, :, None], order[:, :, :m], K)
+    return sets[:, 0, :, None] * (K + 1) + sets[:, 1, None, :]
+
+
+def _zero_padded(u: np.ndarray) -> np.ndarray:
+    """u with a zero row and column appended, flattened: the target of the
+    padded indices.  Real if u's imaginary part is exactly zero (every
+    integer power of a Hadamard-family gate), so that gate runs in real
+    arithmetic."""
     if not u.imag.any():
         u = u.real
-    ud = u.conj().T
+    K = len(u)
+    out = np.zeros((K + 1, K + 1), dtype=u.dtype)
+    out[:K, :K] = u
+    return out.reshape(-1)
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a C-contiguous real or complex stack."""
+    f = x.reshape(len(x), -1).view(np.float64)
+    return np.einsum("ij,ij->i", f, f)
+
+
+def _zz_chunk_traces(ops: list[RsedOperator], i: int, j: int, seeds: np.ndarray) -> Iterator[np.ndarray]:
+    """Per-seed traces T_a = K - 16 ||W_a||^2 + 16 ||W_a^dag W_a||^2, one seed
+    chunk at a time: an array (len(ops), chunk) per chunk.
+
+    The operators share their permutation (they are one realization at
+    several t), so each chunk's positions and minor indices are computed
+    once for all of them.  The padding of the sets gathers zero rows and
+    columns, which change neither norm.  The Gram matrix W_a^dag W_a costs
+    at most (K/2)**3 multiply-adds per seed, and ||W_a||^2 is read off as
+    its trace.
+    """
+    K = ops[0].shape.subdim
+    gates = [_zero_padded(op.sub.matrix) for op in ops]
     chunk = max(1, _CHUNK_ENTRIES // (K * K))
-    traces = np.empty(len(seeds), dtype=np.complex128)
-    total = 0.0 + 0.0j
     for lo in range(0, len(seeds), chunk):
-        batch = seeds[lo : lo + chunk]
-        pos = op.block_positions(batch)
-        di = 1.0 - 2.0 * ((pos >> np.uint32(i)) & np.uint32(1)).astype(np.float64)
-        dj = 1.0 - 2.0 * ((pos >> np.uint32(j)) & np.uint32(1)).astype(np.float64)
-        g = (u[None, :, :] * dj[:, None, :]).reshape(-1, K) @ ud
-        # |G_bc|**2 in place: a complex G is viewed as (re, im) pairs, so
-        # each di_c weighs both halves of its entry
-        g2 = g.view(np.float64).reshape(len(batch), K, -1)
-        np.square(g2, out=g2)
-        w = np.repeat(di, g2.shape[2] // K, axis=1)
-        t = np.sum((g2 @ w[:, :, None])[:, :, 0] * di, axis=1)
-        traces[lo : lo + len(batch)] = t
-        total += t.sum()
-    return total, traces
+        idx = _minor_indices(ops[0].block_positions(seeds[lo : lo + chunk]), i, j)
+        traces = np.empty((len(gates), len(idx)))
+        for g, u in enumerate(gates):
+            w = u[idx]
+            gram = np.conjugate(w.transpose(0, 2, 1), order="C") @ w
+            traces[g] = K + 16.0 * (_sq_norms(gram) - np.einsum("aii->a", gram).real)
+        yield traces
 
 
-def _check_zz_sites(op: RsedOperator, i: int, j: int) -> None:
+def _check_zz_sites(shape: SystemShape, i: int, j: int) -> None:
     if i == j:
         raise ValueError("ZZ OTOC requires distinct sites i != j")
     for s in (i, j):
         if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
             raise ValueError(f"site {s!r} is not an integer")
-        if not 0 <= s < op.shape.n:
-            raise ValueError(f"site {s} out of range [0, {op.shape.n})")
+        if not 0 <= s < shape.n:
+            raise ValueError(f"site {s} out of range [0, {shape.n})")
+
+
+def otoc_zz_grid(
+    p: SubsetPermutation,
+    f: SignFunction,
+    i: int,
+    j: int,
+    ts: Sequence[float],
+    gate_at: Callable[[float], SubUnitary],
+    num_seeds: int | None = None,
+    seed: RngSeed | None = None,
+) -> list[OtocEstimate]:
+    """ZZ OTOCs of one realization (p, f) at every t of ts, gate_at(t) being
+    the evolved gate at t.
+
+    Exact over every seed block, or with num_seeds the seed-sampling
+    estimator of otoc_zz_sampled, its draws taken from seed once for the
+    whole grid.  Gates are built lazily, max(1, _CHUNK_ENTRIES // K**2) at a
+    time (one gate for K >= 512), so the grid's gates are never all held at
+    once, and each such group shares one pass over the seed chunks: the
+    positions and minority sets of a chunk are computed once per group, not
+    once per t.  Sites, the sample size and exact mode's n - k <= 20 cap are
+    checked before any gate is built.  Each value equals the one-gate call's
+    (otoc_zz_exact, otoc_zz_sampled) bit for bit.
+    """
+    shape = p.shape
+    _check_zz_sites(shape, i, j)
+    A = shape.num_seeds
+    if num_seeds is not None and num_seeds < 2:
+        raise ValueError("need at least 2 sampled seeds")
+    sampled = num_seeds is not None and num_seeds < A
+    if not sampled and shape.n - shape.k > 20:
+        raise ValueError("exact seed enumeration capped at n - k <= 20")
+    meta = {"estimator": "zz-exact", "n": shape.n, "k": shape.k, "sites": (i, j), "seed_count": A}
+    if num_seeds is not None:
+        meta.update(estimator="zz-sampled", exhaustive=not sampled)
+    if sampled:
+        meta["seed_count"] = num_seeds
+        seeds = WordStream(seed).integers(A, num_seeds).astype(np.uint32)
+    else:
+        seeds = np.arange(A, dtype=np.uint32)
+    group = max(1, _CHUNK_ENTRIES // (shape.subdim**2))
+    out = []
+    for lo in range(0, len(ts), group):
+        group_ts = ts[lo : lo + group]
+        ops = [RsedOperator(shape, p, f, gate_at(t)) for t in group_ts]
+        chunks = _zz_chunk_traces(ops, i, j, seeds)
+        del ops  # only the chunk pass holds the gates now, so they go when it ends
+        if sampled:
+            traces = np.concatenate(list(chunks), axis=1)
+            for t, tr in zip(group_ts, traces):
+                mean = tr.mean()
+                se = np.sqrt(np.sum((tr - mean) ** 2) / (num_seeds * (num_seeds - 1)))
+                out.append(OtocEstimate(complex(mean * 2.0**-shape.k), float(se * 2.0**-shape.k), t, dict(meta)))
+        else:
+            totals = sum(traces.sum(axis=1) for traces in chunks)
+            out.extend(OtocEstimate(complex(total * 2.0**-shape.n), 0.0, t, dict(meta)) for t, total in zip(group_ts, totals))
+    return out
 
 
 def otoc_zz_exact(op: RsedOperator, i: int, j: int, t: float = 0.0) -> OtocEstimate:
-    """Exhaustive-seed ZZ OTOC; op.sub must already be the evolved gate."""
-    _check_zz_sites(op, i, j)
-    if op.shape.n - op.shape.k > 20:
-        raise ValueError("exact seed enumeration capped at n - k <= 20")
-    seeds = np.arange(op.shape.num_seeds, dtype=np.uint32)
-    total, _ = _zz_trace_sum(op, i, j, seeds)
-    value = total * (2.0 ** -op.shape.n)
-    return OtocEstimate(value, 0.0, t, {
-        "estimator": "zz-exact", "n": op.shape.n, "k": op.shape.k,
-        "sites": (i, j), "seed_count": op.shape.num_seeds,
-    })
+    """Exhaustive-seed ZZ OTOC, otoc_zz_grid at one t; op.sub must already
+    be the evolved gate."""
+    return otoc_zz_grid(op.perm, op.sign, i, j, [t], lambda _: op.sub)[0]
 
 
 def otoc_zz_sampled(
@@ -121,23 +213,7 @@ def otoc_zz_sampled(
     value, bit for bit, with std_error 0 and meta "exhaustive": True, and
     exact mode's n - k <= 20 cap applies.
     """
-    _check_zz_sites(op, i, j)
-    if num_seeds < 2:
-        raise ValueError("need at least 2 sampled seeds")
-    A = op.shape.num_seeds
-    if num_seeds >= A:
-        exact = otoc_zz_exact(op, i, j, t)
-        return OtocEstimate(exact.value, 0.0, t, {**exact.meta, "estimator": "zz-sampled", "exhaustive": True})
-    draws = WordStream(seed).integers(A, num_seeds).astype(np.uint32)
-    _, traces = _zz_trace_sum(op, i, j, draws)
-    mean = traces.mean()
-    value = mean * (2.0 ** -op.shape.k)
-    dev = np.abs(traces - mean) ** 2
-    se = np.sqrt(dev.sum() / (num_seeds * (num_seeds - 1))) * (2.0 ** -op.shape.k)
-    return OtocEstimate(value, float(se), t, {
-        "estimator": "zz-sampled", "n": op.shape.n, "k": op.shape.k,
-        "sites": (i, j), "seed_count": num_seeds, "exhaustive": False,
-    })
+    return otoc_zz_grid(op.perm, op.sign, i, j, [t], lambda _: op.sub, num_seeds, seed)[0]
 
 
 def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:

@@ -1,5 +1,7 @@
 import tracemalloc
+from functools import partial
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from rsedlab import otoc, subsystem
 from rsedlab.bitcore import SystemShape
-from rsedlab.cli import hadamard_sign_f_average
+from rsedlab.cli import evolved, hadamard_sign_f_average
 from rsedlab.otoc import (
     OtocEstimate,
     early_time_slope,
@@ -18,11 +20,12 @@ from rsedlab.otoc import (
     otoc_zz_exact,
     otoc_zz_f_average,
     otoc_zz_f_variance_hadamard,
+    otoc_zz_grid,
     otoc_zz_sampled,
     poisson_bracket,
     zz_f_variance_hadamard_exact,
 )
-from rsedlab.randomness import SignFunction, sample_permutation, sample_sign_function
+from rsedlab.randomness import SignFunction, identity_permutation, sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import PauliString, RsedOperator, dense_matrix
 from rsedlab.subsystem import (
@@ -284,11 +287,112 @@ def test_zz_kernel_chunk_boundaries(monkeypatch, t):
     assert otoc_zz_sampled(op, 2, 7, num_seeds=64, seed=RngSeed(22)).value == exact.value
     draws = WordStream(RngSeed(23)).integers(op.shape.num_seeds, 60).astype(np.uint32)
     assert len(np.unique(draws)) < len(draws)
-    _, traces = otoc._zz_trace_sum(op, 2, 7, draws)
+    traces = np.concatenate(list(otoc._zz_chunk_traces([op], 2, 7, draws)), axis=1)[0]
     oracle = [_zz_block_trace(row, u.matrix, 2, 7) for row in op.block_positions(draws)]
     assert np.max(np.abs(traces - oracle)) <= 1e-12
     sampled = otoc_zz_sampled(op, 2, 7, num_seeds=60, seed=RngSeed(23))
     assert abs(sampled.value - np.mean(oracle) / 16) <= 1e-12
+
+
+@given(
+    n=st.integers(2, 9),
+    data=st.data(),
+    perm_backend=st.sampled_from(["explicit", "feistel", "identity"]),
+    complex_gate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_minor_traces_match_the_dense_oracle(n, data, perm_backend, complex_gate, seed):
+    """Each per-seed trace from the minor u[R_a, S_a], at most K/2 x K/2,
+    equals the dense tr(Di G Di G) within 1e-12: real and complex gates,
+    both permutation backends, K = 2 (k = 1), repeated seeds, and chunks of
+    1-5 seeds with a shorter last one.  The identity table with a site >= k
+    gives a constant bit in every block, an empty minority set, and so
+    exactly T_a = K.
+
+    The identity uses u^dag u = I, and the dense form does not, so a gate
+    that is unitary only to defect = max|u^dag u - I| may move T_a by
+    O(K defect): up to 2e-12 at K = 128 and 7e-12 at K = 256 for
+    fractional powers (defect <= 7e-15), about 7 K defect at most.  The
+    bound allows 16 K defect on top of 1e-12; the OTOC value, the mean of
+    T_a / K, moves by at most 16 defect."""
+    k = data.draw(st.integers(1, n - 1))
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    shape = SystemShape(n, k)
+    base = random_sign_hadamard(k, RngSeed(seed, 3))
+    u = unitary_power(base, data.draw(st.floats(0.1, 3.9) if complex_gate else st.integers(0, 4)))
+    assert bool(u.matrix.imag.any()) == complex_gate
+    if perm_backend == "identity":
+        p = identity_permutation(shape)
+    else:
+        p = sample_permutation(shape, RngSeed(seed, 1), backend=perm_backend)
+    op = RsedOperator(shape, p, sample_sign_function(shape, RngSeed(seed, 2)), u)
+    draws = WordStream(RngSeed(seed, 4)).integers(shape.num_seeds, data.draw(st.integers(1, 12))).astype(np.uint32)
+    per_chunk = data.draw(st.integers(1, 5))
+    with mock.patch.object(otoc, "_CHUNK_ENTRIES", per_chunk * shape.subdim**2):
+        chunks = list(otoc._zz_chunk_traces([op], i, j, draws))
+    assert [c.shape[1] for c in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
+    traces = np.concatenate(chunks, axis=1)[0]
+    assert otoc._minor_indices(op.block_positions(draws), i, j).shape[1] <= max(1, shape.subdim // 2)
+    oracle = np.array([_zz_block_trace(row, u.matrix, i, j) for row in op.block_positions(draws)])
+    defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(shape.subdim)))
+    assert np.max(np.abs(traces - oracle)) <= 1e-12 + 16 * shape.subdim * defect
+    if perm_backend == "identity" and min(i, j) >= k:
+        assert np.all(traces == shape.subdim)
+
+
+def test_empty_minority_set_gives_trace_k():
+    """Explicit identity table, both sites >= k: every block sees a constant
+    bit, so R_a and S_a are empty and T_a = K exactly; with one site < k the
+    other set alone is empty, and T_a = K still."""
+    shape = SystemShape(7, 3)
+    u = unitary_power(random_sign_hadamard(3, RngSeed(40)), 0.5)
+    op = RsedOperator(shape, identity_permutation(shape), sample_sign_function(shape, RngSeed(41)), u)
+    seeds = np.arange(shape.num_seeds, dtype=np.uint32)
+    for i, j in ((3, 6), (0, 5), (5, 1)):
+        traces = np.concatenate(list(otoc._zz_chunk_traces([op], i, j, seeds)), axis=1)[0]
+        assert np.all(traces == 8.0)
+
+
+@pytest.mark.parametrize("group_entries", [None, 2 * 16 * 16], ids=["one-group", "groups-of-2"])
+@pytest.mark.parametrize("num_seeds", [None, 40, 64], ids=["exact", "sampled", "clamped"])
+def test_grid_equals_one_gate_calls_bitwise(monkeypatch, group_entries, num_seeds):
+    """otoc_zz_grid over integer and fractional t equals otoc_zz_exact /
+    otoc_zz_sampled at each t bit for bit, whether the grid is one gate group
+    or groups of 2 + 2 + 1 gates (then with chunks of two seeds)."""
+    if group_entries is not None:
+        monkeypatch.setattr(otoc, "_CHUNK_ENTRIES", group_entries)
+    base = random_sign_hadamard(4, RngSeed(42))
+    shape = SystemShape(10, 4)
+    p, f = sample_permutation(shape, RngSeed(43)), sample_sign_function(shape, RngSeed(44))
+    ts = [0.0, 0.5, 1.0, 2.0, 2.75]
+    gate_at = partial(evolved, base)
+    grid = otoc_zz_grid(p, f, 2, 7, ts, gate_at, num_seeds, None if num_seeds is None else RngSeed(45))
+    for t, est in zip(ts, grid):
+        op = RsedOperator(shape, p, f, gate_at(t))
+        one = otoc_zz_exact(op, 2, 7, t) if num_seeds is None else otoc_zz_sampled(op, 2, 7, num_seeds, RngSeed(45), t)
+        assert (est.value, est.std_error, est.t, est.meta) == (one.value, one.std_error, one.t, one.meta)
+    if num_seeds is not None:
+        assert grid[-1].meta["exhaustive"] == (num_seeds >= shape.num_seeds)
+
+
+def test_grid_checks_before_building_a_gate():
+    """Bad sites, too few samples and the n - k <= 20 cap are refused before
+    gate_at is called."""
+    built = []
+    gate_at = lambda t: built.append(t) or hadamard_layer(2)  # noqa: E731
+    shape = SystemShape(23, 2)
+    p, f = sample_permutation(shape, RngSeed(46)), sample_sign_function(shape, RngSeed(47))
+    for args, match in (
+        ((0, 0, [1.0], gate_at), "distinct"),
+        ((0, 23, [1.0], gate_at), "out of range"),
+        ((0, 5, [1.0], gate_at, 1, RngSeed(48)), "at least 2"),
+        ((0, 5, [1.0], gate_at), "n - k <= 20"),
+        ((0, 5, [1.0], gate_at, shape.num_seeds, RngSeed(48)), "n - k <= 20"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            otoc_zz_grid(p, f, *args)
+    assert built == []
 
 
 def test_sampled_subsample_consistency():
