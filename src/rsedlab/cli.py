@@ -26,9 +26,9 @@ from . import __version__
 from .bitcore import SystemShape
 from .circuits import build_manifest, serialize, simulate_circuit, synthesize_rsed_circuit
 from .otoc import (
-    otoc_zz_exact,  # noqa: F401 (not called here; perfbench/tracing.py wraps rsedlab.cli.otoc_zz_exact)
+    otoc_zz_exact,
     otoc_zz_f_average,
-    otoc_zz_grid,
+    otoc_zz_sampled,
     poisson_bracket,
 )
 from .prs import coherence_trial, design_variance_condition, element_condition_check
@@ -231,15 +231,18 @@ def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
     shape = SystemShape(cfg.n, k)
     i, j = cfg.sites
 
-    ts = [float(t) for t in cfg.t_grid]
-    sampled = cfg.estimator.get("mode") == "sampled"
-
     def one(r: int) -> list[float]:
         gate = base_gate(cfg, k, r)
         p, f = _realization(cfg, shape, r)
-        num_seeds, seed = (cfg.estimator.get("num_seeds", 64), RngSeed(cfg.seed, 10_000 + r)) if sampled else (None, None)
-        ests = otoc_zz_grid(p, f, i, j, ts, functools.partial(evolved, gate), num_seeds, seed)
-        return [poisson_bracket(est) for est in ests]
+        col = []
+        for t in cfg.t_grid:
+            op = RsedOperator(shape, p, f, evolved(gate, float(t)))
+            if cfg.estimator.get("mode") == "sampled":
+                est = otoc_zz_sampled(op, i, j, cfg.estimator.get("num_seeds", 64), RngSeed(cfg.seed, 10_000 + r), t=float(t))
+            else:
+                est = otoc_zz_exact(op, i, j, t=float(t))
+            col.append(poisson_bracket(est))
+        return col
 
     cols = _parallel(cfg, one, range(cfg.ensemble))
     rows = []

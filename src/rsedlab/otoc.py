@@ -22,6 +22,13 @@ expands to the line above.  T_a is unchanged by D_i -> -D_i and by
 G -> -G (that is D_j -> -D_j), so both sets may be taken as minority sets:
 |R_a|, |S_a| <= K/2, and a seed costs at most K**3/8 multiply-adds where
 forming G costs K**3.
+
+The identity takes u~ to be unitary (G**2 = I and P_R G P_R = I_R - 2 W W^dag
+use it); the dense trace does not.  For a gate unitary only to
+eps = ||u~^dag u~ - I||_2, the spectral norm, each T_a differs from
+tr(D_i G D_i G) by at most K (16 eps + 19 eps**2), and so the OTOC value by
+at most 16 eps + 19 eps**2.  SubUnitary's check bounds the largest entry of
+u~^dag u~ - I by UNITARITY_TOL, which bounds eps only by K UNITARITY_TOL.
 """
 
 from __future__ import annotations
@@ -65,32 +72,30 @@ def poisson_bracket(estimate: OtocEstimate) -> float:
     return 1.0 - float(np.real(estimate.value))
 
 
-def _minor_indices(pos: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Indices (chunk, m, m) of each W_a = u[R_a, S_a] in a gate's entries
-    with a zero row and column appended (see _zero_padded), for the rows a of
-    a chunk's positions.
+def _minor_sets(pos: np.ndarray, i: int, j: int) -> np.ndarray:
+    """R_a and S_a for the rows a of a chunk's positions: an array
+    (chunk, 2, m) of column indices, R_a at [a, 0] and S_a at [a, 1].
 
     R_a (S_a) holds the columns b where bit i (bit j) of pos[a, b] takes its
-    less frequent value, the 1s on a tie.  Both sets are padded to the
-    chunk's largest, m <= K/2, with the zero row and column.  The order
-    within a set is whatever argsort gives; neither norm depends on it.
+    less frequent value, the 1s on a tie, in increasing order.  Every set is
+    padded with K, the zero row and column of _zero_padded, to the chunk's
+    largest set m <= K/2.  One sort of the keys (outside << k) | b, outside
+    being 0 on the members, puts each row's members first; the keys of the
+    rest are >= K and clip to K.
     """
     K = pos.shape[1]
-    bits = (pos[:, None, :] & np.array([[1 << i], [1 << j]], dtype=np.uint32)) != 0
-    ones = bits.sum(axis=2)
-    minority = ones <= K // 2  # the minority value of each row's bit: 1 or 0
-    order = np.argsort(bits != minority[:, :, None], axis=2)  # members first
-    size = np.where(minority, ones, K - ones)
-    m = int(size.max())
-    sets = np.where(np.arange(m) < size[:, :, None], order[:, :, :m], K)
-    return sets[:, 0, :, None] * (K + 1) + sets[:, 1, None, :]
+    bits = (pos[:, None, :] >> np.array([[i], [j]], dtype=np.uint32)) & np.uint32(1)
+    twice = 2 * bits.sum(axis=2, keepdims=True, dtype=np.int64)  # twice the 1s; signed, so twice - K cannot wrap
+    outside = bits ^ (twice <= K)
+    m = (K - int(np.abs(twice - K).min())) // 2  # min(ones, K - ones), maximized
+    keys = np.sort((outside << np.uint32(K.bit_length() - 1)) | np.arange(K, dtype=np.uint32), axis=2)
+    return np.minimum(keys[:, :, :m], K)
 
 
 def _zero_padded(u: np.ndarray) -> np.ndarray:
     """u with a zero row and column appended, flattened: the target of the
-    padded indices.  Real if u's imaginary part is exactly zero (every
-    integer power of a Hadamard-family gate), so that gate runs in real
-    arithmetic."""
+    padded sets.  Real if u's imaginary part is exactly zero (every integer
+    power of a Hadamard-family gate), so that gate runs in real arithmetic."""
     if not u.imag.any():
         u = u.real
     K = len(u)
@@ -105,27 +110,33 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", f, f)
 
 
-def _zz_chunk_traces(ops: list[RsedOperator], i: int, j: int, seeds: np.ndarray) -> Iterator[np.ndarray]:
-    """Per-seed traces T_a = K - 16 ||W_a||^2 + 16 ||W_a^dag W_a||^2, one seed
-    chunk at a time: an array (len(ops), chunk) per chunk.
+def _zz_chunk_traces(op: RsedOperator, gates: list[np.ndarray], i: int, j: int, seeds: np.ndarray) -> Iterator[np.ndarray]:
+    """Per-seed traces T_a = K - 16 ||W_a||^2 + 16 ||W_a^dag W_a||^2 of each
+    K x K gate matrix in gates, one seed chunk at a time: an array
+    (len(gates), chunk) per chunk.
 
-    The operators share their permutation (they are one realization at
-    several t), so each chunk's positions and minor indices are computed
-    once for all of them.  The padding of the sets gathers zero rows and
-    columns, which change neither norm.  The Gram matrix W_a^dag W_a costs
-    at most (K/2)**3 multiply-adds per seed, and ||W_a||^2 is read off as
-    its trace.
+    op supplies the block positions only (its permutation; the sign function
+    cancels and its gate is not read), so each chunk's positions, minority
+    sets and gather indices are computed once for all the gates.  The
+    padding of the sets to m gathers zero rows and columns, which change
+    neither norm.  The Gram matrix W_a^dag W_a costs at most (K/2)**3
+    multiply-adds per seed; with ||W_a||^2 its trace,
+    T_a = K - 4m + 16 ||W_a^dag W_a - I_m / 2||^2.
     """
-    K = ops[0].shape.subdim
-    gates = [_zero_padded(op.sub.matrix) for op in ops]
+    K = op.shape.subdim
+    padded = [_zero_padded(u) for u in gates]
+    del gates  # the padded copies are all the pass needs
     chunk = max(1, _CHUNK_ENTRIES // (K * K))
     for lo in range(0, len(seeds), chunk):
-        idx = _minor_indices(ops[0].block_positions(seeds[lo : lo + chunk]), i, j)
-        traces = np.empty((len(gates), len(idx)))
-        for g, u in enumerate(gates):
+        sets = _minor_sets(op.block_positions(seeds[lo : lo + chunk]), i, j)
+        m = sets.shape[2]
+        idx = sets[:, 0, :, None] * np.intp(K + 1) + sets[:, 1, None, :]  # into the padded gates
+        traces = np.empty((len(padded), len(sets)))
+        for g, u in enumerate(padded):
             w = u[idx]
             gram = np.conjugate(w.transpose(0, 2, 1), order="C") @ w
-            traces[g] = K + 16.0 * (_sq_norms(gram) - np.einsum("aii->a", gram).real)
+            gram.reshape(len(gram), -1)[:, :: m + 1] -= 0.5
+            traces[g] = (K - 4 * m) + 16.0 * _sq_norms(gram)
         yield traces
 
 
@@ -160,7 +171,9 @@ def otoc_zz_grid(
     positions and minority sets of a chunk are computed once per group, not
     once per t.  Sites, the sample size and exact mode's n - k <= 20 cap are
     checked before any gate is built.  Each value equals the one-gate call's
-    (otoc_zz_exact, otoc_zz_sampled) bit for bit.
+    (otoc_zz_exact, otoc_zz_sampled) bit for bit.  The gates are taken to be
+    unitary: one unitary only to eps = ||u^dag u - I||_2 moves its value by
+    at most 16 eps + 19 eps**2 from the dense trace (module docstring).
     """
     shape = p.shape
     _check_zz_sites(shape, i, j)
@@ -182,9 +195,9 @@ def otoc_zz_grid(
     out = []
     for lo in range(0, len(ts), group):
         group_ts = ts[lo : lo + group]
-        ops = [RsedOperator(shape, p, f, gate_at(t)) for t in group_ts]
-        chunks = _zz_chunk_traces(ops, i, j, seeds)
-        del ops  # only the chunk pass holds the gates now, so they go when it ends
+        subs = [gate_at(t) for t in group_ts]
+        chunks = _zz_chunk_traces(RsedOperator(shape, p, f, subs[0]), [s.matrix for s in subs], i, j, seeds)
+        del subs  # only the chunk pass holds the gates now, so they go when it ends
         if sampled:
             traces = np.concatenate(list(chunks), axis=1)
             for t, tr in zip(group_ts, traces):
@@ -199,7 +212,8 @@ def otoc_zz_grid(
 
 def otoc_zz_exact(op: RsedOperator, i: int, j: int, t: float = 0.0) -> OtocEstimate:
     """Exhaustive-seed ZZ OTOC, otoc_zz_grid at one t; op.sub must already
-    be the evolved gate."""
+    be the evolved gate, and is taken to be unitary: a deviation
+    eps = ||u^dag u - I||_2 moves the value by at most 16 eps + 19 eps**2."""
     return otoc_zz_grid(op.perm, op.sign, i, j, [t], lambda _: op.sub)[0]
 
 
@@ -211,7 +225,8 @@ def otoc_zz_sampled(
 
     num_seeds >= 2**(n-k) clamps to exhaustive: the result is otoc_zz_exact's
     value, bit for bit, with std_error 0 and meta "exhaustive": True, and
-    exact mode's n - k <= 20 cap applies.
+    exact mode's n - k <= 20 cap applies.  op.sub is taken to be unitary, as
+    in otoc_zz_exact.
     """
     return otoc_zz_grid(op.perm, op.sign, i, j, [t], lambda _: op.sub, num_seeds, seed)[0]
 

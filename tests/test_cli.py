@@ -377,39 +377,10 @@ def test_pauli_syk_trace_evolves_once_per_t(tmp_path, monkeypatch):
     assert calls == cfg["t_grid"] * cfg["ensemble"]
 
 
-def _count_block_positions(monkeypatch):
-    from rsedlab.rsed import RsedOperator
-
-    calls = []
-    block_positions = RsedOperator.block_positions
-    monkeypatch.setattr(RsedOperator, "block_positions", lambda *a: calls.append(1) or block_positions(*a))
-    return calls
-
-
-@pytest.mark.parametrize("mode", ["exact", "sampled"])
-def test_otoc_trace_maps_positions_once_per_chunk_and_gate_group(tmp_path, monkeypatch, mode):
-    """Block positions are computed once per seed chunk per gate group, not
-    once per t: with chunks and groups of 3 (K = 16), 7 t values are 3 groups
-    and 64 seeds (or 40 draws) are 22 (14) chunks per realization."""
-    from rsedlab import otoc
-
-    monkeypatch.setattr(otoc, "_CHUNK_ENTRIES", 3 * 16 * 16)
-    calls = _count_block_positions(monkeypatch)
-    cfg = {
-        "experiment": "otoc-trace", "n": 10, "k": 4, "sites": [1, 8], "ensemble": 2,
-        "t_grid": [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0], "estimator": {"mode": mode, "num_seeds": 40},
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["otoc-trace", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    chunks = 22 if mode == "exact" else 14
-    assert len(calls) == cfg["ensemble"] * 3 * chunks
-
-
-def test_otoc_trace_holds_one_gate_group(tmp_path):
-    """k = 10 over 8 integer t: each K = 1024 gate is its own group, built when
-    its pass starts, so the traced peak stays below the 128 MiB of holding
-    all 8 evolved (complex, 16 MiB) gates at once."""
+def test_otoc_trace_holds_one_gate_at_a_time(tmp_path):
+    """k = 10 over 8 integer t: each K = 1024 gate is evolved when its t comes
+    up and dropped before the next, so the traced peak stays below the
+    128 MiB of holding all 8 evolved (complex, 16 MiB) gates at once."""
     cfg = {
         "experiment": "otoc-trace", "n": 11, "k": 10, "sites": [0, 10], "ensemble": 1,
         "u_spec": {"type": "hadamard"}, "t_grid": [float(t) for t in range(8)],

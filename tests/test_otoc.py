@@ -287,7 +287,7 @@ def test_zz_kernel_chunk_boundaries(monkeypatch, t):
     assert otoc_zz_sampled(op, 2, 7, num_seeds=64, seed=RngSeed(22)).value == exact.value
     draws = WordStream(RngSeed(23)).integers(op.shape.num_seeds, 60).astype(np.uint32)
     assert len(np.unique(draws)) < len(draws)
-    traces = np.concatenate(list(otoc._zz_chunk_traces([op], 2, 7, draws)), axis=1)[0]
+    traces = np.concatenate(list(otoc._zz_chunk_traces(op, [u.matrix], 2, 7, draws)), axis=1)[0]
     oracle = [_zz_block_trace(row, u.matrix, 2, 7) for row in op.block_positions(draws)]
     assert np.max(np.abs(traces - oracle)) <= 1e-12
     sampled = otoc_zz_sampled(op, 2, 7, num_seeds=60, seed=RngSeed(23))
@@ -311,11 +311,10 @@ def test_minor_traces_match_the_dense_oracle(n, data, perm_backend, complex_gate
     exactly T_a = K.
 
     The identity uses u^dag u = I, and the dense form does not, so a gate
-    that is unitary only to defect = max|u^dag u - I| may move T_a by
-    O(K defect): up to 2e-12 at K = 128 and 7e-12 at K = 256 for
-    fractional powers (defect <= 7e-15), about 7 K defect at most.  The
-    bound allows 16 K defect on top of 1e-12; the OTOC value, the mean of
-    T_a / K, moves by at most 16 defect."""
+    unitary only to eps = ||u^dag u - I||_2 may move T_a by up to
+    K (16 eps + 19 eps**2) (otoc module docstring): fractional powers move
+    it by up to 2e-12 at K = 128 and 7e-12 at K = 256.  The bound allows
+    that on top of 1e-12."""
     k = data.draw(st.integers(1, n - 1))
     i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     shape = SystemShape(n, k)
@@ -330,13 +329,13 @@ def test_minor_traces_match_the_dense_oracle(n, data, perm_backend, complex_gate
     draws = WordStream(RngSeed(seed, 4)).integers(shape.num_seeds, data.draw(st.integers(1, 12))).astype(np.uint32)
     per_chunk = data.draw(st.integers(1, 5))
     with mock.patch.object(otoc, "_CHUNK_ENTRIES", per_chunk * shape.subdim**2):
-        chunks = list(otoc._zz_chunk_traces([op], i, j, draws))
+        chunks = list(otoc._zz_chunk_traces(op, [u.matrix], i, j, draws))
     assert [c.shape[1] for c in chunks[:-1]] == [per_chunk] * (len(chunks) - 1)
     traces = np.concatenate(chunks, axis=1)[0]
-    assert otoc._minor_indices(op.block_positions(draws), i, j).shape[1] <= max(1, shape.subdim // 2)
+    assert otoc._minor_sets(op.block_positions(draws), i, j).shape[2] <= shape.subdim // 2
     oracle = np.array([_zz_block_trace(row, u.matrix, i, j) for row in op.block_positions(draws)])
-    defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(shape.subdim)))
-    assert np.max(np.abs(traces - oracle)) <= 1e-12 + 16 * shape.subdim * defect
+    eps = np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(shape.subdim), 2)
+    assert np.max(np.abs(traces - oracle)) <= 1e-12 + shape.subdim * (16 * eps + 19 * eps**2)
     if perm_backend == "identity" and min(i, j) >= k:
         assert np.all(traces == shape.subdim)
 
@@ -350,8 +349,33 @@ def test_empty_minority_set_gives_trace_k():
     op = RsedOperator(shape, identity_permutation(shape), sample_sign_function(shape, RngSeed(41)), u)
     seeds = np.arange(shape.num_seeds, dtype=np.uint32)
     for i, j in ((3, 6), (0, 5), (5, 1)):
-        traces = np.concatenate(list(otoc._zz_chunk_traces([op], i, j, seeds)), axis=1)[0]
+        traces = np.concatenate(list(otoc._zz_chunk_traces(op, [u.matrix], i, j, seeds)), axis=1)[0]
         assert np.all(traces == 8.0)
+
+
+@pytest.mark.parametrize("k, kind", [(1, "ones"), (3, "ones"), (3, "signs"), (5, "ones")])
+def test_near_unitary_gate_moves_the_value_by_at_most_16_eps(k, kind):
+    """u = V (I + E)**(1/2) with V unitary and E Hermitian passes the
+    unitarity check (largest entry of u^dag u - I = E just under
+    UNITARITY_TOL) without being unitary.  The identity assumes u^dag u = I
+    and the dense trace does not: the two OTOC values part by a visible
+    amount, but by no more than 16 eps + 19 eps**2, eps = ||E||_2 (K times
+    the largest entry for E = d * ones, equal to it for a diagonal of +-d)."""
+    K = 1 << k
+    d = 0.9 * subsystem.UNITARITY_TOL
+    e = np.full((K, K), d) if kind == "ones" else np.diag(np.where(np.arange(K) % 3 == 0, -d, d))
+    w, v = np.linalg.eigh(e)
+    base = unitary_power(random_sign_hadamard(k, RngSeed(50)), 0.5).matrix
+    u = SubUnitary(k, base @ ((v * np.sqrt(1.0 + w)) @ v.conj().T))
+    eps = np.linalg.norm(u.matrix.conj().T @ u.matrix - np.eye(K), 2)
+    shape = SystemShape(k + 4, k)
+    op = RsedOperator(shape, sample_permutation(shape, RngSeed(51)), sample_sign_function(shape, RngSeed(52)), u)
+    moves = []
+    for i, j in ((0, k + 3), (0, 1), (k + 2, k + 3)):
+        dense = _zz_trace_from_positions(op.block_positions(np.arange(shape.num_seeds)), u.matrix, i, j)
+        moves.append(abs(otoc_zz_exact(op, i, j).value - dense))
+    assert max(moves) <= 16 * eps + 19 * eps**2
+    assert max(moves) > 1e-3 * eps
 
 
 @pytest.mark.parametrize("group_entries", [None, 2 * 16 * 16], ids=["one-group", "groups-of-2"])
@@ -374,6 +398,26 @@ def test_grid_equals_one_gate_calls_bitwise(monkeypatch, group_entries, num_seed
         assert (est.value, est.std_error, est.t, est.meta) == (one.value, one.std_error, one.t, one.meta)
     if num_seeds is not None:
         assert grid[-1].meta["exhaustive"] == (num_seeds >= shape.num_seeds)
+
+
+@pytest.mark.parametrize("num_seeds", [None, 40], ids=["exact", "sampled"])
+def test_grid_maps_positions_once_per_chunk_and_gate_group(monkeypatch, num_seeds):
+    """Block positions are computed once per seed chunk per gate group, not
+    once per t, and each group's gates are built just before its pass: with
+    chunks and groups of 3 (K = 16), 7 t values are groups of 3 + 3 + 1 and
+    64 seeds (or 40 draws) are 22 (14) chunks."""
+    monkeypatch.setattr(otoc, "_CHUNK_ENTRIES", 3 * 16 * 16)
+    events = []
+    block_positions = RsedOperator.block_positions
+    monkeypatch.setattr(RsedOperator, "block_positions", lambda *a: events.append("pos") or block_positions(*a))
+    base = random_sign_hadamard(4, RngSeed(53))
+    gate_at = lambda t: events.append(t) or evolved(base, t)  # noqa: E731
+    shape = SystemShape(10, 4)
+    p, f = sample_permutation(shape, RngSeed(54)), sample_sign_function(shape, RngSeed(55))
+    ts = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+    otoc_zz_grid(p, f, 1, 8, ts, gate_at, num_seeds, None if num_seeds is None else RngSeed(56))
+    chunks = ["pos"] * (22 if num_seeds is None else 14)
+    assert events == [*ts[:3], *chunks, *ts[3:6], *chunks, ts[6], *chunks]
 
 
 def test_grid_checks_before_building_a_gate():
