@@ -4,7 +4,7 @@ spectral form factors, coherence, and pseudorandom-state diagnostics."""
 
 __version__ = "0.1.0"
 
-from .bitcore import PauliString, SystemShape, flip_bit, get_bit, join, split
+from .bitcore import PauliString, SystemShape, flip_bit, join, split
 from .randomness import (
     SignFunction,
     SubsetPermutation,
@@ -23,7 +23,6 @@ from .rsed import (
     StateVector,
     apply,
     apply_pauli,
-    apply_power,
     dense_matrix,
     evolve_basis_state,
 )
@@ -63,11 +62,6 @@ from .spectra import (
 )
 from .prs import (
     DensityMatrix,
-    HadamardLayer,
-    RandomClifford,
-    TLayer,
-    TypeVector,
-    append_layer,
     coherence_rel_entropy,
     design_variance_condition,
     element_condition_check,

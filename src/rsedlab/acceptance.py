@@ -91,13 +91,11 @@ def _operator(n: int, k: int, u: SubUnitary, pseed: int, fseed: int) -> RsedOper
 # --- criterion 1: closed-form f-average ------------------------------------
 
 
-def criterion_1a(inject: str | None = None) -> CriterionResult:
+def criterion_1a() -> CriterionResult:
     """otoc_zz_f_average(H^{tensor k}) = 2**-k exactly for k in 2..8."""
     worst = 0.0
     for k in range(2, 9):
         val = otoc_zz_f_average(hadamard_layer(k))
-        if inject == "closed-form-sign":
-            val = -val
         worst = max(worst, abs(val - 2.0**-k))
     return CriterionResult("1a", "closed-form average equals 2^-k (k=2..8)", worst, "<= 1e-12", worst <= 1e-12)
 
@@ -478,15 +476,12 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(inject: str | None = None) -> list[CriterionResult]:
-    """Run every sub-criterion, timing each; inject feeds fault fixtures."""
+def run_all() -> list[CriterionResult]:
+    """Run every sub-criterion, timing each."""
     results = []
     for fn in ALL_CRITERIA:
         start = time.perf_counter()
-        if fn is criterion_1a:
-            res = criterion_1a(inject=inject)
-        else:
-            res = fn()
+        res = fn()
         res.runtime_s = time.perf_counter() - start
         results.append(res)
     return results

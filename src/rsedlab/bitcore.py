@@ -75,14 +75,6 @@ def flip_bit(x: int, j: int, shape: SystemShape) -> int:
     return x ^ (1 << j)
 
 
-def get_bit(x: int, j: int, shape: SystemShape) -> int:
-    """Bit j of x, in {0, 1}."""
-    check_index(x, shape)
-    if not 0 <= j < shape.n:
-        raise ValueError(f"site {j} out of range [0, {shape.n})")
-    return (x >> j) & 1
-
-
 @dataclass(frozen=True)
 class PauliString:
     """Product of single-site Paulis, at most one axis per site; squares to I."""

@@ -29,7 +29,7 @@ from .randomness import (
 )
 from .rng import RngSeed, WordStream
 from .rsed import DENSE_MAX_N, StateVector
-from .subsystem import SubUnitary, random_sign_diag
+from .subsystem import SubUnitary
 
 HEADER = "RSEDCIRC 1"
 
@@ -153,8 +153,8 @@ def synthesize_rsed_circuit(
         spec = _named_spec(u_spec)
         mid = [("H", q) for q in range(shape.k)]
         if spec["type"] == "random_sign_hadamard":
-            phi = random_sign_diag(shape.k, RngSeed(spec["seed"]))
-            bits = (np.real(np.diag(phi.matrix)) < 0).astype(np.uint8)
+            # the phi bits of P = diag((-1)**phi), read from the stream of random_sign_hadamard
+            bits = WordStream(RngSeed(spec["seed"])).bits(shape.subdim)
             registry["psign0"] = SignFunction(shape, bits=np.tile(bits, shape.num_seeds))
             mid = [("PHASE_F", "psign0")] + mid
     gates = (
@@ -171,12 +171,7 @@ def simulate_circuit(circuit: GateCircuit, psi: StateVector | None = None, dense
     if dense:
         if circuit.n > DENSE_MAX_N:
             raise ValueError(f"dense mode capped at n={DENSE_MAX_N}")
-        dim = 1 << circuit.n
-        cols = np.eye(dim, dtype=np.complex128)
-        out = np.empty((dim, dim), dtype=np.complex128)
-        for x in range(dim):
-            out[:, x] = _run(circuit, cols[:, x])
-        return out
+        return _run(circuit, np.eye(1 << circuit.n))
     if psi is None:
         raise ValueError("psi is required unless dense=True")
     if psi.shape.n != circuit.n:
@@ -195,7 +190,7 @@ def _resolve(circuit: GateCircuit, ref: str, kind):
 
 
 def _gate_h(amps: np.ndarray, q: int) -> np.ndarray:
-    """Hadamard on qubit q of a dense amplitude array."""
+    """Hadamard on qubit q of a dense amplitude array (rows are basis indices)."""
     mask = 1 << q
     xs = np.arange(len(amps))
     lo = (xs & mask) == 0
@@ -221,10 +216,14 @@ def _gate_flip(amps: np.ndarray, controls: tuple, q: int) -> np.ndarray:
 
 
 def _run(circuit: GateCircuit, amps: np.ndarray) -> np.ndarray:
+    """The circuit applied to amps of shape (2**n,) or (2**n, m), each column
+    a state; the gate kernels act on rows, so every column comes out as it
+    would alone."""
     amps = amps.astype(np.complex128, copy=True)
     dim = 1 << circuit.n
     if len(amps) != dim:
         raise ValueError("amplitude length mismatch")
+    rows = (dim,) + (1,) * (amps.ndim - 1)  # a per-row factor, broadcast over columns
     for gate in circuit.gates:
         name = gate[0]
         if name == "H":
@@ -246,17 +245,18 @@ def _run(circuit: GateCircuit, amps: np.ndarray) -> np.ndarray:
             amps = out
         elif name == "PHASE_F":
             f = _resolve(circuit, gate[1], SignFunction)
-            amps = amps * (1.0 - 2.0 * f.sign_array(np.arange(dim, dtype=np.uint32)).astype(np.float64))
+            signs = 1.0 - 2.0 * f.sign_array(np.arange(dim, dtype=np.uint32)).astype(np.float64)
+            amps = amps * signs.reshape(rows)
         elif name == "SUB":
             u = _resolve(circuit, gate[1], SubUnitary)
-            K = u.dim
-            amps = (amps.reshape(-1, K) @ u.matrix.T).reshape(-1)
+            # blocks[a, b, c] = amps[b + a K, c]; u acts on b within each block
+            amps = (u.matrix @ amps.reshape(dim // u.dim, u.dim, -1)).reshape(amps.shape)
     return amps
 
 
-def random_clifford_gates(n: int, seed: RngSeed, length: int | None = None) -> tuple[tuple, ...]:
-    """Seeded sequence of {H, S, CX} gates; length defaults to 3n."""
-    length = 3 * n if length is None else length
+def random_clifford_gates(n: int, seed: RngSeed) -> tuple[tuple, ...]:
+    """Seeded sequence of 3n draws from {H, S, CX}."""
+    length = 3 * n
     stream = WordStream(seed)
     kinds = stream.integers(3, length)
     firsts = stream.integers(n, length)
@@ -274,8 +274,8 @@ def random_clifford_gates(n: int, seed: RngSeed, length: int | None = None) -> t
     return tuple(gates)
 
 
-def random_clifford_circuit(n: int, seed: RngSeed, length: int | None = None) -> GateCircuit:
-    return GateCircuit(n, random_clifford_gates(n, seed, length))
+def random_clifford_circuit(n: int, seed: RngSeed) -> GateCircuit:
+    return GateCircuit(n, random_clifford_gates(n, seed))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .randomness import sample_permutation, sample_sign_function, save_permutati
 from .rng import RngSeed
 from .rsed import RsedOperator, dense_matrix
 from .spectra import (
-    export_histogram_csv,
     ks_distance,
     level_spacing_stats,
     pooled_spacings,
@@ -96,7 +95,6 @@ class ExperimentConfig:
     seed: int = 1
     out: str = "."
     threads: int = 1
-    inject_fault: str | None = None
 
     def validate(self) -> None:
         for f in fields(self):
@@ -335,7 +333,8 @@ def run_level_stats(cfg: ExperimentConfig, out: Path) -> dict:
     # histogram the pooled spacings by feeding their cumulative sum back in
     # as a synthetic spectrum whose gaps are exactly `spac`
     report = level_spacing_stats(np.cumsum(np.concatenate([[0.0], spac])), exclude_degenerate=False)
-    export_histogram_csv(report, out / "level_stats_hist.csv")
+    edges, dens = report.histogram
+    write_csv(out / "level_stats_hist.csv", cfg, ["bin_left", "bin_right", "density"], list(zip(edges[:-1], edges[1:], dens)))
     ks_goe = ks_distance(spac, "GOE")
     ks_gue = ks_distance(spac, "GUE")
     summary = {
@@ -437,7 +436,7 @@ def run_circuit_emit(cfg: ExperimentConfig, out: Path) -> dict:
 def run_verify(cfg: ExperimentConfig, out: Path) -> int:
     from .acceptance import report_dict, run_all  # acceptance imports this module
 
-    results = run_all(inject=cfg.inject_fault)
+    results = run_all()
     payload = report_dict(results)
     write_json(out / "verify_report.json", cfg, payload)
     for r in results:

@@ -1,6 +1,6 @@
 """Pseudorandom-state diagnostics: coherence, subset-phase states, type-state
-mixtures, symmetric-subspace references, trace distance, design-condition
-checks, and resource layers (Clifford/T/Hadamard appending)."""
+mixtures, symmetric-subspace references, trace distance and design-condition
+checks."""
 
 from __future__ import annotations
 
@@ -12,9 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitcore import SystemShape, join
-from .circuits import GateCircuit, random_clifford_gates, simulate_circuit
+from .circuits import GateCircuit, simulate_circuit
 from .randomness import SignFunction, SubsetPermutation
-from .rng import RngSeed
 from .rsed import StateVector
 from .subsystem import SubUnitary
 
@@ -40,9 +39,6 @@ class DensityMatrix:
         if abs(np.trace(m).real - 1.0) > 1e-9 or abs(np.trace(m).imag) > 1e-9:
             raise ValueError(f"trace is {np.trace(m)}, expected 1")
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
     @classmethod
     def from_states(cls, states: np.ndarray, weights: np.ndarray | None = None) -> "DensityMatrix":
         """Mixture sum_i w_i |s_i><s_i| from rows of `states`."""
@@ -56,27 +52,6 @@ class DensityMatrix:
     def pure(cls, psi: np.ndarray) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=np.complex128)
         return cls(len(psi), np.outer(psi, psi.conj()))
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Multiset of subsystem indices with counts summing to t."""
-
-    indices: tuple[int, ...]  # sorted, one entry per copy
-
-    def __post_init__(self):
-        if len(self.indices) == 0:
-            raise ValueError("type vector must have at least one entry")
-        if tuple(sorted(self.indices)) != self.indices:
-            raise ValueError("indices must be sorted")
-
-    @property
-    def t(self) -> int:
-        return len(self.indices)
-
-    @property
-    def distinct(self) -> int:
-        return len(set(self.indices))
 
 
 def subset_phase_state(
@@ -231,42 +206,11 @@ def element_condition_check(u: SubUnitary, eps: float) -> ElementCondition:
     return ElementCondition(float(frac), bool(not exceed.any()))
 
 
-@dataclass(frozen=True)
-class RandomClifford:
-    seed: RngSeed
-    length: int | None = None  # defaults to 3n
-
-
-@dataclass(frozen=True)
-class TLayer:
-    pattern: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class HadamardLayer:
-    pattern: tuple[int, ...]
-
-
-def append_layer(psi: StateVector, layer) -> StateVector:
-    """Apply a resource layer (RandomClifford / TLayer / HadamardLayer) as a
-    gate circuit."""
-    n = psi.shape.n
-    if isinstance(layer, HadamardLayer):
-        gates = tuple(("H", q) for q in layer.pattern)
-    elif isinstance(layer, TLayer):
-        gates = tuple(("T", q) for q in layer.pattern)
-    elif isinstance(layer, RandomClifford):
-        gates = random_clifford_gates(n, layer.seed, layer.length)
-    else:
-        raise TypeError(f"unsupported layer {type(layer)!r}")
-    return simulate_circuit(GateCircuit(n, gates), psi)
-
-
 def coherence_trial(p: SubsetPermutation, f: SignFunction, a: int, shape: SystemShape) -> tuple[float, float]:
     """(c0, c1) in nats: the coherence of the subset-phase state of seed a,
     which is exactly k log 2, and that after a Hadamard on every qubit."""
     psi = subset_phase_state(p, f, a, shape)
-    phi = append_layer(psi, HadamardLayer(tuple(range(shape.n))))
+    phi = simulate_circuit(GateCircuit(shape.n, tuple(("H", q) for q in range(shape.n))), psi)
     return coherence_rel_entropy(psi), coherence_rel_entropy(phi)
 
 

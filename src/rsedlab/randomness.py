@@ -44,7 +44,6 @@ class FeistelSpec:
 
     n: int
     key: int
-    rounds: int = FEISTEL_ROUNDS
 
     def _halves(self):
         n_low = (self.n + 1) // 2
@@ -55,18 +54,10 @@ class FeistelSpec:
         return _finalize(np.uint64(self.key & 0xFFFFFFFFFFFFFFFF) ^ np.uint64(0xA076_1D64_78BD_642F + i))
 
     def forward(self, xs: np.ndarray) -> np.ndarray:
-        return self._run(xs, range(self.rounds))
+        return self._run(xs, range(FEISTEL_ROUNDS))
 
     def inverse(self, xs: np.ndarray) -> np.ndarray:
-        return self._run(xs, reversed(range(self.rounds)))
-
-    def round_step(self, i: int, xs: np.ndarray) -> np.ndarray:
-        """Single round i as a standalone map (each round is an involution);
-        composing rounds 0..r-1 reproduces forward().  Exposed so a
-        network-backed permutation can be inspected per round."""
-        if not 0 <= i < self.rounds:
-            raise ValueError(f"round {i} out of range [0, {self.rounds})")
-        return self._run(xs, [i])
+        return self._run(xs, reversed(range(FEISTEL_ROUNDS)))
 
     def _run(self, xs: np.ndarray, order) -> np.ndarray:
         n_low, n_high = self._halves()
@@ -85,34 +76,39 @@ class FeistelSpec:
 
 @dataclass(frozen=True)
 class SubsetPermutation:
-    """Seeded bijection on [0, 2**n), by table or Feistel network."""
+    """Seeded bijection on [0, 2**n), by table or Feistel network.
+
+    A table is checked to be a bijection on [0, 2**n) here, and its inverse
+    table is derived from it, since it may come from outside (a sidecar)."""
 
     shape: SystemShape
     table: np.ndarray | None = field(default=None, repr=False)
-    inverse_table: np.ndarray | None = field(default=None, repr=False)
     feistel: FeistelSpec | None = None
+    inverse_table: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if (self.table is None) == (self.feistel is None):
             raise ValueError("exactly one of table / feistel must be set")
-        if self.table is not None and len(self.table) != self.shape.dim:
+        if self.table is None:
+            return
+        table, dim = self.table, self.shape.dim
+        if len(table) != dim:
             raise ValueError("table length does not match shape")
-
-    @property
-    def backend(self) -> str:
-        return "explicit" if self.table is not None else "feistel"
+        # range first, so bincount never allocates past 2**n; dim counts that
+        # sum to dim are all 1 exactly when none exceeds 1
+        if table.max() >= dim or np.bincount(table, minlength=dim).max() != 1:
+            raise ValueError("permutation table is not a bijection on [0, 2**n)")
+        inv = np.empty_like(table)
+        inv[table] = np.arange(dim, dtype=table.dtype)
+        object.__setattr__(self, "inverse_table", inv)
 
     def permute(self, x: int) -> int:
         check_index(x, self.shape)
-        if self.table is not None:
-            return int(self.table[x])
-        return int(self.feistel.forward(np.asarray([x]))[0])
+        return int(self.forward_array(np.asarray([x]))[0])
 
     def invert(self, y: int) -> int:
         check_index(y, self.shape)
-        if self.inverse_table is not None:
-            return int(self.inverse_table[y])
-        return int(self.feistel.inverse(np.asarray([y]))[0])
+        return int(self.inverse_array(np.asarray([y]))[0])
 
     def forward_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs)
@@ -129,7 +125,7 @@ class SubsetPermutation:
 
 @dataclass(frozen=True)
 class SignFunction:
-    """Deterministic sign bit f(x) on [0, 2**n)."""
+    """Deterministic sign bit f(x) on [0, 2**n); explicit bits must lie in {0, 1}."""
 
     shape: SystemShape
     bits: np.ndarray | None = field(default=None, repr=False)
@@ -138,17 +134,15 @@ class SignFunction:
     def __post_init__(self):
         if (self.bits is None) == (self.key is None):
             raise ValueError("exactly one of bits / key must be set")
-        if self.bits is not None and len(self.bits) != self.shape.dim:
+        if self.bits is None:
+            return
+        if len(self.bits) != self.shape.dim:
             raise ValueError("bit array length does not match shape")
-
-    @property
-    def backend(self) -> str:
-        return "explicit" if self.bits is not None else "keyed_prf"
+        if np.any((self.bits != 0) & (self.bits != 1)):
+            raise ValueError("sign bits must lie in {0, 1}")
 
     def sign(self, x: int) -> int:
         check_index(x, self.shape)
-        if self.bits is not None:
-            return int(self.bits[x])
         return int(self.sign_array(np.asarray([x]))[0])
 
     def sign_array(self, xs: np.ndarray) -> np.ndarray:
@@ -165,18 +159,14 @@ def sample_permutation(shape: SystemShape, seed: RngSeed, backend: str | None = 
     if backend == "explicit":
         if shape.n > EXPLICIT_TABLE_MAX_N:
             raise ValueError(f"explicit table capped at n={EXPLICIT_TABLE_MAX_N}, got n={shape.n}")
-        table = fisher_yates(shape.dim, seed)
-        inv = np.empty_like(table)
-        inv[table] = np.arange(shape.dim, dtype=np.uint32)
-        return SubsetPermutation(shape, table=table, inverse_table=inv)
+        return SubsetPermutation(shape, table=fisher_yates(shape.dim, seed))
     if backend == "feistel":
         return SubsetPermutation(shape, feistel=FeistelSpec(shape.n, int(seed.state())))
     raise ValueError(f"unknown permutation backend {backend!r}")
 
 
 def identity_permutation(shape: SystemShape) -> SubsetPermutation:
-    table = np.arange(shape.dim, dtype=np.uint32)
-    return SubsetPermutation(shape, table=table, inverse_table=table.copy())
+    return SubsetPermutation(shape, table=np.arange(shape.dim, dtype=np.uint32))
 
 
 def sample_sign_function(shape: SystemShape, seed: RngSeed, backend: str | None = None) -> SignFunction:
@@ -263,9 +253,4 @@ def load_permutation(path, k: int) -> SubsetPermutation:
         raise ValueError("truncated permutation file")
     if trailing:
         raise ValueError("trailing bytes after the permutation table")
-    # range first, so bincount never allocates past 2**n
-    if table.max() >= shape.dim or np.any(np.bincount(table, minlength=shape.dim) != 1):
-        raise ValueError("permutation table is not a bijection on [0, 2**n)")
-    inv = np.empty_like(table)
-    inv[table] = np.arange(shape.dim, dtype=np.uint32)
-    return SubsetPermutation(shape, table=table, inverse_table=inv)
+    return SubsetPermutation(shape, table=table)

@@ -40,10 +40,6 @@ class RngSeed:
         with np.errstate(over="ignore"):
             return _finalize(s + t)
 
-    def child(self, index: int) -> "RngSeed":
-        """Derived seed for sub-task `index`, independent-looking stream."""
-        return RngSeed(int(self.state()), (self.stream * 0x10001 + index + 1) & 0xFFFFFFFFFFFFFFFF)
-
 
 def _finalize(z):
     """splitmix64 finalizer; accepts uint64 scalar or array (wrapping mod 2**64)."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bitcore import PauliString, SystemShape, check_index, pauli_action, split
 from .randomness import SignFunction, SubsetPermutation
-from .subsystem import SubUnitary, unitary_power
+from .subsystem import SubUnitary
 
 DENSE_MAX_N = 10
 
@@ -80,11 +80,8 @@ class RsedOperator:
         xs = self._block_indices(seeds)
         return 1.0 - 2.0 * self.sign.sign_array(xs.reshape(-1)).reshape(xs.shape).astype(np.float64)
 
-    def with_sub(self, sub: SubUnitary) -> "RsedOperator":
-        return RsedOperator(self.shape, self.perm, self.sign, sub)
-
     def adjoint(self) -> "RsedOperator":
-        return self.with_sub(self.sub.adjoint())
+        return RsedOperator(self.shape, self.perm, self.sign, self.sub.adjoint())
 
 
 def apply(op: RsedOperator, psi: StateVector) -> StateVector:
@@ -99,11 +96,6 @@ def apply(op: RsedOperator, psi: StateVector) -> StateVector:
     out = np.empty_like(psi.amplitudes)
     out[pos] = d * sg
     return StateVector(op.shape, out)
-
-
-def apply_power(op: RsedOperator, t, psi: StateVector) -> StateVector:
-    """apply with sub replaced by sub**t (U^t = sum_a O_a u^t O_a^dagger)."""
-    return apply(op.with_sub(unitary_power(op.sub, t)), psi)
 
 
 def evolve_basis_state(op: RsedOperator, x: int) -> tuple[np.ndarray, np.ndarray]:

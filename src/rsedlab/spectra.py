@@ -3,7 +3,6 @@ surmises, and spectral form factors with the embedded-degeneracy factor."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,13 +154,3 @@ def embed_spectrum(shape: SystemShape, evals_sub: np.ndarray) -> np.ndarray:
     if len(evals_sub) != shape.subdim:
         raise ValueError(f"expected {shape.subdim} eigenvalues, got {len(evals_sub)}")
     return np.sort(np.repeat(evals_sub, shape.num_seeds))
-
-
-def export_histogram_csv(report: SpectrumReport, path) -> None:
-    """CSV columns: bin_left, bin_right, density."""
-    edges, dens = report.histogram
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "density"])
-        for lo, hi, d in zip(edges[:-1], edges[1:], dens):
-            writer.writerow([repr(float(lo)), repr(float(hi)), repr(float(d))])

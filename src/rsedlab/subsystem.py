@@ -261,15 +261,6 @@ def evolve(h: SubHamiltonian, t: float) -> SubUnitary:
     return _trusted(h.k, m)
 
 
-def walsh_hadamard(matrix: np.ndarray) -> np.ndarray:
-    """H^{tensor k} @ matrix via a blocked tensor split (two BLAS calls);
-    see _walsh_hadamard_inplace."""
-    m = np.asarray(matrix)
-    a = np.array(m.reshape(m.shape[0], -1), dtype=np.result_type(m, np.float64), order="C")
-    _walsh_hadamard_inplace(a, np.empty_like(a))
-    return a.reshape(m.shape)
-
-
 def _walsh_hadamard_inplace(a: np.ndarray, scratch: np.ndarray) -> None:
     """a <- H^{tensor k} @ a for a C-contiguous (K, cols) array, with a
     scratch array of the same shape and dtype, allocating nothing.
@@ -304,11 +295,12 @@ def hadamard_sign_power(k: int, seed: RngSeed, t: int, columns=None) -> SubUnita
     """(H^{tensor k} P)^t for integer t >= 0, from columns of the identity.
 
     A batch of identity columns goes t times through signs * m ->
-    walsh_hadamard.  Without `columns` the K x K gate is assembled from the
-    batches of column_batches(k), so each of its columns is bit for bit the
-    one its batch gives alone.  With `columns` (column indices) only those
-    columns are computed and returned as a real (K, len(columns)) array;
-    otoc_zz_f_average reads the gate that way without the K x K matrix.
+    _walsh_hadamard_inplace.  Without `columns` the K x K gate is assembled
+    from the batches of column_batches(k), so each of its columns is bit for
+    bit the one its batch gives alone.  With `columns` (column indices) only
+    those columns are computed and returned as a real (K, len(columns))
+    array; otoc_zz_f_average reads the gate that way without the K x K
+    matrix.
     """
     _check_k(k)
     if isinstance(t, bool) or not isinstance(t, (int, np.integer)):

@@ -121,10 +121,14 @@ def test_verify_reports_known_defects_only(tmp_path):
         assert "measured" in c and "threshold" in c
 
 
-def test_verify_fault_injection(tmp_path):
-    cfg = tmp_path / "inject.json"
-    cfg.write_text(json.dumps({"experiment": "verify", "inject_fault": "closed-form-sign"}))
-    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 1
+def test_verify_fault_injection(tmp_path, monkeypatch):
+    """A criterion that fails without a known defect makes verify exit 1 and
+    is named among the failures."""
+
+    def broken() -> acc.CriterionResult:
+        return acc.CriterionResult("1a", "injected fault", 1.0, "<= 1e-12", False)
+
+    monkeypatch.setattr(acc, "ALL_CRITERIA", [broken])
+    assert main(["verify", "--out", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "verify_report.json").read_text())
-    assert "1a" in report["failures"]
+    assert report["failures"] == ["1a"] and report["unexpected_failures"] == ["1a"]

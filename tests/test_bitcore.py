@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsedlab.bitcore import SystemShape, flip_bit, get_bit, join, split
+from rsedlab.bitcore import SystemShape, flip_bit, join, split
 
 
 def test_split_layout_convention():
@@ -49,14 +49,6 @@ def test_flip_bit_involution(n, data):
     assert flip_bit(flip_bit(x, j, shape), j, shape) == x
 
 
-def test_get_bit_examples_and_reconstruction():
-    shape = SystemShape(4, 2)
-    assert get_bit(4, 2, shape) == 1
-    assert get_bit(4, 0, shape) == 0
-    for x in (0, 3, 9, 15):
-        assert sum(get_bit(x, j, shape) << j for j in range(4)) == x
-
-
 def test_domain_errors():
     shape = SystemShape(4, 2)
     with pytest.raises(ValueError):
@@ -67,8 +59,6 @@ def test_domain_errors():
         join(0, 4, shape)
     with pytest.raises(ValueError):
         flip_bit(0, 4, shape)
-    with pytest.raises(ValueError):
-        get_bit(0, 4, shape)
     with pytest.raises(ValueError):
         SystemShape(4, 5)
     with pytest.raises(ValueError):

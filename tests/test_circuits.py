@@ -59,6 +59,12 @@ def test_gate_arity_is_checked(gate):
         GateCircuit(3, (gate,))
 
 
+@pytest.mark.parametrize("gate", [("H", 4), ("T", -1), ("CX", 1, 1)])
+def test_gate_qubits_are_checked(gate):
+    with pytest.raises(ValueError, match="out of range|repeated"):
+        GateCircuit(4, (gate,))
+
+
 def test_reference_names_roundtrip():
     shape = SystemShape(6, 3)
     circ = synthesize_rsed_circuit(shape, {"type": "hadamard"}, 11, 12)

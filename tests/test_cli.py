@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rsedlab import subsystem
+from rsedlab import __version__, subsystem
 from rsedlab.cli import main
 
 
@@ -157,7 +157,31 @@ def test_level_stats_driver(tmp_path):
     summary = json.loads((tmp_path / "level_stats_summary.json").read_text())
     assert summary["pass_goe"] is True and summary["ks_goe"] <= 0.08
     hist = (tmp_path / "level_stats_hist.csv").read_text().splitlines()
-    assert hist[0] == "bin_left,bin_right,density"
+    assert hist[3] == "bin_left,bin_right,density"  # after the config, seed and version lines
+
+
+@pytest.mark.parametrize(
+    "cfg, csv_name",
+    [
+        ({"experiment": "otoc-trace", "n": 6, "k": 3, "t_grid": [1.0], "ensemble": 1}, "otoc_trace.csv"),
+        ({"experiment": "otoc-scaling", "n_list": [2, 3, 4], "k_rule": "log2sq", "ensemble": 1}, "otoc_scaling.csv"),
+        ({"experiment": "otoc-average", "n": 6, "k": 3, "t_grid": [1.0], "ensemble": 1}, "otoc_average.csv"),
+        ({"experiment": "level-stats", "n": 6, "k": 4, "ensemble": 2}, "level_stats_hist.csv"),
+        ({"experiment": "sff", "n": 6, "k": 3, "t_grid": [1.0], "beta_list": [0.0]}, "sff.csv"),
+        ({"experiment": "design-check", "n": 6, "k": 3, "ensemble": 1}, "design_check.csv"),
+        ({"experiment": "coherence", "n": 6, "k": 3, "trials": 2}, "coherence.csv"),
+    ],
+)
+def test_every_csv_carries_config_seed_and_version(tmp_path, cfg, csv_name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([cfg["experiment"], "--config", str(cfg_path), "--out", str(tmp_path), "--seed", "5"]) == 0
+    lines = (tmp_path / csv_name).read_text().splitlines()
+    assert lines[0].startswith("# config: ")
+    assert json.loads(lines[0].removeprefix("# config: "))["experiment"] == cfg["experiment"]
+    assert lines[1] == "# seed: 5"
+    assert lines[2] == f"# version: rsedlab {__version__}"
+    assert lines[3].split(",") == read_csv_rows(tmp_path / csv_name)[0]
 
 
 def test_sff_driver_ratio_constant(tmp_path):
@@ -299,6 +323,9 @@ def test_config_errors_exit_2(tmp_path):
         # the exhaustive clamp of a sampled run keeps exact mode's n - k <= 20 cap
         {"experiment": "otoc-trace", "n": 25, "k": 2, "ensemble": 1, "t_grid": [0.0],
          "estimator": {"mode": "sampled", "num_seeds": 2**23}},
+        # the fault-injection field is gone; every experiment used to accept and ignore it
+        {"experiment": "verify", "inject_fault": "closed-form-sign"},
+        {"experiment": "otoc-trace", "inject_fault": "closed-form-sign"},
     ],
 )
 def test_config_boundary_exit_2(tmp_path, cfg):

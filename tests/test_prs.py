@@ -7,12 +7,8 @@ from rsedlab.bitcore import SystemShape, join
 from rsedlab.otoc import otoc_pauli_dense
 from rsedlab.prs import (
     DensityMatrix,
-    HadamardLayer,
-    RandomClifford,
-    TLayer,
-    TypeVector,
-    append_layer,
     coherence_rel_entropy,
+    coherence_trial,
     design_variance_condition,
     element_condition_check,
     entanglement_entropy,
@@ -62,13 +58,6 @@ def test_coherence_examples():
     assert coherence_rel_entropy(rho) == pytest.approx(5 * LN2, abs=1e-8)
 
 
-def test_type_vector():
-    tv = TypeVector((1, 1, 3))
-    assert tv.t == 3 and tv.distinct == 2
-    with pytest.raises(ValueError):
-        TypeVector((3, 1))
-
-
 def test_hybrid3_small_cases():
     shape = SystemShape(2, 1)
     p = sample_permutation(shape, RngSeed(3))
@@ -79,7 +68,7 @@ def test_hybrid3_small_cases():
     shape = SystemShape(4, 2)
     rho2 = hybrid3_state(sample_permutation(shape, RngSeed(4)), 0, shape, 2)
     assert np.trace(rho2.entries).real == pytest.approx(1.0)
-    assert rho2.min_eigenvalue() >= -1e-9
+    assert np.linalg.eigvalsh(rho2.entries)[0] >= -1e-9
 
 
 def test_hybrid3_full_vs_subset_basis():
@@ -199,26 +188,6 @@ def test_element_condition_statistics_k8():
     assert np.mean(fracs) < 1e-2  # per-column worst case; global mean ~1e-4
 
 
-def test_append_layer_examples():
-    shape = SystemShape(4, 2)
-    psi = StateVector.basis(shape, 0)
-    same = append_layer(psi, HadamardLayer(()))
-    assert (same.amplitudes == psi.amplitudes).all()
-    full = append_layer(psi, HadamardLayer(tuple(range(4))))
-    assert np.allclose(full.amplitudes, 1 / 4.0)
-    assert coherence_rel_entropy(full) == pytest.approx(4 * LN2)
-    t_layer = append_layer(full, TLayer((0, 2)))
-    assert abs(t_layer.norm - 1.0) < 1e-12
-    cliff = append_layer(psi, RandomClifford(RngSeed(9)))
-    assert abs(cliff.norm - 1.0) < 1e-12
-
-
-@pytest.mark.parametrize("layer", [HadamardLayer((0, 4)), TLayer((-1,))])
-def test_append_layer_rejects_out_of_range_site(layer):
-    with pytest.raises(ValueError):
-        append_layer(StateVector.basis(SystemShape(4, 2), 0), layer)
-
-
 def test_coherence_enhancement_after_hadamard_layer():
     n, k = 10, 5
     shape = SystemShape(n, k)
@@ -226,9 +195,8 @@ def test_coherence_enhancement_after_hadamard_layer():
     for s in range(20):
         p = sample_permutation(shape, RngSeed(10, s))
         f = sample_sign_function(shape, RngSeed(11, s))
-        psi = subset_phase_state(p, f, 0, shape)
-        phi = append_layer(psi, HadamardLayer(tuple(range(n))))
-        if coherence_rel_entropy(phi) >= 0.25 * n * LN2:
+        _, c1 = coherence_trial(p, f, 0, shape)
+        if c1 >= 0.25 * n * LN2:
             passes += 1
     assert passes >= 19
 

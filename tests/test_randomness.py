@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from rsedlab.bitcore import SystemShape, flip_bit, join
 from rsedlab.randomness import (
-    FeistelSpec,
+    FEISTEL_ROUNDS,
+    SignFunction,
+    SubsetPermutation,
     bitflip_partner,
     count_seed_fixed_points,
     identity_permutation,
@@ -48,8 +50,7 @@ def test_feistel_bijective_exhaustive(n):
 
 
 def test_feistel_four_rounds_default_and_nontrivial():
-    spec = FeistelSpec(8, key=12345)
-    assert spec.rounds == 4
+    assert FEISTEL_ROUNDS == 4
     shape = SystemShape(8, 2)
     p = sample_permutation(shape, RngSeed(4242), backend="feistel")
     xs = np.arange(256, dtype=np.uint32)
@@ -61,13 +62,39 @@ def test_feistel_round_steps_compose_and_sampled_bijectivity():
     p = sample_permutation(shape, RngSeed(88), backend="feistel")
     xs = np.arange(0, shape.dim, 997, dtype=np.uint32)
     composed = xs
-    for i in range(p.feistel.rounds):
-        composed = p.feistel.round_step(i, composed)
+    for i in range(FEISTEL_ROUNDS):
+        composed = p.feistel._run(composed, [i])
     assert (composed == p.forward_array(xs)).all()
     # sampled bijectivity above the exhaustive range
     fwd = p.forward_array(xs)
     assert (p.inverse_array(fwd) == xs).all()
     assert len(set(fwd.tolist())) == len(xs)
+
+
+def test_table_permutation_derives_its_inverse():
+    shape = SystemShape(6, 2)
+    table = sample_permutation(shape, RngSeed(12)).table
+    p = SubsetPermutation(shape, table=table)
+    xs = np.arange(shape.dim, dtype=np.uint32)
+    assert (p.inverse_array(table) == xs).all()
+    assert all(p.invert(p.permute(x)) == x for x in range(shape.dim))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [np.zeros(8, dtype=np.uint32), np.array([0, 0, 2, 3, 4, 5, 6, 7], dtype=np.uint32), np.arange(1, 9, dtype=np.uint32)],
+)
+def test_table_permutation_must_be_a_bijection(table):
+    with pytest.raises(ValueError, match="not a bijection"):
+        SubsetPermutation(SystemShape(3, 1), table=table)
+
+
+def test_sign_bits_must_be_zero_or_one():
+    """A bit 2 gave the sign 1 - 2*2 = -3: a non-unitary operator, no error."""
+    bits = np.zeros(8, dtype=np.uint8)
+    bits[5] = 2
+    with pytest.raises(ValueError, match="0, 1"):
+        SignFunction(SystemShape(3, 1), bits=bits)
 
 
 def test_identity_backend():

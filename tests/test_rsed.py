@@ -17,11 +17,10 @@ from rsedlab.rsed import (
     StateVector,
     apply,
     apply_pauli,
-    apply_power,
     dense_matrix,
     evolve_basis_state,
 )
-from rsedlab.subsystem import SubUnitary, hadamard_layer, random_sign_hadamard
+from rsedlab.subsystem import SubUnitary, hadamard_layer, random_sign_hadamard, unitary_power
 
 
 def random_state(shape, seed):
@@ -69,14 +68,19 @@ def test_apply_adjoint_roundtrip():
     assert abs(apply(op, psi).norm - 1.0) < 1e-10
 
 
+def power(op: RsedOperator, t) -> RsedOperator:
+    """U^t = sum_a O_a u^t O_a^dagger."""
+    return RsedOperator(op.shape, op.perm, op.sign, unitary_power(op.sub, t))
+
+
 def test_apply_power_semantics():
     shape = SystemShape(8, 4)
     op = random_operator(8, 4, 15)
     psi = random_state(shape, 16)
-    assert np.allclose(apply_power(op, 0, psi).amplitudes, psi.amplitudes)
-    assert np.allclose(apply_power(op, 1, psi).amplitudes, apply(op, psi).amplitudes)
+    assert np.allclose(apply(power(op, 0), psi).amplitudes, psi.amplitudes)
+    assert np.allclose(apply(power(op, 1), psi).amplitudes, apply(op, psi).amplitudes)
     twice = apply(op, apply(op, psi))
-    assert np.max(np.abs(apply_power(op, 2, psi).amplitudes - twice.amplitudes)) < 1e-9
+    assert np.max(np.abs(apply(power(op, 2), psi).amplitudes - twice.amplitudes)) < 1e-9
 
 
 def test_evolve_basis_state_matches_dense():
@@ -187,7 +191,7 @@ def test_norm_preserved_through_mixed_sequence():
     psi = random_state(shape, 33)
     psi = apply(op, psi)
     psi = apply_pauli(PauliString(((2, "X"), (5, "Z"))), psi)
-    psi = apply_power(op, 3, psi)
+    psi = apply(power(op, 3), psi)
     psi = apply_pauli(PauliString(((1, "Y"),)), psi)
     assert abs(psi.norm - 1.0) < 1e-10
 

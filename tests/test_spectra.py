@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from rsedlab.bitcore import SystemShape
+from rsedlab.cli import main
 from rsedlab.randomness import sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import RsedOperator
 from rsedlab.spectra import (
+    HISTOGRAM_BINS,
     embed_spectrum,
-    export_histogram_csv,
     ks_distance,
     level_spacing_stats,
     pooled_spacings,
@@ -254,9 +257,14 @@ def test_level_spacing_stats_errors():
 
 
 def test_histogram_export(tmp_path):
-    report = level_spacing_stats(np.cumsum(WordStream(RngSeed(8)).uniform01(500)))
-    path = tmp_path / "hist.csv"
-    export_histogram_csv(report, path)
-    lines = path.read_text().strip().splitlines()
+    """level-stats writes the pooled-spacing histogram as HISTOGRAM_BINS
+    contiguous bins from 0 whose densities integrate to 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "level-stats", "n": 6, "k": 5, "ensemble": 2}))
+    assert main(["level-stats", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = [ln for ln in (tmp_path / "level_stats_hist.csv").read_text().splitlines() if not ln.startswith("#")]
     assert lines[0] == "bin_left,bin_right,density"
-    assert len(lines) == len(report.histogram[1]) + 1
+    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    assert len(rows) == HISTOGRAM_BINS and rows[0][0] == 0.0
+    assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+    assert sum((hi - lo) * d for lo, hi, d in rows) == pytest.approx(1.0)
