@@ -417,9 +417,9 @@ def criterion_13() -> CriterionResult:
         for t in (1, 2, 3, 4):
             u = unitary_power(base, t)
             op = _operator(n, k, u, 0xD2, 0xD3)
-            est = otoc_finite_temperature(op, h_sub, beta, v, w, mode="exact", t=float(t))
+            est = otoc_finite_temperature(op, h_sub, beta, v, w, mode="exact")
             min_c = min(min_c, poisson_bracket(est))
-            lead = otoc_finite_temperature(op, h_sub, beta, v, w, mode="leading", t=float(t))
+            lead = otoc_finite_temperature(op, h_sub, beta, v, w, mode="leading")
             max_leading = max(max_leading, abs(lead.value))
     floor = 1.0 - 2.0**4 * 2.0**-k
     cap = 4.0 * 2.0**-k

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -189,23 +189,30 @@ def _resolve(circuit: GateCircuit, ref: str, kind):
     return obj
 
 
-def _gate_h(amps: np.ndarray, q: int) -> np.ndarray:
-    """Hadamard on qubit q of a dense amplitude array (rows are basis indices)."""
-    mask = 1 << q
-    xs = np.arange(len(amps))
-    lo = (xs & mask) == 0
-    out = np.empty_like(amps)
-    out[lo] = (amps[lo] + amps[~lo]) / np.sqrt(2.0)
-    out[~lo] = (amps[lo] - amps[~lo]) / np.sqrt(2.0)
-    return out
+_PHASES = {"S": 1j, "T": np.exp(1j * np.pi / 4.0)}
 
 
-def _gate_phase(amps: np.ndarray, q: int, phase: complex) -> np.ndarray:
-    """diag(1, phase) on qubit q (S: phase=i, T: phase=e^{i pi/4})."""
-    xs = np.arange(len(amps))
-    out = amps.copy()
-    out[(xs & (1 << q)) != 0] *= phase
-    return out
+def _halves(amps: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the rows of a C-contiguous (2**n, m) array with bit q clear
+    and with bit q set, row x of one facing row x ^ (1 << q) of the other;
+    np.reshape raises rather than copying."""
+    view = np.reshape(amps, (len(amps) >> (q + 1), 2, 1 << q, -1), copy=False)
+    return view[:, 0], view[:, 1]
+
+
+def _gate_h(amps: np.ndarray, q: int) -> None:
+    """Hadamard on qubit q, in place: (a + b) / sqrt 2 and (a - b) / sqrt 2."""
+    a, b = _halves(amps, q)
+    total = a + b
+    np.subtract(a, b, out=b)
+    a[...] = total
+    amps /= np.sqrt(2.0)
+
+
+def _gate_phase(amps: np.ndarray, q: int, phase: complex) -> None:
+    """diag(1, phase) on qubit q, in place."""
+    _, b = _halves(amps, q)
+    b *= phase
 
 
 def _gate_flip(amps: np.ndarray, controls: tuple, q: int) -> np.ndarray:
@@ -218,40 +225,37 @@ def _gate_flip(amps: np.ndarray, controls: tuple, q: int) -> np.ndarray:
 def _run(circuit: GateCircuit, amps: np.ndarray) -> np.ndarray:
     """The circuit applied to amps of shape (2**n,) or (2**n, m), each column
     a state; the gate kernels act on rows, so every column comes out as it
-    would alone."""
-    amps = amps.astype(np.complex128, copy=True)
+    would alone.  Each gate updates one private C-contiguous (2**n, m) copy
+    in place or replaces it (X, CX, CCX, PERM inv, SUB); kernel temporaries
+    stay in the kernels' scope, so a replaced copy is freed at once."""
     dim = 1 << circuit.n
     if len(amps) != dim:
         raise ValueError("amplitude length mismatch")
-    rows = (dim,) + (1,) * (amps.ndim - 1)  # a per-row factor, broadcast over columns
+    shape = amps.shape
+    amps = np.array(amps, dtype=np.complex128, order="C").reshape(dim, -1)
     for gate in circuit.gates:
         name = gate[0]
         if name == "H":
-            amps = _gate_h(amps, gate[1])
-        elif name == "S":
-            amps = _gate_phase(amps, gate[1], 1j)
-        elif name == "T":
-            amps = _gate_phase(amps, gate[1], np.exp(1j * np.pi / 4.0))
+            _gate_h(amps, gate[1])
+        elif name in _PHASES:
+            _gate_phase(amps, gate[1], _PHASES[name])
         elif name in ("X", "CX", "CCX"):
             amps = _gate_flip(amps, gate[1:-1], gate[-1])
         elif name == "PERM":
             perm = _resolve(circuit, gate[2], SubsetPermutation)
             table = perm.forward_array(np.arange(dim, dtype=np.uint32))
-            out = np.empty_like(amps)
             if gate[1] == "fwd":
-                out[table] = amps
+                amps[table] = amps.copy()
             else:
-                out = amps[table]
-            amps = out
+                amps = amps[table]
         elif name == "PHASE_F":
             f = _resolve(circuit, gate[1], SignFunction)
-            signs = 1.0 - 2.0 * f.sign_array(np.arange(dim, dtype=np.uint32)).astype(np.float64)
-            amps = amps * signs.reshape(rows)
+            amps *= 1.0 - 2.0 * f.sign_array(np.arange(dim, dtype=np.uint32)).astype(np.float64)[:, None]
         elif name == "SUB":
             u = _resolve(circuit, gate[1], SubUnitary)
             # blocks[a, b, c] = amps[b + a K, c]; u acts on b within each block
-            amps = (u.matrix @ amps.reshape(dim // u.dim, u.dim, -1)).reshape(amps.shape)
-    return amps
+            amps = (u.matrix @ amps.reshape(dim // u.dim, u.dim, -1)).reshape(dim, -1)
+    return amps.reshape(shape)
 
 
 def random_clifford_gates(n: int, seed: RngSeed) -> tuple[tuple, ...]:
@@ -290,17 +294,7 @@ class CircuitManifest:
     gate_counts: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "k": self.k,
-                "u_spec": self.u_spec,
-                "perm_seed": self.perm_seed,
-                "sign_seed": self.sign_seed,
-                "gate_counts": self.gate_counts,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CircuitManifest":

@@ -5,8 +5,9 @@ design-check, coherence, circuit-emit, verify.  Global flags --config PATH,
 --seed U64, --out DIR, --threads INT; everything else lives in the JSON
 config.  Exit codes: 0 success, 1 verification failure, 2 usage/config
 error or input the library rejects (a ValueError raised inside a driver).
-Outputs embed the config, seed, and library version, and re-running with the
-same config reproduces the numeric columns bit for bit.
+Outputs embed the config (without out and threads), seed, and library
+version, and re-running with the same config reproduces the numeric columns
+bit for bit.
 """
 
 from __future__ import annotations
@@ -182,8 +183,14 @@ def evolved(gate: SubUnitary | SubHamiltonian, t: float) -> SubUnitary:
     return unitary_power(gate, float(t))
 
 
+def _recorded(cfg: ExperimentConfig) -> dict:
+    """The config as outputs embed it, without out and threads: the output
+    directory is a deployment path and no result depends on the thread count."""
+    return {k: v for k, v in asdict(cfg).items() if k not in ("out", "threads")}
+
+
 def _meta_lines(cfg: ExperimentConfig) -> list[str]:
-    blob = json.dumps(asdict(cfg), sort_keys=True)
+    blob = json.dumps(_recorded(cfg), sort_keys=True)
     return [f"# config: {blob}", f"# seed: {cfg.seed}", f"# version: rsedlab {__version__}"]
 
 
@@ -203,7 +210,7 @@ def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows: list[l
 
 
 def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
-    payload = {"config": asdict(cfg), "version": f"rsedlab {__version__}", **payload}
+    payload = {"config": _recorded(cfg), "version": f"rsedlab {__version__}", **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -236,9 +243,9 @@ def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
         for t in cfg.t_grid:
             op = RsedOperator(shape, p, f, evolved(gate, float(t)))
             if cfg.estimator.get("mode") == "sampled":
-                est = otoc_zz_sampled(op, i, j, cfg.estimator.get("num_seeds", 64), RngSeed(cfg.seed, 10_000 + r), t=float(t))
+                est = otoc_zz_sampled(op, i, j, cfg.estimator.get("num_seeds", 64), RngSeed(cfg.seed, 10_000 + r))
             else:
-                est = otoc_zz_exact(op, i, j, t=float(t))
+                est = otoc_zz_exact(op, i, j)
             col.append(poisson_bracket(est))
         return col
 
@@ -421,10 +428,11 @@ def run_circuit_emit(cfg: ExperimentConfig, out: Path) -> dict:
     manifest = build_manifest(circuit, cfg.u_spec, cfg.seed, cfg.seed + 1)
     (out / "circuit_manifest.json").write_text(manifest.to_json() + "\n")
     perm = circuit.registry["perm0"]
-    sidecar = out / "perm0.rsedperm"
+    sidecar = None  # a Feistel network (n > 16) has no table to save
     if perm.table is not None:
-        save_permutation(perm, sidecar)
-    summary: dict = {"gates": circuit.gate_counts(), "sidecar": sidecar.name}
+        sidecar = "perm0.rsedperm"
+        save_permutation(perm, out / sidecar)
+    summary: dict = {"gates": circuit.gate_counts(), "sidecar": sidecar}
     if cfg.n <= 10:
         op = RsedOperator(shape, perm, circuit.registry["f0"], base_gate(cfg, k, 0))
         dev = float(np.max(np.abs(simulate_circuit(circuit, dense=True) - dense_matrix(op))))

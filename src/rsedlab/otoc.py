@@ -59,7 +59,6 @@ _CHUNK_ENTRIES = 1 << 18  # seeds per chunk and gates per group: max(1, this // 
 class OtocEstimate:
     value: complex
     std_error: float
-    t: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -200,26 +199,24 @@ def otoc_zz_grid(
         del subs  # only the chunk pass holds the gates now, so they go when it ends
         if sampled:
             traces = np.concatenate(list(chunks), axis=1)
-            for t, tr in zip(group_ts, traces):
+            for tr in traces:
                 mean = tr.mean()
                 se = np.sqrt(np.sum((tr - mean) ** 2) / (num_seeds * (num_seeds - 1)))
-                out.append(OtocEstimate(complex(mean * 2.0**-shape.k), float(se * 2.0**-shape.k), t, dict(meta)))
+                out.append(OtocEstimate(complex(mean * 2.0**-shape.k), float(se * 2.0**-shape.k), dict(meta)))
         else:
             totals = sum(traces.sum(axis=1) for traces in chunks)
-            out.extend(OtocEstimate(complex(total * 2.0**-shape.n), 0.0, t, dict(meta)) for t, total in zip(group_ts, totals))
+            out.extend(OtocEstimate(complex(total * 2.0**-shape.n), 0.0, dict(meta)) for total in totals)
     return out
 
 
-def otoc_zz_exact(op: RsedOperator, i: int, j: int, t: float = 0.0) -> OtocEstimate:
+def otoc_zz_exact(op: RsedOperator, i: int, j: int) -> OtocEstimate:
     """Exhaustive-seed ZZ OTOC, otoc_zz_grid at one t; op.sub must already
     be the evolved gate, and is taken to be unitary: a deviation
     eps = ||u^dag u - I||_2 moves the value by at most 16 eps + 19 eps**2."""
-    return otoc_zz_grid(op.perm, op.sign, i, j, [t], lambda _: op.sub)[0]
+    return otoc_zz_grid(op.perm, op.sign, i, j, [0.0], lambda _: op.sub)[0]
 
 
-def otoc_zz_sampled(
-    op: RsedOperator, i: int, j: int, num_seeds: int, seed: RngSeed, t: float = 0.0
-) -> OtocEstimate:
+def otoc_zz_sampled(op: RsedOperator, i: int, j: int, num_seeds: int, seed: RngSeed) -> OtocEstimate:
     """Uniform seed-sampling estimator: 2**-k times the sample mean of the
     per-seed traces of num_seeds seeds drawn with replacement.
 
@@ -228,7 +225,7 @@ def otoc_zz_sampled(
     exact mode's n - k <= 20 cap applies.  op.sub is taken to be unitary, as
     in otoc_zz_exact.
     """
-    return otoc_zz_grid(op.perm, op.sign, i, j, [t], lambda _: op.sub, num_seeds, seed)[0]
+    return otoc_zz_grid(op.perm, op.sign, i, j, [0.0], lambda _: op.sub, num_seeds, seed)[0]
 
 
 def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:
@@ -296,7 +293,6 @@ def otoc_pauli(
     mode: str = "exact",
     samples: int = 256,
     seed: RngSeed = RngSeed(0),
-    t: float = 0.0,
 ) -> OtocEstimate:
     """Generic Pauli-string OTOC, dense (n <= 10) or stochastic-trace mode."""
     n = op.shape.n
@@ -304,7 +300,7 @@ def otoc_pauli(
         if n > DENSE_MAX_N:
             raise ValueError(f"exact mode capped at n={DENSE_MAX_N}")
         value = otoc_pauli_dense(dense_matrix(op), v, w)
-        return OtocEstimate(value, 0.0, t, {
+        return OtocEstimate(value, 0.0, {
             "estimator": "pauli-exact", "n": n, "k": op.shape.k,
             "sites": (tuple(v.sites), tuple(w.sites)),
         })
@@ -327,7 +323,7 @@ def otoc_pauli(
         # probe noise can push the sample mean just outside the unit disk the
         # true value lives in; projecting back only moves it closer to truth
         value = mean / abs(mean) if abs(mean) > 1.0 else mean
-        return OtocEstimate(value, float(se), t, {
+        return OtocEstimate(value, float(se), {
             "estimator": "pauli-stochastic", "n": n, "k": op.shape.k,
             "sites": (tuple(v.sites), tuple(w.sites)), "samples": samples,
             "raw_mean": mean,
@@ -342,7 +338,6 @@ def otoc_finite_temperature(
     v: PauliString,
     w: PauliString,
     mode: str = "exact",
-    t: float = 0.0,
 ) -> OtocEstimate:
     """Thermal four-point correlator tr(rho_beta V~ W V~ W), V~ = U^dag V U.
 
@@ -373,7 +368,7 @@ def otoc_finite_temperature(
         m = vt @ (ph_w[:, None] * vt[src_w, :])  # V~ W V~
         # tr(rho m W) with W[l, i] = ph_w[l] delta_{i, src_w[l]}
         value = complex(np.einsum("ij,ji,i->", rho, m[:, src_w], ph_w[src_w]))
-        return OtocEstimate(value, 0.0, t, {
+        return OtocEstimate(value, 0.0, {
             "estimator": "thermal-exact", "n": n, "k": op.shape.k, "beta": beta,
         })
     if mode == "leading":
@@ -385,7 +380,7 @@ def otoc_finite_temperature(
         s1 = np.sum(u * u * u.conj(), axis=0)  # over b1, indexed by b2
         s2 = np.sum(u.conj(), axis=0)  # sum_b3 u^dag[b2, b3] = conj column sums
         value = complex(np.real(factor * np.sum(s1 * s2) / K))
-        return OtocEstimate(value, 0.0, t, {
+        return OtocEstimate(value, 0.0, {
             "estimator": "thermal-leading", "n": n, "k": op.shape.k, "beta": beta,
         })
     raise ValueError(f"unknown mode {mode!r}")

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -96,6 +98,52 @@ def test_ccx_truth_table():
             target = x ^ (1 << 2) if (x & controls) == controls else x
             assert out[target] == 1.0
             assert np.count_nonzero(out) == 1
+
+
+def _on_qubits(n: int, factors: dict) -> np.ndarray:
+    """kron of a 2 x 2 factor per qubit (identity where none is given),
+    qubit 0 being the lowest bit of the basis index."""
+    out = np.eye(1)
+    for q in reversed(range(n)):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def test_every_gate_at_every_placement_matches_kron_reference():
+    """At n = 4: H, S, T, X on each qubit, CX on every ordered pair and CCX
+    on every ordered triple, against matrices built from np.kron and control
+    projectors; each basis state run alone equals its dense column bit for bit."""
+    n = 4
+    shape = SystemShape(n, 1)
+    one = {"H": np.array([[1, 1], [1, -1]]) / np.sqrt(2), "S": np.diag([1, 1j]),
+           "T": np.diag([1, np.exp(1j * np.pi / 4)]), "X": np.array([[0, 1], [1, 0]])}
+    p0, p1 = np.diag([1, 0]), np.diag([0, 1])
+    cases = [((name, q), _on_qubits(n, {q: g})) for name, g in one.items() for q in range(n)]
+    cases += [(("CX", c, t), _on_qubits(n, {c: p0}) + _on_qubits(n, {c: p1, t: one["X"]}))
+              for c, t in permutations(range(n), 2)]
+    cases += [(("CCX", c1, c2, t),
+               np.eye(1 << n) - _on_qubits(n, {c1: p1, c2: p1}) + _on_qubits(n, {c1: p1, c2: p1, t: one["X"]}))
+              for c1, c2, t in permutations(range(n), 3)]
+    assert len(cases) == 16 + 12 + 24
+    for gate, want in cases:
+        circ = GateCircuit(n, (gate,))
+        dense = simulate_circuit(circ, dense=True)
+        assert np.max(np.abs(dense - want)) <= 1e-15, gate
+        for x in range(1 << n):
+            assert np.array_equal(simulate_circuit(circ, StateVector.basis(shape, x)).amplitudes, dense[:, x]), gate
+
+
+def test_dense_simulation_peak_memory():
+    """The n = 10 sandwich in dense mode holds at most two 2^10 x 2^10
+    complex buffers (32 MiB) at once: the gates work in place on qubit views."""
+    circ = synthesize_rsed_circuit(SystemShape(10, 6), {"type": "random_sign_hadamard", "seed": 7}, 11, 12)
+    tracemalloc.start()
+    try:
+        simulate_circuit(circ, dense=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * (1 << 20)
 
 
 def test_synthesized_circuit_matches_rsed_dense():

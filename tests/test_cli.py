@@ -52,9 +52,8 @@ def test_otoc_trace_saturation_and_reproducible(tmp_path):
     out2 = tmp_path / "b"
     assert main(["otoc-trace", "--config", str(cfg_path), "--out", str(out1)]) == 0
     assert main(["otoc-trace", "--config", str(cfg_path), "--out", str(out2)]) == 0
-    csv1 = (out1 / "otoc_trace.csv").read_bytes()
-    csv2 = (out2 / "otoc_trace.csv").read_bytes()
-    assert csv1.replace(str(out1).encode(), b"") == csv2.replace(str(out2).encode(), b"")
+    for name in ("otoc_trace.csv", "otoc_trace_summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     _, rows = read_csv_rows(out1 / "otoc_trace.csv")
     for row in rows:
         mean_c = float(row[-2])
@@ -75,9 +74,8 @@ def test_otoc_trace_threads_match_serial(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["otoc-trace", "--config", str(cfg_path), "--out", str(tmp_path / "s"), "--threads", "1"]) == 0
     assert main(["otoc-trace", "--config", str(cfg_path), "--out", str(tmp_path / "p"), "--threads", "4"]) == 0
-    s = (tmp_path / "s" / "otoc_trace.csv").read_text().splitlines()[3:]
-    p = (tmp_path / "p" / "otoc_trace.csv").read_text().splitlines()[3:]
-    assert s == p
+    for name in ("otoc_trace.csv", "otoc_trace_summary.json"):
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
 
 @pytest.mark.parametrize("experiment", ["otoc-trace", "otoc-average"])
@@ -261,6 +259,18 @@ def test_circuit_emit_driver(tmp_path):
     assert summary["dense_deviation"] < 1e-12
     sidecar = (tmp_path / "perm0.rsedperm").read_bytes()
     assert sidecar[:9] == b"RSEDPERM1"
+
+
+@pytest.mark.parametrize("n, sidecar", [(8, "perm0.rsedperm"), (17, None)])
+def test_circuit_emit_names_only_a_written_sidecar(tmp_path, n, sidecar):
+    """Past n = 16 the permutation is a Feistel network with no table, so no
+    sidecar is written and the summary records null."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "circuit-emit", "n": n, "k": 4}))
+    out = tmp_path / "out"
+    assert main(["circuit-emit", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "circuit_summary.json").read_text())["sidecar"] == sidecar
+    assert (out / "perm0.rsedperm").exists() == (sidecar is not None)
 
 
 def test_config_errors_exit_2(tmp_path):

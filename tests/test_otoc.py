@@ -394,8 +394,8 @@ def test_grid_equals_one_gate_calls_bitwise(monkeypatch, group_entries, num_seed
     grid = otoc_zz_grid(p, f, 2, 7, ts, gate_at, num_seeds, None if num_seeds is None else RngSeed(45))
     for t, est in zip(ts, grid):
         op = RsedOperator(shape, p, f, gate_at(t))
-        one = otoc_zz_exact(op, 2, 7, t) if num_seeds is None else otoc_zz_sampled(op, 2, 7, num_seeds, RngSeed(45), t)
-        assert (est.value, est.std_error, est.t, est.meta) == (one.value, one.std_error, one.t, one.meta)
+        one = otoc_zz_exact(op, 2, 7) if num_seeds is None else otoc_zz_sampled(op, 2, 7, num_seeds, RngSeed(45))
+        assert (est.value, est.std_error, est.meta) == (one.value, one.std_error, one.meta)
     if num_seeds is not None:
         assert grid[-1].meta["exhaustive"] == (num_seeds >= shape.num_seeds)
 
@@ -473,14 +473,14 @@ def test_otoc_pauli_stochastic_consistency():
 
 
 def test_poisson_bracket_values():
-    assert poisson_bracket(OtocEstimate(1.0, 0.0, 0.0)) == 0.0
-    assert poisson_bracket(OtocEstimate(-1.0, 0.0, 0.0)) == 2.0
-    assert poisson_bracket(OtocEstimate(0.0, 0.0, 0.0)) == 1.0
+    assert poisson_bracket(OtocEstimate(1.0, 0.0)) == 0.0
+    assert poisson_bracket(OtocEstimate(-1.0, 0.0)) == 2.0
+    assert poisson_bracket(OtocEstimate(0.0, 0.0)) == 1.0
 
 
 def test_otoc_magnitude_invariant():
     with pytest.raises(ValueError):
-        OtocEstimate(1.5, 0.0, 0.0)
+        OtocEstimate(1.5, 0.0)
 
 
 def test_finite_temperature_beta0_equals_pauli():
