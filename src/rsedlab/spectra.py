@@ -66,10 +66,11 @@ def pooled_spacings(spectra, exclude_degenerate: bool = True) -> np.ndarray:
     exclude_degenerate drops gaps below an absolute 1e-12 before the scaling,
     and a spectrum with no gap left adds nothing.  The cut is absolute, not
     1e-10 of the spread as in level_spacing_stats: it removes only gaps that
-    are zero up to rounding (pooled spectra are parent eigenphases in
-    [-pi, pi] or SYK energies of order one), at one threshold for every
-    spectrum of the pool.  level_spacing_stats scales its tolerance because
-    it also sizes the degenerate clusters of one spectrum at any energy scale.
+    are zero up to rounding (pooled spectra are parent-Hamiltonian
+    eigenvalues -theta / 2pi in (-1/2, 1/2] or SYK energies of order one),
+    at one threshold for every spectrum of the pool.  level_spacing_stats
+    scales its tolerance because it also sizes the degenerate clusters of one
+    spectrum at any energy scale.
 
     A kept gap set of mean 0 (one repeated eigenvalue, without the cut) or an
     empty pool (every spectrum degenerate, with it) is a ValueError.

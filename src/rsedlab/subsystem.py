@@ -198,12 +198,30 @@ def _orthogonal_phases(m: np.ndarray) -> np.ndarray:
     adjacent cos(theta) entries, so alternate signs +, - rebuild it.  arccos
     loses ~1e-8 next to +-1, so theta within PHASE_SNAP of 0 or pi is set to
     exactly 0 or pi (the real eigenvalues +1 and -1).
+
+    The symmetric part is solved block by block when it splits exactly.  The
+    candidate split is S = {b : m[0, b] > 0}: for m = H^{tensor k} diag(d),
+    row 0 is d / sqrt(K), and (m + m^T)/2 = blockdiag(H[S, S], -H[S^c, S^c])
+    with off-diagonal entries H_ab (d_a + d_b) / 2, exact zeros.  Any S whose
+    off-block m[S, S^c] + m[S^c, S]^T is exactly zero is a valid split, so
+    the two diagonal blocks (about K/2 each, 1/4 of the eigvalsh work) give
+    the same matrix's spectrum for every gate that passes the check.  Gates
+    that fail it, and those with S or S^c empty (H^{tensor k} itself), take
+    one K x K eigvalsh.
     """
     K = m.shape[0]
-    dev = np.max(np.abs(m.T @ m - np.eye(K)))
+    gram = m.T @ m
+    gram.flat[:: K + 1] -= 1.0  # m^T m - I in place, the same bits as subtracting np.eye(K)
+    dev = np.max(np.abs(gram))
     if not dev <= 1e-8:
         raise ValueError(f"input is not unitary to working precision (deviation {dev:.3g})")
-    c = np.linalg.eigvalsh(0.5 * (m + m.T))[::-1]
+    pos = m[0] > 0
+    s, r = np.flatnonzero(pos), np.flatnonzero(~pos)
+    if s.size and r.size and not np.any(m[np.ix_(s, r)] + m[np.ix_(r, s)].T):
+        blocks = (m[np.ix_(s, s)], m[np.ix_(r, r)])
+    else:
+        blocks = (m,)
+    c = np.sort(np.concatenate([np.linalg.eigvalsh(0.5 * (b + b.T)) for b in blocks]))[::-1]
     theta = np.arccos(np.clip(c, -1.0, 1.0))
     theta[theta < PHASE_SNAP] = 0.0
     theta[theta > np.pi - PHASE_SNAP] = np.pi
@@ -227,12 +245,17 @@ def parent_spectrum(u: SubUnitary) -> np.ndarray:
 
     A real (orthogonal) gate goes through the symmetric eigenproblem of
     (u + u^T)/2 (_orthogonal_phases), several times faster than a general
-    eigensolver.  A complex gate reads the eigenphases of the Schur form
-    cached on it (_unitary_eigh), the one factorization its fractional
-    powers and parent_hamiltonian also use.
+    eigensolver.  That part is solved as two diagonal blocks when it splits
+    exactly along the signs of row 0 of u, as for every H^{tensor k} P, and
+    as one K x K block otherwise.  A complex gate reads the eigenphases of
+    the Schur form cached on it (_unitary_eigh), the one factorization its
+    fractional powers and parent_hamiltonian also use.
     """
     m = u.matrix
-    theta = _orthogonal_phases(m.real) if np.max(np.abs(m.imag)) < 1e-14 else _unitary_eigh(u)[0]
+    if np.max(np.abs(m.imag)) < 1e-14:
+        theta = _orthogonal_phases(np.ascontiguousarray(m.real))
+    else:
+        theta = _unitary_eigh(u)[0]
     return np.sort(_phase_branch(theta))
 
 

@@ -1,11 +1,12 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from rsedlab.bitcore import SystemShape
-from rsedlab.cli import main
+from rsedlab.cli import ExperimentConfig, base_gate, main
 from rsedlab.randomness import sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import RsedOperator
@@ -23,6 +24,7 @@ from rsedlab.spectra import (
 )
 from rsedlab import subsystem
 from rsedlab.subsystem import (
+    PHASE_SNAP,
     parent_spectrum,
     SubHamiltonian,
     SubUnitary,
@@ -30,6 +32,7 @@ from rsedlab.subsystem import (
     hadamard_layer,
     parent_hamiltonian,
     pauli_syk,
+    random_sign_diag,
     random_sign_hadamard,
     unitary_power,
 )
@@ -181,28 +184,153 @@ def _parent_spectrum_eigvals(u: SubUnitary) -> np.ndarray:
     return np.sort(lam)
 
 
+@lru_cache(maxsize=None)
+def _hadamard_plus_basis(k: int) -> np.ndarray:
+    """Orthonormal basis (columns) of the +1 eigenspace of H^{tensor k}."""
+    w, v = np.linalg.eigh(hadamard_layer(k).matrix.real)
+    return v[:, w > 0]
+
+
+def _parent_spectrum_principal_angles(k: int, d: np.ndarray) -> np.ndarray:
+    """parent_spectrum of H^{tensor k} diag(d) from principal angles, with
+    neither the symmetric part nor a general eigensolver.
+
+    H = 2 P_M - I with M its +1 eigenspace, and diag(d) = 2 P_N - I with N
+    spanned by the e_b with d_b = +1, so the gate is a product of two
+    reflections.  By the two-subspace theorem it is +1 on M & N and on
+    M^perp & N^perp, -1 on M & N^perp and on M^perp & N, and a rotation by
+    2 phi on each generic pair, where phi = arccos(svd(Q[S, :])) are the
+    principal angles between M (orthonormal basis Q) and N.  With a angles
+    at 0 and g generic ones, dim(M & N^perp) = dim M - a - g and
+    dim(M^perp & N) = |S| - a - g.  Angles are sorted into 0, pi/2 and
+    generic by the PHASE_SNAP rule parent_spectrum applies to theta = 2 phi,
+    and the branch is the same as in _parent_spectrum_eigvals.
+    """
+    K = 1 << k
+    q = _hadamard_plus_basis(k)
+    in_s = d > 0
+    theta = 2.0 * np.arccos(np.clip(np.linalg.svd(q[in_s], compute_uv=False), -1.0, 1.0))
+    zero = theta < PHASE_SNAP
+    generic = theta[~zero & (theta <= np.pi - PHASE_SNAP)]
+    a, g = int(np.count_nonzero(zero)), generic.size
+    b = q.shape[1] - a - g
+    c = int(np.count_nonzero(in_s)) - a - g
+    theta = np.concatenate([np.zeros(a + (K - a - b - c - 2 * g)), np.full(b + c, np.pi), generic, -generic])
+    lam = -theta / (2.0 * np.pi)
+    lam[np.isclose(lam, -0.5, atol=1e-12)] = 0.5
+    return np.sort(lam)
+
+
+def _sign_hadamard_family(k: int, seeds):
+    """(gate, d) for H^{tensor k} diag(d), d read from random_sign_diag."""
+    for seed in seeds:
+        yield random_sign_hadamard(k, seed), np.diag(random_sign_diag(k, seed).matrix).real
+
+
+# Each family yields (gate, d): d is the sign diagonal of a gate
+# H^{tensor k} diag(d), or None for a gate of no such form.
 _REAL_GATES = {
-    "hadamard": lambda: (hadamard_layer(k) for k in range(1, 11)),
-    "identity": lambda: (SubUnitary(k, np.eye(1 << k)) for k in (1, 5, 10)),
-    "criterion_10": lambda: (random_sign_hadamard(8, RngSeed(0xA0, s)) for s in range(40)),
-    "goe_fit_k10": lambda: (random_sign_hadamard(10, RngSeed(7, s)) for s in range(20)),
-    "level_stats_workload": lambda: (
-        random_sign_hadamard(10, RngSeed(s, r)) for s in range(1, 21) for r in (0, 1)
+    "hadamard": lambda: ((hadamard_layer(k), np.ones(1 << k)) for k in range(1, 11)),
+    "identity": lambda: ((SubUnitary(k, np.eye(1 << k)), None) for k in (1, 5, 10)),
+    "criterion_10": lambda: _sign_hadamard_family(8, (RngSeed(0xA0, s) for s in range(40))),
+    "goe_fit_k10": lambda: _sign_hadamard_family(10, (RngSeed(7, s) for s in range(20))),
+    "level_stats_workload": lambda: _sign_hadamard_family(
+        10, (RngSeed(s, r) for s in range(1, 21) for r in (0, 1))
     ),
 }
+
+
+def _assert_same_spectrum(fast: np.ndarray, ref: np.ndarray) -> None:
+    assert np.max(np.abs(fast - ref)) <= 1e-9
+    assert np.count_nonzero(np.diff(fast) >= 1e-12) == np.count_nonzero(np.diff(ref) >= 1e-12)
 
 
 @pytest.mark.parametrize("family", list(_REAL_GATES))
 def test_real_parent_spectrum_matches_eigvals(family):
     """The symmetric-eigenproblem spectrum of real gates keeps every spacing
-    count after the 1e-12 degeneracy cut and agrees with the general
-    eigensolver to 1e-9, on the gates the criteria, tests and the level-stats
-    workload use (H^{tensor k} has only the eigenvalues +-1)."""
-    for u in _REAL_GATES[family]():
+    count after the 1e-12 degeneracy cut and agrees with an independent
+    reference to 1e-9, on the gates the criteria, tests and the level-stats
+    workload use (H^{tensor k} has only the eigenvalues +-1).
+
+    The reference is the general eigensolver for the identity gates and the
+    first gate of each family, and the principal angles of the two
+    reflections for every H^{tensor k} diag(d), so the first gate of each
+    such family also checks one reference against the other."""
+    for i, (u, d) in enumerate(_REAL_GATES[family]()):
         fast = parent_spectrum(u)
-        ref = _parent_spectrum_eigvals(u)
-        assert np.max(np.abs(fast - ref)) <= 1e-9
-        assert np.count_nonzero(np.diff(fast) >= 1e-12) == np.count_nonzero(np.diff(ref) >= 1e-12)
+        if d is None or i == 0:
+            _assert_same_spectrum(fast, _parent_spectrum_eigvals(u))
+        if d is not None:
+            assert np.array_equal(u.matrix, hadamard_layer(u.k).matrix * d)
+            _assert_same_spectrum(fast, _parent_spectrum_principal_angles(u.k, d))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_principal_angle_reference_matches_eigvals(k):
+    """The principal-angle reference equals the general eigensolver's
+    spectrum, multiplicities included, for d all +1, all -1 and seeded."""
+    h = hadamard_layer(k).matrix
+    K = 1 << k
+    signs = [np.ones(K), -np.ones(K)] + [np.diag(random_sign_diag(k, RngSeed(11, s)).matrix).real for s in range(4)]
+    for d in signs:
+        ref = _parent_spectrum_principal_angles(k, d)
+        eig = _parent_spectrum_eigvals(_trusted(k, h * d))
+        assert np.max(np.abs(ref - eig)) <= 1e-12
+        assert np.count_nonzero(np.diff(ref) >= 1e-12) == np.count_nonzero(np.diff(eig) >= 1e-12)
+
+
+def _record_eigvalsh(monkeypatch) -> list:
+    """Sizes of the matrices subsystem hands to np.linalg.eigvalsh."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        subsystem.np.linalg, "eigvalsh", lambda a, *args, **kw: sizes.append(len(a)) or eigvalsh(a, *args, **kw)
+    )
+    return sizes
+
+
+def test_level_stats_gate_splits_into_two_blocks(monkeypatch):
+    """The symmetric part of the random-sign Hadamard gate that `rsed
+    level-stats` builds at k = 10 splits exactly: two eigenproblems, each
+    smaller than K, that together cover all K eigenvalues."""
+    cfg = ExperimentConfig("level-stats", n=13, k=10, u_spec={"type": "random_sign_hadamard", "seed": 1})
+    u = base_gate(cfg, 10, 0)
+    sizes = _record_eigvalsh(monkeypatch)
+    parent_spectrum(u)
+    assert len(sizes) == 2 and max(sizes) < u.dim and sum(sizes) == u.dim
+
+
+def _random_orthogonal(k: int, seed: RngSeed) -> SubUnitary:
+    K = 1 << k
+    q, r = np.linalg.qr(WordStream(seed).standard_normal(K * K).reshape(K, K))
+    return SubUnitary(k, q * np.sign(np.diag(r))[None, :])
+
+
+@pytest.mark.parametrize(
+    "gate, blocks",
+    [
+        (_random_orthogonal(4, RngSeed(21)), [16]),  # no exact split along row 0
+        (hadamard_layer(4), [16]),  # row 0 all positive: S^c is empty
+        (hadamard_layer(1), [2]),
+        (SubUnitary(4, np.eye(16)), [1, 15]),  # S = {0}
+        (SubUnitary(1, np.eye(2)), [1, 1]),
+        (random_sign_hadamard(1, RngSeed(0)), [2]),  # d = (-1, -1): S is empty
+        (random_sign_hadamard(1, RngSeed(2)), [1, 1]),  # d = (-1, +1)
+    ],
+    ids=[
+        "orthogonal", "hadamard_k4", "hadamard_k1", "identity_k4", "identity_k1",
+        "sign_hadamard_k1_one_sign", "sign_hadamard_k1_mixed",
+    ],
+)
+def test_real_gate_block_split(monkeypatch, gate, blocks):
+    """A random real orthogonal gate has no exact split, so it is solved as
+    one K x K block; gates whose row-0 split is empty on one side, a single
+    index, or at k = 1 take the blocks that split gives.  Each matches the
+    general eigensolver to 1e-12."""
+    sizes = _record_eigvalsh(monkeypatch)
+    spectrum = parent_spectrum(gate)
+    assert np.max(np.abs(spectrum - _parent_spectrum_eigvals(gate))) < 1e-12
+    assert sizes == blocks
 
 
 def test_real_parent_spectrum_rejects_non_orthogonal():
