@@ -29,9 +29,10 @@ from .randomness import (
 )
 from .rng import RngSeed, WordStream
 from .rsed import DENSE_MAX_N, StateVector
-from .subsystem import SubUnitary
+from .subsystem import SubUnitary, sign_bits
 
 HEADER = "RSEDCIRC 1"
+DEFAULT_GATE_SEED = 7  # the seed of a u_spec that names none
 
 # arguments per mnemonic; gates on qubits take integer indices, the rest names
 _ARITY = {"H": 1, "X": 1, "S": 1, "T": 1, "CX": 2, "CCX": 3, "PERM": 2, "PHASE_F": 1, "SUB": 1}
@@ -120,12 +121,12 @@ def parse(text: str, registry: dict | None = None) -> GateCircuit:
 def _named_spec(u_spec: dict) -> dict:
     """The canonical form of a named gate spec, as a manifest records it:
     {"type": "hadamard"}, or {"type": "random_sign_hadamard", "seed": s}
-    with s = 7 unless given (the default of a config's u_spec)."""
+    with s = DEFAULT_GATE_SEED unless given."""
     kind = u_spec.get("type") if isinstance(u_spec, dict) else None
     if kind == "hadamard":
         return {"type": kind}
     if kind == "random_sign_hadamard":
-        return {"type": kind, "seed": u_spec.get("seed", 7)}
+        return {"type": kind, "seed": u_spec.get("seed", DEFAULT_GATE_SEED)}
     raise ValueError(f"unsupported u_spec {u_spec!r}")
 
 
@@ -153,8 +154,7 @@ def synthesize_rsed_circuit(
         spec = _named_spec(u_spec)
         mid = [("H", q) for q in range(shape.k)]
         if spec["type"] == "random_sign_hadamard":
-            # the phi bits of P = diag((-1)**phi), read from the stream of random_sign_hadamard
-            bits = WordStream(RngSeed(spec["seed"])).bits(shape.subdim)
+            bits = sign_bits(shape.k, RngSeed(spec["seed"]))
             registry["psign0"] = SignFunction(shape, bits=np.tile(bits, shape.num_seeds))
             mid = [("PHASE_F", "psign0")] + mid
     gates = (

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bitcore import SystemShape
-from .circuits import build_manifest, serialize, simulate_circuit, synthesize_rsed_circuit
+from .circuits import DEFAULT_GATE_SEED, build_manifest, serialize, simulate_circuit, synthesize_rsed_circuit
 from .otoc import (
     otoc_zz_exact,
     otoc_zz_f_average,
@@ -78,10 +78,10 @@ def _type_ok(value, annotation: str) -> bool:
 class ExperimentConfig:
     experiment: str
     n: int = 8
-    k: int | None = 4
+    k: int = 4
     k_rule: str | None = None  # "log2sq" resolves k = log2sq_k(n)
     n_list: list = field(default_factory=list)
-    u_spec: dict = field(default_factory=lambda: {"type": "random_sign_hadamard", "seed": 7})
+    u_spec: dict = field(default_factory=lambda: {"type": "random_sign_hadamard", "seed": DEFAULT_GATE_SEED})
     t_grid: list = field(default_factory=lambda: [0.0, 1.0, 2.0, 3.0, 4.0])
     t_fixed: float = 4.0
     ensemble: int = 8
@@ -137,7 +137,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown u_spec type {self.u_spec.get('type')!r}")
         if self.estimator.get("mode", "exact") not in ("exact", "sampled"):
             raise ConfigError(f"unknown estimator mode {self.estimator.get('mode')!r}")
-        if not _type_ok(self.u_spec.get("seed", 7), "int") or not _type_ok(self.estimator.get("num_seeds", 64), "int"):
+        if not _type_ok(self.u_spec.get("seed", DEFAULT_GATE_SEED), "int") or not _type_ok(self.estimator.get("num_seeds", 64), "int"):
             raise ConfigError("u_spec seed and estimator num_seeds must be integers")
         for name, known in (("u_spec", {"type", "seed"}), ("estimator", {"mode", "num_seeds"})):
             if unknown := set(getattr(self, name)) - known:
@@ -150,10 +150,8 @@ def log2sq_k(n: int) -> int:
 
 
 def resolve_k(cfg: ExperimentConfig, n: int) -> int:
-    """k at size n: log2sq_k(n) under the k rule, else cfg.k or min(n, 4)."""
-    if cfg.k_rule == "log2sq":
-        return log2sq_k(n)
-    return cfg.k if cfg.k is not None else min(n, 4)
+    """k at size n: log2sq_k(n) under the k rule, else cfg.k."""
+    return log2sq_k(n) if cfg.k_rule == "log2sq" else cfg.k
 
 
 def base_gate(cfg: ExperimentConfig, k: int, realization: int) -> SubUnitary | SubHamiltonian:
@@ -161,7 +159,7 @@ def base_gate(cfg: ExperimentConfig, k: int, realization: int) -> SubUnitary | S
     seed, r): a SubUnitary u, or for pauli_syk the SubHamiltonian h of the
     dynamics u = e^{-iht} (see evolved)."""
     kind = cfg.u_spec["type"]
-    seed = RngSeed(cfg.u_spec.get("seed", 7), realization)
+    seed = RngSeed(cfg.u_spec.get("seed", DEFAULT_GATE_SEED), realization)
     if kind == "identity":
         return SubUnitary(k, np.eye(1 << k, dtype=complex))
     if kind == "hadamard":
@@ -473,6 +471,8 @@ def load_config(experiment: str, args) -> ExperimentConfig:
             data = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object, got {type(data).__name__}")
     data.setdefault("experiment", experiment)
     if data["experiment"] != experiment:
         raise ConfigError(f"config experiment {data['experiment']!r} does not match subcommand {experiment!r}")

@@ -29,8 +29,8 @@ def _check_k(k: int) -> None:
 class SubUnitary:
     """Dense K x K unitary acting on the embedded subsystem.
 
-    The constructor checks unitarity (O(K**3)) because the matrix comes from
-    the caller; gates this module builds skip that check via _trusted.  The
+    The constructor is the one unitarity check (O(K**3)), as the matrix comes
+    from the caller; gates this module builds skip it via _trusted.  The
     Schur eigenpath (theta, z) is computed on first use and kept with the
     gate (see _unitary_eigh), so treat `matrix` as read-only."""
 
@@ -58,7 +58,8 @@ class SubUnitary:
 
 
 def _trusted(k: int, matrix: np.ndarray) -> SubUnitary:
-    """SubUnitary around a matrix this module built as unitary; no check."""
+    """SubUnitary around a matrix, no check: the caller must build it unitary,
+    since parent spectra, powers and Schur eigenpaths never check again."""
     u = object.__new__(SubUnitary)
     object.__setattr__(u, "k", k)
     object.__setattr__(u, "matrix", np.asarray(matrix, dtype=np.complex128))
@@ -103,9 +104,14 @@ def _dense_h(k: int) -> np.ndarray:
     return m
 
 
+def sign_bits(k: int, seed: RngSeed) -> np.ndarray:
+    """The seeded bits phi(b) of P = diag((-1)**phi(b)), as uint8."""
+    return WordStream(seed).bits(1 << k)
+
+
 def _signs(k: int, seed: RngSeed) -> np.ndarray:
     """The seeded diagonal of P, (-1)**phi(b), as float."""
-    return 1.0 - 2.0 * WordStream(seed).bits(1 << k).astype(np.float64)
+    return 1.0 - 2.0 * sign_bits(k, seed).astype(np.float64)
 
 
 def hadamard_layer(k: int) -> SubUnitary:
@@ -166,17 +172,14 @@ def _unitary_eigh(u: SubUnitary) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases theta in (-pi, pi] and an orthonormal eigenbasis, computed
     once per gate and cached on it (read-only arrays).
 
-    Schur of a normal matrix is diagonal, so Z gives orthonormal eigenvectors
-    even under degeneracies (unlike np.linalg.eig).  Every fractional power,
-    parent_hamiltonian, parent_spectrum of a complex gate and the criteria
-    share the one factorization.
+    u is unitary by the SubUnitary contract, so its Schur form is diagonal
+    and Z gives orthonormal eigenvectors even under degeneracies (unlike
+    np.linalg.eig).  Every fractional power, parent_hamiltonian,
+    parent_spectrum of a complex gate and the criteria share it.
     """
     if u._eig is None:
         t_mat, z = schur(u.matrix, output="complex")
-        ev = np.diag(t_mat)
-        if np.max(np.abs(np.abs(ev) - 1.0)) > 1e-8:
-            raise ValueError("input is not unitary to working precision")
-        theta = np.angle(ev)
+        theta = np.angle(np.diag(t_mat))
         theta.flags.writeable = False
         z.flags.writeable = False
         object.__setattr__(u, "_eig", (theta, z))
@@ -192,7 +195,8 @@ def _phase_branch(theta: np.ndarray) -> np.ndarray:
 def _orthogonal_phases(m: np.ndarray) -> np.ndarray:
     """Eigenphases of a real orthogonal m from the symmetric eigenproblem.
 
-    m is normal, so the real parts of its eigenvalues are the eigenvalues of
+    m is the real part of a SubUnitary, orthogonal by that contract, hence
+    normal: the real parts of its eigenvalues are the eigenvalues of
     (m + m^T)/2, and its spectrum is closed under theta -> -theta.  Sorted in
     descending order, each conjugate pair e^{+-i theta} shows up as two
     adjacent cos(theta) entries, so alternate signs +, - rebuild it.  arccos
@@ -209,12 +213,6 @@ def _orthogonal_phases(m: np.ndarray) -> np.ndarray:
     that fail it, and those with S or S^c empty (H^{tensor k} itself), take
     one K x K eigvalsh.
     """
-    K = m.shape[0]
-    gram = m.T @ m
-    gram.flat[:: K + 1] -= 1.0  # m^T m - I in place, the same bits as subtracting np.eye(K)
-    dev = np.max(np.abs(gram))
-    if not dev <= 1e-8:
-        raise ValueError(f"input is not unitary to working precision (deviation {dev:.3g})")
     pos = m[0] > 0
     s, r = np.flatnonzero(pos), np.flatnonzero(~pos)
     if s.size and r.size and not np.any(m[np.ix_(s, r)] + m[np.ix_(r, s)].T):
@@ -243,17 +241,18 @@ def parent_spectrum(u: SubUnitary) -> np.ndarray:
     """Sorted eigenvalues of the parent Hamiltonian, without the dense
     reconstruction (same branch as parent_hamiltonian).
 
-    A real (orthogonal) gate goes through the symmetric eigenproblem of
-    (u + u^T)/2 (_orthogonal_phases), several times faster than a general
-    eigensolver.  That part is solved as two diagonal blocks when it splits
-    exactly along the signs of row 0 of u, as for every H^{tensor k} P, and
-    as one K x K block otherwise.  A complex gate reads the eigenphases of
-    the Schur form cached on it (_unitary_eigh), the one factorization its
-    fractional powers and parent_hamiltonian also use.
+    A gate with an exactly zero imaginary part (the rule of otoc._zero_padded)
+    is orthogonal by the SubUnitary contract and goes through the symmetric
+    eigenproblem of (u + u^T)/2 (_orthogonal_phases), several times faster
+    than a general eigensolver: two diagonal blocks when it splits exactly
+    along the signs of row 0 of u (every H^{tensor k} P), one K x K block
+    otherwise.  A complex gate reads the eigenphases of the Schur form
+    cached on it (_unitary_eigh), the one factorization its fractional
+    powers and parent_hamiltonian also use.
     """
     m = u.matrix
-    if np.max(np.abs(m.imag)) < 1e-14:
-        theta = _orthogonal_phases(np.ascontiguousarray(m.real))
+    if not m.imag.any():
+        theta = _orthogonal_phases(m.real)
     else:
         theta = _unitary_eigh(u)[0]
     return np.sort(_phase_branch(theta))

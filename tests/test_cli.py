@@ -336,12 +336,24 @@ def test_config_errors_exit_2(tmp_path):
         # the fault-injection field is gone; every experiment used to accept and ignore it
         {"experiment": "verify", "inject_fault": "closed-form-sign"},
         {"experiment": "otoc-trace", "inject_fault": "closed-form-sign"},
+        # k is a whole number; null no longer falls back to min(n, 4)
+        {"experiment": "otoc-trace", "k": None},
     ],
 )
 def test_config_boundary_exit_2(tmp_path, cfg):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     assert main([cfg["experiment"], "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("top", [[1, 2], "x"], ids=["list", "string"])
+def test_config_top_level_must_be_an_object(tmp_path, capsys, top):
+    """A config whose top level is valid JSON but no object is a config
+    error (exit 2), not an AttributeError traceback (exit 1)."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(top))
+    assert main(["otoc-trace", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
 
 
 def test_resolved_k_is_checked_as_a_config_error(tmp_path, capsys):

@@ -333,14 +333,6 @@ def test_real_gate_block_split(monkeypatch, gate, blocks):
     assert sizes == blocks
 
 
-def test_real_parent_spectrum_rejects_non_orthogonal():
-    """Gates wrapped without the constructor check still fail loudly when not
-    orthogonal, including a Jordan block whose eigenvalues all have modulus 1."""
-    for m in (2.0 * np.eye(8), np.array([[1.0, 1.0], [0.0, 1.0]])):
-        with pytest.raises(ValueError, match="not unitary"):
-            parent_spectrum(_trusted(len(m).bit_length() - 1, m))
-
-
 def test_level_statistics_goe_fit_k10():
     """Pooled parent-spectrum spacings of H^{x10}P over 20 seeds fit the GOE
     surmise within KS distance 0.08."""

@@ -125,9 +125,21 @@ def test_parent_hamiltonian_roundtrip():
     assert np.max(np.abs(back.matrix - u.matrix)) < 1e-8
 
 
-def test_nonunitary_rejected_at_construction():
-    with pytest.raises(ValueError):
-        SubUnitary(2, np.eye(4, dtype=complex) * 1.5)
+@pytest.mark.parametrize(
+    "k, m",
+    [
+        (2, np.eye(4, dtype=complex) * 1.5),
+        (3, 2.0 * np.eye(8)),
+        # every eigenvalue has modulus 1, yet the matrix is not unitary
+        (1, np.array([[1.0, 1.0], [0.0, 1.0]])),
+    ],
+    ids=["scaled_identity", "twice_identity", "jordan_block"],
+)
+def test_nonunitary_rejected_at_construction(k, m):
+    """The constructor is the one unitarity check: parent spectra, powers and
+    Schur eigenpaths downstream trust it."""
+    with pytest.raises(ValueError, match="not unitary"):
+        SubUnitary(k, m)
 
 
 def test_unitary_power_paths():
