@@ -258,8 +258,8 @@ def _run(circuit: GateCircuit, amps: np.ndarray) -> np.ndarray:
     return amps.reshape(shape)
 
 
-def random_clifford_gates(n: int, seed: RngSeed) -> tuple[tuple, ...]:
-    """Seeded sequence of 3n draws from {H, S, CX}."""
+def random_clifford_circuit(n: int, seed: RngSeed) -> GateCircuit:
+    """Seeded circuit of 3n draws from {H, S, CX}."""
     length = 3 * n
     stream = WordStream(seed)
     kinds = stream.integers(3, length)
@@ -275,11 +275,7 @@ def random_clifford_gates(n: int, seed: RngSeed) -> tuple[tuple, ...]:
             target = (q + 1 + off) % n if n > 1 else q
             if target != q:
                 gates.append(("CX", q, target))
-    return tuple(gates)
-
-
-def random_clifford_circuit(n: int, seed: RngSeed) -> GateCircuit:
-    return GateCircuit(n, random_clifford_gates(n, seed))
+    return GateCircuit(n, tuple(gates))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from .subsystem import (
     evolve,
     hadamard_layer,
     hadamard_sign_power,
+    identity_gate,
     parent_hamiltonian,
     parent_spectrum,
     pauli_syk,
@@ -107,9 +108,8 @@ class ExperimentConfig:
         if self.k_rule not in (None, "log2sq"):
             raise ConfigError(f"unknown k_rule {self.k_rule!r}")
         k = resolve_k(self, self.n)
-        # otoc-scaling under the k rule takes k = log2sq_k(n) per n_list entry, not from n
-        per_entry = self.experiment == "otoc-scaling" and self.k_rule is not None
-        if not per_entry and not 1 <= k <= min(self.n, MAX_SUB_QUBITS):
+        # otoc-scaling takes k = log2sq_k(n) per n_list entry and never reads k
+        if self.experiment != "otoc-scaling" and not 1 <= k <= min(self.n, MAX_SUB_QUBITS):
             raise ConfigError(f"k={k} out of range for n={self.n} (at most min(n, {MAX_SUB_QUBITS}))")
         if self.ensemble < 1 or self.trials < 1:
             raise ConfigError("ensemble and trials must be >= 1")
@@ -161,7 +161,7 @@ def base_gate(cfg: ExperimentConfig, k: int, realization: int) -> SubUnitary | S
     kind = cfg.u_spec["type"]
     seed = RngSeed(cfg.u_spec.get("seed", DEFAULT_GATE_SEED), realization)
     if kind == "identity":
-        return SubUnitary(k, np.eye(1 << k, dtype=complex))
+        return identity_gate(k)
     if kind == "hadamard":
         return hadamard_layer(k)
     if kind == "random_sign_hadamard":
@@ -277,9 +277,12 @@ def scaling_curve(ns: tuple[int, ...], t: int, ensemble: int, seed: int) -> tupl
 
     Realization r at size n draws its gate (H^{tensor k} P)^t from
     RngSeed(seed, 100 n + r) and reads it through the matrix-free
-    hadamard_sign_f_average.  Memoized: `rsed verify` reads one curve for
-    criteria 5a and 5b.
+    hadamard_sign_f_average, so an ensemble above 100 would share streams
+    across sizes and is rejected.  Memoized: `rsed verify` reads one curve
+    for criteria 5a and 5b.
     """
+    if ensemble > 100:
+        raise ValueError(f"ensemble {ensemble} > 100 would reuse streams RngSeed(seed, 100 n + r) across sizes")
     rows = []
     for n in ns:
         k = log2sq_k(n)

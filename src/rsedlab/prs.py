@@ -19,8 +19,6 @@ from .subsystem import SubUnitary
 
 TCOPY_MAX_QUBITS = 16  # dense t-copy algebra capped at dimension 2**16
 
-_LN2 = float(np.log(2.0))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -73,20 +71,15 @@ def _shannon(probs: np.ndarray) -> float:
     return float(-np.sum(probs * np.log(probs)))
 
 
-def coherence_rel_entropy(state, unit: str = "nats") -> float:
-    """Relative entropy of coherence S(diag rho) - S(rho), >= 0."""
-    if unit not in ("nats", "bits"):
-        raise ValueError("unit must be 'nats' or 'bits'")
+def coherence_rel_entropy(state) -> float:
+    """Relative entropy of coherence S(diag rho) - S(rho) in nats, >= 0."""
     if isinstance(state, StateVector):
-        val = _shannon(np.abs(state.amplitudes) ** 2)
-    elif isinstance(state, DensityMatrix):
+        return _shannon(np.abs(state.amplitudes) ** 2)
+    if isinstance(state, DensityMatrix):
         diag = np.real(np.diag(state.entries))
-        eigs = np.linalg.eigvalsh(state.entries)
-        eigs = np.clip(eigs, 0.0, None)
-        val = _shannon(diag) - _shannon(eigs)
-    else:
-        raise TypeError(f"unsupported state type {type(state)!r}")
-    return val / _LN2 if unit == "bits" else val
+        eigs = np.clip(np.linalg.eigvalsh(state.entries), 0.0, None)
+        return _shannon(diag) - _shannon(eigs)
+    raise TypeError(f"unsupported state type {type(state)!r}")
 
 
 def _type_state(positions: np.ndarray, subset: tuple[int, ...], dim: int) -> np.ndarray:

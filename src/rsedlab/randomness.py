@@ -2,12 +2,12 @@
 
 Two permutation backends:
   - ExplicitTable: forward + inverse uint32 arrays (Fisher-Yates), n <= 24
-  - Feistel: 4-round alternating Feistel network over the n-bit index with a
-    keyed counter-mixer round function; evaluated on demand, any n <= 30
+  - Feistel: 4-round alternating Feistel network over the n-bit index with
+    rng.counter_words as round function; evaluated on demand, any n <= 30
 
 Two sign-function backends:
   - ExplicitTable: bit array of length 2**n from the seeded stream
-  - KeyedPrf: bit 63 of the keyed mixer at counter x, evaluated on demand
+  - KeyedPrf: bit 63 of rng.counter_words at counter x, evaluated on demand
 """
 
 from __future__ import annotations
@@ -18,18 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitcore import SystemShape, check_index, flip_bit, join, split
-from .rng import RngSeed, WordStream, _GAMMA, _M64, _finalize, fisher_yates
+from .rng import RngSeed, WordStream, _finalize, counter_words, fisher_yates
 
 EXPLICIT_TABLE_MAX_N = 24
 FEISTEL_ROUNDS = 4
 
 PERM_MAGIC = b"RSEDPERM1"
-
-
-def _prf_words(key: np.uint64, xs: np.ndarray) -> np.ndarray:
-    """Keyed counter-mixer: word at counter x under key."""
-    with np.errstate(over="ignore"):
-        return _finalize((key + (xs.astype(np.uint64) + np.uint64(1)) * _GAMMA) & _M64)
 
 
 @dataclass(frozen=True)
@@ -68,9 +62,9 @@ class FeistelSpec:
         hi = (x >> np.uint64(n_low)) & mask_high
         for i in order:
             if i % 2 == 0:
-                lo = lo ^ (_prf_words(self._round_key(i), hi) & mask_low)
+                lo = lo ^ (counter_words(self._round_key(i), hi) & mask_low)
             else:
-                hi = hi ^ (_prf_words(self._round_key(i), lo) & mask_high)
+                hi = hi ^ (counter_words(self._round_key(i), lo) & mask_high)
         return (lo | (hi << np.uint64(n_low))).astype(np.uint32)
 
 
@@ -149,7 +143,7 @@ class SignFunction:
         xs = np.asarray(xs)
         if self.bits is not None:
             return self.bits[xs]
-        return (_prf_words(np.uint64(self.key & 0xFFFFFFFFFFFFFFFF), xs) >> np.uint64(63)).astype(np.uint8)
+        return (counter_words(self.key & 0xFFFFFFFFFFFFFFFF, xs) >> np.uint64(63)).astype(np.uint8)
 
 
 def sample_permutation(shape: SystemShape, seed: RngSeed, backend: str | None = None) -> SubsetPermutation:

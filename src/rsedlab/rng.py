@@ -6,7 +6,7 @@ counter) as exact integer arithmetic, so tables and golden outputs are
 reproducible across platforms and numpy versions.
 
 Draw conventions (fixed so serialized tables never change):
-  - word i of a stream is finalize(state0 + (i+1) * GAMMA)
+  - word i of a stream is finalize(state0 + (i+1) * GAMMA) (counter_words)
   - bounded draws in [0, m) use modulo rejection: a word w is accepted when
     w >= 2**64 mod m (an exact multiple of m values remains), and the value
     is w % m; words are consumed in counter order
@@ -50,22 +50,23 @@ def _finalize(z):
         return z ^ (z >> np.uint64(31))
 
 
-def words(rs: RngSeed, start: int, count: int) -> np.ndarray:
-    """Words start .. start+count-1 of the stream, as uint64."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+def counter_words(state, counters) -> np.ndarray:
+    """finalize(state + (x + 1) * GAMMA) at each counter x, as uint64: the one
+    counter word behind WordStream, the Feistel rounds and the keyed PRF."""
+    x = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return _finalize((rs.state() + idx * _GAMMA) & _M64)
+        return _finalize(np.uint64(state) + (x + np.uint64(1)) * _GAMMA)
 
 
 class WordStream:
     """Sequential consumer over the counter stream of an RngSeed."""
 
     def __init__(self, rs: RngSeed):
-        self._rs = rs
+        self._state = rs.state()
         self._pos = 0
 
     def take(self, count: int) -> np.ndarray:
-        out = words(self._rs, self._pos, count)
+        out = counter_words(self._state, np.arange(self._pos, self._pos + count, dtype=np.uint64))
         self._pos += count
         return out
 

@@ -38,15 +38,9 @@ def level_spacing_stats(evals: np.ndarray, exclude_degenerate: bool = False) -> 
     spread = evals[-1] - evals[0]
     tol = DEGENERACY_TOL_SCALE * spread
     gaps = np.diff(evals)
-    cluster_sizes = []
-    run = 1
-    for g in gaps:
-        if g < tol:
-            run += 1
-        else:
-            cluster_sizes.append(run)
-            run = 1
-    cluster_sizes.append(run)
+    # each gap not below tol ends a cluster; sizes are the runs between them
+    ends = np.flatnonzero(~(gaps < tol))
+    cluster_sizes = np.diff(ends, prepend=-1, append=len(gaps))
     sizes, counts = np.unique(cluster_sizes, return_counts=True)
     multiplicity = int(sizes[np.argmax(counts)])
     if exclude_degenerate:

@@ -120,6 +120,12 @@ def hadamard_layer(k: int) -> SubUnitary:
     return _trusted(k, _dense_h(k))
 
 
+def identity_gate(k: int) -> SubUnitary:
+    """u = identity on k qubits."""
+    _check_k(k)
+    return _trusted(k, np.eye(1 << k, dtype=np.complex128))
+
+
 def random_sign_diag(k: int, seed: RngSeed) -> SubUnitary:
     """Diagonal P with entries (-1)**phi(b), phi seeded."""
     _check_k(k)

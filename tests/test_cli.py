@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rsedlab import __version__, subsystem
-from rsedlab.cli import main
+from rsedlab.cli import ConfigError, ExperimentConfig, main
 
 
 def read_csv_rows(path: Path):
@@ -122,6 +122,28 @@ def test_otoc_scaling_driver(tmp_path):
     assert main(["otoc-scaling", "--config", str(cfg_path), "--out", str(tmp_path / "pow2")]) == 0
     summary2 = json.loads((tmp_path / "pow2" / "otoc_scaling_summary.json").read_text())
     assert summary2["concave"] is True
+
+
+@pytest.mark.parametrize("ensemble, code", [(100, 0), (101, 2)])
+def test_scaling_ensemble_within_the_stream_rule(tmp_path, capsys, ensemble, code):
+    """Realization r at size n draws from stream 100 n + r, so an ensemble of
+    101 would give (n = 4, r = 100) and (n = 5, r = 0) one stream."""
+    cfg = {"experiment": "otoc-scaling", "n_list": [2, 3, 4], "ensemble": ensemble, "t_fixed": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["otoc-scaling", "--config", str(cfg_path), "--out", str(tmp_path)]) == code
+    if code:
+        assert "ensemble 101 > 100" in capsys.readouterr().err
+        assert not (tmp_path / "otoc_scaling.csv").exists()
+
+
+def test_otoc_scaling_ignores_n_and_k():
+    """otoc-scaling takes k = log2sq_k(n) per n_list entry, so its n and k are
+    not checked against each other, with or without the k rule."""
+    for extra in ({}, {"k_rule": "log2sq"}, {"k": 40}):
+        ExperimentConfig(experiment="otoc-scaling", n=3, **extra).validate()
+    with pytest.raises(ConfigError, match="k=4 out of range for n=3"):
+        ExperimentConfig(experiment="otoc-average", n=3).validate()
 
 
 def test_otoc_average_hadamard_exact(tmp_path):

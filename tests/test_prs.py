@@ -53,7 +53,6 @@ def test_coherence_examples():
     assert coherence_rel_entropy(basis) == 0.0
     uniform = StateVector(shape, np.full(32, 1 / np.sqrt(32), dtype=complex))
     assert coherence_rel_entropy(uniform) == pytest.approx(5 * LN2)
-    assert coherence_rel_entropy(uniform, unit="bits") == pytest.approx(5.0)
     rho = DensityMatrix.pure(uniform.amplitudes)
     assert coherence_rel_entropy(rho) == pytest.approx(5 * LN2, abs=1e-8)
 

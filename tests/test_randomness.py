@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -230,3 +231,43 @@ def test_serialization_rejects_truncated_header(tmp_path):
 def test_explicit_table_capacity_error():
     with pytest.raises(ValueError):
         sample_permutation(SystemShape(25, 4), RngSeed(1), backend="explicit")
+
+
+def _sha256(a, dtype) -> str:
+    return hashlib.sha256(np.asarray(a).astype(dtype).tobytes()).hexdigest()
+
+
+# (n, first forward / inverse values, first 16 sign bits, SHA-256 of the forward,
+# inverse and sign arrays) at xs = arange(0, 2**n, 997); frozen convention, a
+# change here changes every Feistel / keyed-PRF run
+_FEISTEL_PRF_GOLDEN = [
+    (17, [6032, 34136, 52566, 109116], [70240, 96131, 99651, 74719],
+     [0, 1, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1],
+     "72ae1f65e4df13d5b40be34ab0573e0faff97cf93114c900445586f0f4255a02",
+     "4c747ad74a288299723c0fc7d03ea62ad9ff3f0e8e398d9acc6bd9a95fbcc846",
+     "7c79620a164d8f90ffc111af3c7a42ff63462844a88609e2aa7696961b3babe1"),
+    (18, [155507, 2866, 56099, 109738], [29573, 120078, 36810, 218601],
+     [0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0],
+     "70360ddb8935a51d65d22362d23638706fa8e4059fbbfd71ae80f7678d5b3554",
+     "2c8f2869c4ae38e1da215b37237711eac35ccbeacbe3bab7aa2f0559cbe2b144",
+     "5587000ae604dfabe024622fa38f11d9b4a7fbbf0bd1461562c7b18a5228568f"),
+    (20, [666404, 232547, 556638, 76196], [617616, 295235, 344127, 889345],
+     [0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0],
+     "45bb2a2967bde9e2f55b05ac045eb0b65047b3cc9d044eaca2955a4dbbdda9a4",
+     "4ca675d8d52bb70a64c95f559c657b3e8e089b878ec4ffc39f915d4d659db28f",
+     "15174c616c879271a86790bf59f05df3eee5675d1c74a7ea7171b1c0d4dd8277"),
+]
+
+
+@pytest.mark.parametrize("n, fwd_head, inv_head, sign_head, fwd_sha, inv_sha, sign_sha", _FEISTEL_PRF_GOLDEN)
+def test_feistel_and_keyed_prf_golden(n, fwd_head, inv_head, sign_head, fwd_sha, inv_sha, sign_sha):
+    shape = SystemShape(n, 6)
+    xs = np.arange(0, shape.dim, 997)
+    p = sample_permutation(shape, RngSeed(15, n), backend="feistel")
+    f = sample_sign_function(shape, RngSeed(16, n), backend="keyed_prf")
+    fwd, inv, signs = p.forward_array(xs), p.inverse_array(xs), f.sign_array(xs)
+    assert fwd[:4].tolist() == fwd_head and inv[:4].tolist() == inv_head
+    assert signs[:16].tolist() == sign_head
+    assert _sha256(fwd, "<u4") == fwd_sha
+    assert _sha256(inv, "<u4") == inv_sha
+    assert _sha256(signs, "u1") == sign_sha

@@ -1,20 +1,32 @@
+import hashlib
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsedlab.rng import RngSeed, WordStream, fisher_yates, words
+from rsedlab.rng import RngSeed, WordStream, fisher_yates
 
 
 def test_words_deterministic():
-    a = words(RngSeed(123, 4), 0, 64)
-    b = words(RngSeed(123, 4), 0, 64)
+    a = WordStream(RngSeed(123, 4)).take(64)
+    b = WordStream(RngSeed(123, 4)).take(64)
     assert (a == b).all()
-    assert (words(RngSeed(123, 5), 0, 64) != a).any()
+    assert (WordStream(RngSeed(123, 5)).take(64) != a).any()
 
 
 def test_words_windowing():
-    full = words(RngSeed(9), 0, 100)
-    tail = words(RngSeed(9), 40, 60)
-    assert (full[40:] == tail).all()
+    full = WordStream(RngSeed(9)).take(100)
+    stream = WordStream(RngSeed(9))
+    head, tail = stream.take(40), stream.take(60)
+    assert (full[:40] == head).all() and (full[40:] == tail).all()
+
+
+def test_stream_golden_words():
+    # frozen counter convention: word i is finalize(state0 + (i+1) * GAMMA)
+    words = WordStream(RngSeed(2024, 3)).take(50)
+    assert words[:3].tolist() == [0x1A01D0B26C762B41, 0x3EA4EA7FC61A842B, 0x191A11E0C78B189A]
+    assert words[-1] == 0x953F98DEE3ABFE24
+    digest = hashlib.sha256(words.astype("<u8").tobytes()).hexdigest()
+    assert digest == "f55bf148f2a026f4bf6152b84d0910564528ebe6acca237cda5121e14c93c193"
 
 
 @given(st.integers(1, 2**40), st.integers(0, 2**32))

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +23,7 @@ from rsedlab.spectra import (
     wigner_dyson_cdf,
     wigner_dyson_pdf,
 )
-from rsedlab import subsystem
+from rsedlab import spectra, subsystem
 from rsedlab.subsystem import (
     PHASE_SNAP,
     parent_spectrum,
@@ -369,6 +370,55 @@ def test_pooled_spacings_rejects_degenerate_pools(spectra, exclude, match):
     empty pool has nothing to concatenate."""
     with pytest.raises(ValueError, match=match):
         pooled_spacings(spectra, exclude_degenerate=exclude)
+
+
+def _gap_walk_clusters(evals: np.ndarray, tol: float) -> list[int]:
+    """Cluster sizes by walking the sorted gaps one at a time."""
+    sizes, run = [], 1
+    for g in np.diff(np.sort(evals)):
+        if g < tol:
+            run += 1
+        else:
+            sizes.append(run)
+            run = 1
+    return sizes + [run]
+
+
+_REPEATS = np.sort(WordStream(RngSeed(15)).integers(40, 120).astype(np.float64))
+
+
+@pytest.mark.parametrize(
+    "evals, scale, multiplicity",
+    [
+        (np.array([0.0, 0.3, 0.5, 1.0]), 1e-10, 1),
+        # tol = 2 * spread puts every gap below it: one cluster of all four
+        (np.array([0.0, 0.3, 0.5, 1.0]), 2.0, 4),
+        (np.array([0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0]), 1e-10, 1),
+        (np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 3.0]), 1e-10, 1),
+        (np.array([0.0, 1.0, 1.0, 2.0, 2.0, 2.0]), 1e-10, 1),
+        (np.array([0.0, 0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]), 1e-10, 2),
+        (_REPEATS, 1e-10, 2),  # sizes 2 and 4 tie at 11 clusters each
+    ],
+    ids=["none_below", "all_below", "mixed", "cluster_at_low_end", "cluster_at_high_end",
+         "clusters_at_both_ends", "seeded_repeats"],
+)
+def test_level_spacing_clusters_match_a_gap_walk(monkeypatch, evals, scale, multiplicity):
+    """degeneracy_multiplicity is the modal cluster size (the smallest on a
+    tie), clusters split at the gaps not below tol, as a gap-by-gap walk
+    finds them; spacings are the gaps, or those not below tol, at unit mean."""
+    monkeypatch.setattr(spectra, "DEGENERACY_TOL_SCALE", scale)
+    tol = scale * (evals.max() - evals.min())
+    counts = Counter(_gap_walk_clusters(evals, tol))
+    assert max(sorted(counts), key=counts.get) == multiplicity
+    assert level_spacing_stats(evals).degeneracy_multiplicity == multiplicity
+    gaps = np.diff(np.sort(evals))
+    assert np.array_equal(level_spacing_stats(evals).spacings, gaps / gaps.mean())
+    kept = gaps[gaps >= tol]
+    if len(kept):
+        assert np.array_equal(level_spacing_stats(evals, exclude_degenerate=True).spacings, kept / kept.mean())
+    else:
+        with pytest.raises(ValueError, match="no nonzero gaps"):
+            level_spacing_stats(evals, exclude_degenerate=True)
 
 
 def test_level_spacing_stats_errors():

@@ -15,6 +15,7 @@ from rsedlab.subsystem import (
     evolve,
     hadamard_layer,
     hadamard_sign_power,
+    identity_gate,
     parent_hamiltonian,
     pauli_syk,
     random_sign_diag,
@@ -248,13 +249,14 @@ def test_library_builders_are_unitary(k):
     seed = RngSeed(48, k)
     u = random_sign_hadamard(k, seed)
     h = pauli_syk(k, seed) if k >= 2 else SubHamiltonian(1, X)
-    gates = [hadamard_layer(k), random_sign_diag(k, seed), u, u.adjoint(), evolve(h, 0.9)]
+    gates = [hadamard_layer(k), identity_gate(k), random_sign_diag(k, seed), u, u.adjoint(), evolve(h, 0.9)]
     gates += [unitary_power(u, 3), unitary_power(u, 0.75)]
     gates += [hadamard_sign_power(k, seed, t) for t in range(4)]
     for g in gates:
         assert g.k == k and g.matrix.dtype == np.complex128
         assert np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(g.dim))) <= 1e-10
     assert (u.matrix == hadamard_layer(k).matrix @ random_sign_diag(k, seed).matrix).all()
+    assert (identity_gate(k).matrix == np.eye(1 << k)).all()
 
 
 def test_builders_skip_the_constructor_check(monkeypatch):
@@ -263,6 +265,7 @@ def test_builders_skip_the_constructor_check(monkeypatch):
 
     monkeypatch.setattr(SubUnitary, "__post_init__", refuse)
     u = random_sign_hadamard(3, RngSeed(49))
+    identity_gate(3)
     unitary_power(u.adjoint(), 0.5)
     hadamard_sign_power(3, RngSeed(49), 2)
     with pytest.raises(AssertionError):
