@@ -53,12 +53,10 @@ from .otoc import (
 )
 from .spectra import (
     SpectrumReport,
-    embed_spectrum,
     ks_distance,
     level_spacing_stats,
     rsed_sff,
     spectral_form_factor,
-    wigner_dyson_pdf,
 )
 from .prs import (
     DensityMatrix,

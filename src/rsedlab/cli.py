@@ -108,8 +108,9 @@ class ExperimentConfig:
         if self.k_rule not in (None, "log2sq"):
             raise ConfigError(f"unknown k_rule {self.k_rule!r}")
         k = resolve_k(self, self.n)
-        # otoc-scaling takes k = log2sq_k(n) per n_list entry and never reads k
-        if self.experiment != "otoc-scaling" and not 1 <= k <= min(self.n, MAX_SUB_QUBITS):
+        # otoc-scaling takes k = log2sq_k(n) per n_list entry and never reads k, sites or u_spec
+        scaling = self.experiment == "otoc-scaling"
+        if not scaling and not 1 <= k <= min(self.n, MAX_SUB_QUBITS):
             raise ConfigError(f"k={k} out of range for n={self.n} (at most min(n, {MAX_SUB_QUBITS}))")
         if self.ensemble < 1 or self.trials < 1:
             raise ConfigError("ensemble and trials must be >= 1")
@@ -119,7 +120,7 @@ class ExperimentConfig:
             raise ConfigError("verify runs every criterion at its own fixed seeds on one thread; it takes no seed or threads")
         if len(self.sites) != 2 or not all(_type_ok(s, "int") for s in self.sites) or self.sites[0] == self.sites[1]:
             raise ConfigError("sites must be two distinct site indices")
-        if not all(0 <= s < self.n for s in self.sites):
+        if not scaling and not all(0 <= s < self.n for s in self.sites):
             raise ConfigError(f"sites {self.sites} out of range [0, {self.n})")
         for n in self.n_list:
             if not _type_ok(n, "int") or n < 2 or log2sq_k(n) > MAX_SUB_QUBITS:
@@ -128,12 +129,12 @@ class ExperimentConfig:
             raise ConfigError("t_grid must not be empty")
         if not all(_type_ok(v, "float") and -inf < v < inf for v in [*self.t_grid, *self.beta_list, self.t_fixed]):
             raise ConfigError("t_grid and beta_list entries and t_fixed must be finite numbers")
-        if self.experiment == "otoc-scaling":
+        if scaling:
             if self.t_fixed < 0 or not float(self.t_fixed).is_integer():
                 raise ConfigError(f"otoc-scaling needs an integer t_fixed >= 0, got {self.t_fixed}")
             if self.n_list and (len(self.n_list) < 3 or any(a >= b for a, b in zip(self.n_list, self.n_list[1:]))):
                 raise ConfigError(f"n_list {self.n_list} needs at least 3 strictly increasing entries")
-        if self.u_spec.get("type") not in ("hadamard", "random_sign_hadamard", "pauli_syk", "identity"):
+        if not scaling and self.u_spec.get("type") not in ("hadamard", "random_sign_hadamard", "pauli_syk", "identity"):
             raise ConfigError(f"unknown u_spec type {self.u_spec.get('type')!r}")
         if self.estimator.get("mode", "exact") not in ("exact", "sampled"):
             raise ConfigError(f"unknown estimator mode {self.estimator.get('mode')!r}")
@@ -142,6 +143,19 @@ class ExperimentConfig:
         for name, known in (("u_spec", {"type", "seed"}), ("estimator", {"mode", "num_seeds"})):
             if unknown := set(getattr(self, name)) - known:
                 raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        _preload_schur(self)
+
+
+def _preload_schur(cfg: ExperimentConfig) -> None:
+    """Import scipy.linalg during set-up if the run takes a Schur form: verify,
+    or sff or u**t at a t not a whole number >= 0 (see evolved) of a gate other
+    than pauli_syk, which evolves through its own eigh.  Other runs never load
+    scipy.  No output depends on this guess, only where the import is paid."""
+    ts = [cfg.t_fixed] if cfg.experiment == "design-check" else cfg.t_grid
+    powers = cfg.experiment in ("otoc-trace", "otoc-average", "design-check")
+    fractional = powers and any(t < 0 or not float(t).is_integer() for t in ts)
+    if cfg.experiment == "verify" or (cfg.u_spec.get("type") != "pauli_syk" and (cfg.experiment == "sff" or fractional)):
+        import scipy.linalg  # noqa: F401
 
 
 def log2sq_k(n: int) -> int:

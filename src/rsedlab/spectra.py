@@ -3,16 +3,17 @@ surmises, and spectral form factors with the embedded-degeneracy factor."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .bitcore import SystemShape
 from .subsystem import SubHamiltonian
 
 DEGENERACY_TOL_SCALE = 1e-10
 HISTOGRAM_BINS = 40
+_erf = np.vectorize(math.erf, otypes=[float])  # elementwise, without loading scipy.special
 
 
 @dataclass(frozen=True)
@@ -84,30 +85,13 @@ def pooled_spacings(spectra, exclude_degenerate: bool = True) -> np.ndarray:
     return np.concatenate(pooled)
 
 
-def wigner_dyson_pdf(s, ensemble: str = "GOE"):
-    """Wigner-surmise nearest-neighbor spacing density.
-
-    GOE: (pi/2) s exp(-pi s^2/4); GUE: (32/pi^2) s^2 exp(-4 s^2/pi).
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if np.any(s < 0):
-        raise ValueError("spacings must be >= 0")
-    if ensemble == "GOE":
-        out = (np.pi / 2.0) * s * np.exp(-np.pi * s**2 / 4.0)
-    elif ensemble == "GUE":
-        out = (32.0 / np.pi**2) * s**2 * np.exp(-4.0 * s**2 / np.pi)
-    else:
-        raise ValueError(f"unknown ensemble {ensemble!r}")
-    return out if out.shape else float(out)
-
-
 def wigner_dyson_cdf(s, ensemble: str = "GOE"):
     s = np.asarray(s, dtype=np.float64)
     if ensemble == "GOE":
         out = 1.0 - np.exp(-np.pi * s**2 / 4.0)
     elif ensemble == "GUE":
         a = 2.0 * s / np.sqrt(np.pi)
-        out = erf(a) - a * np.exp(-(a**2)) * 2.0 / np.sqrt(np.pi)
+        out = _erf(a) - a * np.exp(-(a**2)) * 2.0 / np.sqrt(np.pi)
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
     return out if out.shape else float(out)
@@ -141,11 +125,3 @@ def sff_from_eigenvalues(evals: np.ndarray, beta: float, t: float) -> float:
     """|tr e^{-beta H - i H t}|^2 from an explicit spectrum (dense oracle)."""
     z = np.sum(np.exp(-(beta + 1j * t) * np.asarray(evals)))
     return float(np.abs(z) ** 2)
-
-
-def embed_spectrum(shape: SystemShape, evals_sub: np.ndarray) -> np.ndarray:
-    """Each subsystem eigenvalue repeated 2**(n-k) times, sorted."""
-    evals_sub = np.asarray(evals_sub, dtype=np.float64)
-    if len(evals_sub) != shape.subdim:
-        raise ValueError(f"expected {shape.subdim} eigenvalues, got {len(evals_sub)}")
-    return np.sort(np.repeat(evals_sub, shape.num_seeds))

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import schur
 
 from .bitcore import PauliString, pauli_action
 from .rng import RngSeed, WordStream
@@ -172,6 +171,16 @@ def pauli_syk(k: int, seed: RngSeed) -> SubHamiltonian:
     if scale > 0:
         h = h / scale
     return SubHamiltonian(k, h)
+
+
+def schur(a: np.ndarray, output: str = "complex"):
+    """scipy.linalg.schur, imported on first call: a lazy module-level name, so
+    runs that take no Schur form never pay the ~0.4 s scipy.linalg import (the
+    CLI loads it during config validation for runs that do), while
+    _unitary_eigh still calls it here, where it can be wrapped or patched."""
+    from scipy.linalg import schur as scipy_schur
+
+    return scipy_schur(a, output=output)
 
 
 def _unitary_eigh(u: SubUnitary) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rsedlab
 from rsedlab import __version__, subsystem
 from rsedlab.cli import ConfigError, ExperimentConfig, main
 
@@ -139,9 +142,12 @@ def test_scaling_ensemble_within_the_stream_rule(tmp_path, capsys, ensemble, cod
 
 def test_otoc_scaling_ignores_n_and_k():
     """otoc-scaling takes k = log2sq_k(n) per n_list entry, so its n and k are
-    not checked against each other, with or without the k rule."""
+    not checked against each other, with or without the k rule; nor are the
+    sites and u_spec type it never reads."""
     for extra in ({}, {"k_rule": "log2sq"}, {"k": 40}):
         ExperimentConfig(experiment="otoc-scaling", n=3, **extra).validate()
+    ExperimentConfig(experiment="otoc-scaling", n=1).validate()
+    ExperimentConfig(experiment="otoc-scaling", sites=[0, 99], u_spec={"type": "unused"}).validate()
     with pytest.raises(ConfigError, match="k=4 out of range for n=3"):
         ExperimentConfig(experiment="otoc-average", n=3).validate()
 
@@ -465,3 +471,53 @@ def test_otoc_trace_holds_one_gate_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 16 * (1 << 20)
+
+
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from rsedlab.cli import ExperimentConfig, main
+cfg = json.load(open(sys.argv[2]))
+ExperimentConfig(**cfg).validate()
+predicted = "scipy.linalg" in sys.modules
+code = main([cfg["experiment"], "--config", sys.argv[2], "--out", sys.argv[3]])
+print(json.dumps([code, predicted, "scipy.linalg" in sys.modules, "scipy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "cfg, schur",
+    [
+        ({"experiment": "level-stats", "n": 6, "k": 4, "ensemble": 3, "u_spec": {"type": "hadamard"}}, False),
+        ({"experiment": "level-stats", "n": 6, "k": 4, "ensemble": 2}, False),
+        ({"experiment": "level-stats", "n": 6, "k": 4, "ensemble": 2, "u_spec": {"type": "pauli_syk"}}, False),
+        ({"experiment": "otoc-trace", "n": 6, "k": 3, "sites": [0, 4], "t_grid": [0.0, 1.0, 2.0], "ensemble": 1}, False),
+        ({"experiment": "otoc-trace", "n": 6, "k": 3, "sites": [0, 4], "t_grid": [0.0, 0.5], "ensemble": 1}, True),
+        ({"experiment": "otoc-average", "n": 6, "k": 3, "t_grid": [1.0, 1.5], "ensemble": 1}, True),
+        ({"experiment": "sff", "n": 6, "k": 3}, True),
+        ({"experiment": "design-check", "n": 6, "k": 3, "t_fixed": 2, "ensemble": 1}, False),
+        ({"experiment": "design-check", "n": 6, "k": 3, "t_fixed": 2.5, "ensemble": 1}, True),
+        ({"experiment": "otoc-scaling", "n_list": [4, 6, 8], "k_rule": "log2sq", "t_fixed": 2, "ensemble": 1}, False),
+        ({"experiment": "coherence", "n": 6, "k": 3, "trials": 3}, False),
+        ({"experiment": "circuit-emit", "n": 6, "k": 3}, False),
+    ],
+    ids=lambda v: v if isinstance(v, bool) else f"{v['experiment']}-{v.get('u_spec', {}).get('type', '')}",
+)
+def test_schur_prediction_matches_what_the_driver_loads(tmp_path, cfg, schur):
+    """validate() imports scipy.linalg exactly when the driver takes a Schur
+    form, so the import is paid in set-up; each run is a fresh process, since
+    a module once imported stays in sys.modules.  level-stats and
+    otoc-scaling load no part of scipy at all."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(rsedlab.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, src, str(cfg_path), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    code, predicted, loaded, any_scipy = json.loads(probe.stdout.splitlines()[-1])
+    assert code == 0
+    assert predicted == loaded == schur
+    if cfg["experiment"] in ("level-stats", "otoc-scaling"):
+        assert not any_scipy

@@ -13,7 +13,6 @@ from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import RsedOperator
 from rsedlab.spectra import (
     HISTOGRAM_BINS,
-    embed_spectrum,
     ks_distance,
     level_spacing_stats,
     pooled_spacings,
@@ -21,7 +20,6 @@ from rsedlab.spectra import (
     sff_from_eigenvalues,
     spectral_form_factor,
     wigner_dyson_cdf,
-    wigner_dyson_pdf,
 )
 from rsedlab import spectra, subsystem
 from rsedlab.subsystem import (
@@ -37,6 +35,32 @@ from rsedlab.subsystem import (
     random_sign_hadamard,
     unitary_power,
 )
+
+
+def wigner_dyson_pdf(s, ensemble: str = "GOE"):
+    """Wigner-surmise spacing density, the oracle of wigner_dyson_cdf.
+
+    GOE: (pi/2) s exp(-pi s^2/4); GUE: (32/pi^2) s^2 exp(-4 s^2/pi).
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if np.any(s < 0):
+        raise ValueError("spacings must be >= 0")
+    if ensemble == "GOE":
+        out = (np.pi / 2.0) * s * np.exp(-np.pi * s**2 / 4.0)
+    elif ensemble == "GUE":
+        out = (32.0 / np.pi**2) * s**2 * np.exp(-4.0 * s**2 / np.pi)
+    else:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    return out if out.shape else float(out)
+
+
+def embed_spectrum(shape: SystemShape, evals_sub: np.ndarray) -> np.ndarray:
+    """The full-system spectrum of an embedded gate: each subsystem
+    eigenvalue repeated 2**(n-k) times, sorted."""
+    evals_sub = np.asarray(evals_sub, dtype=np.float64)
+    if len(evals_sub) != shape.subdim:
+        raise ValueError(f"expected {shape.subdim} eigenvalues, got {len(evals_sub)}")
+    return np.sort(np.repeat(evals_sub, shape.num_seeds))
 
 
 def test_equally_spaced_spacings():
@@ -90,6 +114,35 @@ def test_wigner_dyson_cdf_matches_pdf():
         for s in (0.3, 1.0, 2.2):
             val, _ = quad(lambda x: wigner_dyson_pdf(x, ens), 0, s)
             assert abs(val - wigner_dyson_cdf(s, ens)) < 1e-8
+
+
+def _gue_cdf_scipy(s):
+    """The GUE surmise CDF as it was computed with scipy.special.erf."""
+    from scipy.special import erf
+
+    a = 2.0 * np.asarray(s, dtype=np.float64) / np.sqrt(np.pi)
+    return erf(a) - a * np.exp(-(a**2)) * 2.0 / np.sqrt(np.pi)
+
+
+def test_gue_cdf_math_erf_matches_scipy_erf():
+    """math.erf and scipy.special.erf differ by at most 3 ulp, so the GUE
+    CDF, a value in [0, 1], moves by a few ulp of 1 at most: from s = 0 out
+    to the tail (s = 5), as arrays and scalars, and so does a KS distance."""
+    tol = 4 * np.finfo(np.float64).eps
+    s = np.concatenate([[0.0], np.linspace(1e-6, 5.0, 20001)])
+    new = wigner_dyson_cdf(s, "GUE")
+    assert new.dtype == np.float64 and new.shape == s.shape
+    assert np.max(np.abs(new - _gue_cdf_scipy(s))) <= tol
+    assert wigner_dyson_cdf(0.0, "GUE") == 0.0
+    for x in (0.0, 0.7, 1.0, 5.0):
+        val = wigner_dyson_cdf(x, "GUE")
+        assert isinstance(val, float)
+        assert abs(val - float(_gue_cdf_scipy(x))) <= tol
+    spac = WordStream(RngSeed(0x6E0)).uniform01(4000) * 3.0
+    m = spac.size
+    cdf = _gue_cdf_scipy(np.sort(spac))
+    old_ks = max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(0, m) / m))
+    assert abs(ks_distance(spac, "GUE") - old_ks) <= tol
 
 
 def test_sff_examples():
