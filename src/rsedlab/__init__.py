@@ -4,18 +4,14 @@ spectral form factors, coherence, and pseudorandom-state diagnostics."""
 
 __version__ = "0.1.0"
 
-from .bitcore import PauliString, SystemShape, flip_bit, join, split
+from .bitcore import PauliString, SystemShape, join, split
 from .randomness import (
     SignFunction,
     SubsetPermutation,
-    bitflip_partner,
-    count_seed_fixed_points,
-    identity_permutation,
     load_permutation,
     sample_permutation,
     sample_sign_function,
     save_permutation,
-    zero_sign_function,
 )
 from .rng import RngSeed
 from .rsed import (
@@ -29,13 +25,11 @@ from .rsed import (
 from .subsystem import (
     SubHamiltonian,
     SubUnitary,
-    element_magnitude_stats,
     evolve,
     hadamard_layer,
     hadamard_sign_power,
     parent_hamiltonian,
     pauli_syk,
-    random_sign_diag,
     random_sign_hadamard,
     unitary_power,
 )
@@ -66,7 +60,6 @@ from .prs import (
     entanglement_entropy,
     hybrid3_state,
     subset_phase_state,
-    sym_projector_state,
     trace_distance,
 )
 from .circuits import (

@@ -371,7 +371,7 @@ def criterion_11() -> CriterionResult:
         _, amps = evolve_basis_state(op, p.permute(join(b_star, 3, shape)))
         states[s] = np.kron(amps, amps)
     rho = DensityMatrix.from_states(states)
-    sigma = hybrid3_state(p, 3, shape, t, basis="subset")
+    sigma = hybrid3_state(k, t)
     td = trace_distance(rho, sigma)
     bound = 8.0 * t**2 / K
     return CriterionResult(

@@ -1,5 +1,5 @@
-"""Basis-index arithmetic: bit layouts, subsystem/seed splits, single-bit flips,
-and Pauli strings as signed basis permutations.
+"""Basis-index arithmetic: bit layouts, subsystem/seed splits, and Pauli
+strings as signed basis permutations.
 
 Layout convention used everywhere in this package: a full-system basis index
 x splits into a subsystem index b (the LOW k bits) and a seed index a (the
@@ -65,14 +65,6 @@ def join(b: int, a: int, shape: SystemShape) -> int:
     if not 0 <= a < shape.num_seeds:
         raise ValueError(f"seed index {a} out of range [0, {shape.num_seeds})")
     return b | (a << shape.k)
-
-
-def flip_bit(x: int, j: int, shape: SystemShape) -> int:
-    """XOR bit j into x; involutive."""
-    check_index(x, shape)
-    if not 0 <= j < shape.n:
-        raise ValueError(f"site {j} out of range [0, {shape.n})")
-    return x ^ (1 << j)
 
 
 @dataclass(frozen=True)

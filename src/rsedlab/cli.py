@@ -140,6 +140,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator mode {self.estimator.get('mode')!r}")
         if not _type_ok(self.u_spec.get("seed", DEFAULT_GATE_SEED), "int") or not _type_ok(self.estimator.get("num_seeds", 64), "int"):
             raise ConfigError("u_spec seed and estimator num_seeds must be integers")
+        # RngSeed keeps the low 64 bits, so -1 would silently run as 2**64 - 1
+        if not all(0 <= s < 2**64 for s in (self.seed, self.u_spec.get("seed", DEFAULT_GATE_SEED))):
+            raise ConfigError("seed and u_spec seed must lie in [0, 2**64)")
         for name, known in (("u_spec", {"type", "seed"}), ("estimator", {"mode", "num_seeds"})):
             if unknown := set(getattr(self, name)) - known:
                 raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
@@ -352,6 +355,8 @@ def run_level_stats(cfg: ExperimentConfig, out: Path) -> dict:
         return np.sort(gate.eigenvalues) if isinstance(gate, SubHamiltonian) else parent_spectrum(gate)
 
     spac = pooled_spacings(_parallel(cfg, one, range(cfg.ensemble)), cfg.exclude_degenerate)
+    if spac.size < 2:
+        raise ConfigError(f"level statistics need at least 2 spacings, and {spac.size} survived the degeneracy cut")
     # histogram the pooled spacings by feeding their cumulative sum back in
     # as a synthetic spectrum whose gaps are exactly `spac`
     report = level_spacing_stats(np.cumsum(np.concatenate([[0.0], spac])), exclude_degenerate=False)

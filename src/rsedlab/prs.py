@@ -1,6 +1,5 @@
 """Pseudorandom-state diagnostics: coherence, subset-phase states, type-state
-mixtures, symmetric-subspace references, trace distance and design-condition
-checks."""
+mixtures on K**t dimensions, trace distance and design-condition checks."""
 
 from __future__ import annotations
 
@@ -46,11 +45,6 @@ class DensityMatrix:
         m = (states.conj().T * weights[None, :]) @ states
         return cls(states.shape[1], m)
 
-    @classmethod
-    def pure(cls, psi: np.ndarray) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=np.complex128)
-        return cls(len(psi), np.outer(psi, psi.conj()))
-
 
 def subset_phase_state(
     p: SubsetPermutation, f: SignFunction, a: int, shape: SystemShape
@@ -82,73 +76,34 @@ def coherence_rel_entropy(state) -> float:
     raise TypeError(f"unsupported state type {type(state)!r}")
 
 
-def _type_state(positions: np.ndarray, subset: tuple[int, ...], dim: int) -> np.ndarray:
-    """Symmetrized distinct-index state over t copies, full dimension dim**t."""
+def _type_state(subset: tuple[int, ...], dim: int) -> np.ndarray:
+    """Symmetrized distinct-index state over t copies, dimension dim**t."""
     t = len(subset)
-    amps = np.zeros(dim ** len(subset), dtype=np.complex128)
+    amps = np.zeros(dim**t, dtype=np.complex128)
     for order in permutations(subset):
         idx = 0
         for b in order:
-            idx = idx * dim + int(positions[b])
+            idx = idx * dim + b
         amps[idx] += 1.0
     return amps / np.sqrt(factorial(t))
 
 
-def hybrid3_state(
-    p: SubsetPermutation, a: int, shape: SystemShape, t: int, basis: str = "full"
-) -> DensityMatrix:
-    """Uniform mixture over symmetrized t-tuples of distinct subset indices.
-
-    basis='full' places copies in the 2**(n t)-dimensional computational
-    space at positions p(join(b, a)); basis='subset' relabels the support to
-    b in [0, K), giving the same matrix on K**t dimensions.
-    """
+def hybrid3_state(k: int, t: int) -> DensityMatrix:
+    """Uniform mixture over symmetrized t-tuples of distinct subsystem
+    indices b in [0, K), K = 2**k, on K**t dimensions."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    K = shape.subdim
+    K = 1 << k
     if t > K:
         raise ValueError("distinct-index types need t <= K")
-    if basis == "full":
-        if shape.n * t > TCOPY_MAX_QUBITS:
-            raise ValueError(f"t-copy algebra capped at {TCOPY_MAX_QUBITS} qubits")
-        dim = shape.dim
-        xs = np.array([join(b, a, shape) for b in range(K)], dtype=np.uint32)
-        positions = p.forward_array(xs)
-    elif basis == "subset":
-        if shape.k * t > TCOPY_MAX_QUBITS:
-            raise ValueError(f"t-copy algebra capped at {TCOPY_MAX_QUBITS} qubits")
-        dim = K
-        positions = np.arange(K)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    total = dim**t
+    if k * t > TCOPY_MAX_QUBITS:
+        raise ValueError(f"t-copy algebra capped at {TCOPY_MAX_QUBITS} qubits")
+    total = K**t
     rho = np.zeros((total, total), dtype=np.complex128)
-    count = comb(K, t)
     for subset in combinations(range(K), t):
-        vec = _type_state(positions, subset, dim)
+        vec = _type_state(subset, K)
         rho += np.outer(vec, vec.conj())
-    return DensityMatrix(total, rho / count)
-
-
-def sym_projector_state(d: int, t: int) -> DensityMatrix:
-    """Pi_sym / tr(Pi_sym) on t copies of a d-dimensional space."""
-    if d**t > 2**TCOPY_MAX_QUBITS:
-        raise ValueError("symmetric projector capped at dimension 2**16")
-    total = d**t
-    digits = np.empty((total, t), dtype=np.int64)
-    rem = np.arange(total)
-    for pos in range(t - 1, -1, -1):
-        digits[:, pos] = rem % d
-        rem //= d
-    proj = np.zeros((total, total), dtype=np.complex128)
-    idx = np.arange(total)
-    for perm in permutations(range(t)):
-        shuffled = digits[:, list(perm)]
-        target = np.zeros(total, dtype=np.int64)
-        for pos in range(t):
-            target = target * d + shuffled[:, pos]
-        proj[target, idx] += 1.0 / factorial(t)
-    return DensityMatrix(total, proj / np.trace(proj))
+    return DensityMatrix(total, rho / comb(K, t))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -1,4 +1,4 @@
-"""Seeded permutations p, sign functions f, and the bit-flip partner maps.
+"""Seeded permutations p and sign functions f, and the RSEDPERM1 sidecar.
 
 Two permutation backends:
   - ExplicitTable: forward + inverse uint32 arrays (Fisher-Yates), n <= 24
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcore import SystemShape, check_index, flip_bit, join, split
+from .bitcore import SystemShape, check_index
 from .rng import RngSeed, WordStream, _finalize, counter_words, fisher_yates
 
 EXPLICIT_TABLE_MAX_N = 24
@@ -135,10 +135,6 @@ class SignFunction:
         if np.any((self.bits != 0) & (self.bits != 1)):
             raise ValueError("sign bits must lie in {0, 1}")
 
-    def sign(self, x: int) -> int:
-        check_index(x, self.shape)
-        return int(self.sign_array(np.asarray([x]))[0])
-
     def sign_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs)
         if self.bits is not None:
@@ -159,10 +155,6 @@ def sample_permutation(shape: SystemShape, seed: RngSeed, backend: str | None = 
     raise ValueError(f"unknown permutation backend {backend!r}")
 
 
-def identity_permutation(shape: SystemShape) -> SubsetPermutation:
-    return SubsetPermutation(shape, table=np.arange(shape.dim, dtype=np.uint32))
-
-
 def sample_sign_function(shape: SystemShape, seed: RngSeed, backend: str | None = None) -> SignFunction:
     if backend is None:
         backend = "explicit" if shape.n <= 16 else "keyed_prf"
@@ -173,52 +165,6 @@ def sample_sign_function(shape: SystemShape, seed: RngSeed, backend: str | None 
     if backend == "keyed_prf":
         return SignFunction(shape, key=int(seed.state()))
     raise ValueError(f"unknown sign backend {backend!r}")
-
-
-def zero_sign_function(shape: SystemShape) -> SignFunction:
-    return SignFunction(shape, bits=np.zeros(shape.dim, dtype=np.uint8))
-
-
-def bitflip_partner(p: SubsetPermutation, b: int, a: int, j: int) -> tuple[int, int]:
-    """(x_j, y_j) with p(x_j, y_j) = p(b, a) XOR e_j."""
-    shape = p.shape
-    x = join(b, a, shape)
-    flipped = flip_bit(p.permute(x), j, shape)
-    return split(p.invert(flipped), shape)
-
-
-def count_seed_fixed_points(
-    p: SubsetPermutation,
-    j: int,
-    shape: SystemShape,
-    mode: str = "exact",
-    samples: int = 4096,
-    seed: RngSeed = RngSeed(0),
-) -> tuple[float, float]:
-    """Count of (b, a) with y_j(b, a) = a, i.e. seed-preserving bit flips.
-
-    Returns (estimate, std_error); exact mode enumerates all 2**n points
-    (n <= 20) with zero error, montecarlo mode is an unbiased uniform-sample
-    estimate.
-    """
-    if not 0 <= j < shape.n:
-        raise ValueError(f"site {j} out of range [0, {shape.n})")
-    mask = np.uint32(1 << j)
-    if mode == "exact":
-        if shape.n > 20:
-            raise ValueError("exact mode capped at n=20")
-        xs = np.arange(shape.dim, dtype=np.uint32)
-        pre = p.inverse_array(p.forward_array(xs) ^ mask)
-        hits = (pre >> np.uint32(shape.k)) == (xs >> np.uint32(shape.k))
-        return float(hits.sum()), 0.0
-    if mode == "montecarlo":
-        xs = WordStream(seed).integers(shape.dim, samples).astype(np.uint32)
-        pre = p.inverse_array(p.forward_array(xs) ^ mask)
-        hits = ((pre >> np.uint32(shape.k)) == (xs >> np.uint32(shape.k))).astype(np.float64)
-        mean = hits.mean()
-        se = hits.std(ddof=1) / np.sqrt(samples) if samples > 1 else 0.0
-        return float(mean * shape.dim), float(se * shape.dim)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def save_permutation(p: SubsetPermutation, path) -> None:

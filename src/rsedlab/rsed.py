@@ -32,10 +32,6 @@ class StateVector:
         if amps.shape != (self.shape.dim,):
             raise ValueError(f"expected {self.shape.dim} amplitudes, got {amps.shape}")
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     @classmethod
     def basis(cls, shape: SystemShape, x: int) -> "StateVector":
         check_index(x, shape)

@@ -125,12 +125,6 @@ def identity_gate(k: int) -> SubUnitary:
     return _trusted(k, np.eye(1 << k, dtype=np.complex128))
 
 
-def random_sign_diag(k: int, seed: RngSeed) -> SubUnitary:
-    """Diagonal P with entries (-1)**phi(b), phi seeded."""
-    _check_k(k)
-    return _trusted(k, np.diag(_signs(k, seed)))
-
-
 def random_sign_hadamard(k: int, seed: RngSeed) -> SubUnitary:
     """u = H^{tensor k} P, the workhorse non-chaotic embedded gate."""
     _check_k(k)
@@ -362,15 +356,3 @@ def hadamard_sign_power(k: int, seed: RngSeed, t: int, columns=None) -> SubUnita
         _walsh_hadamard_inplace(m, scratch)
     return m
 
-
-def element_magnitude_stats(u: SubUnitary, eps: float | None = None):
-    """Exact |u_{b,b'}|**2 statistics over all K**2 entries.
-
-    Returns (max, mean, fraction exceeding K**-eps); the fraction is None
-    when eps is not given.
-    """
-    m = np.abs(u.matrix) ** 2
-    frac = None
-    if eps is not None:
-        frac = float(np.mean(m >= u.dim ** (-eps)))
-    return float(m.max()), float(m.mean()), frac

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsedlab.bitcore import SystemShape, flip_bit, join, split
+from rsedlab.bitcore import SystemShape, join, split
 
 
 def test_split_layout_convention():
@@ -35,20 +35,6 @@ def test_split_join_bijection(n, data):
     assert join(b, a, shape) == x
 
 
-def test_flip_bit_examples():
-    shape = SystemShape(4, 2)
-    assert flip_bit(0, 0, shape) == 1
-    assert flip_bit(5, 0, shape) == 4
-
-
-@given(st.integers(1, 20), st.data())
-def test_flip_bit_involution(n, data):
-    shape = SystemShape(n, 1)
-    x = data.draw(st.integers(0, shape.dim - 1))
-    j = data.draw(st.integers(0, n - 1))
-    assert flip_bit(flip_bit(x, j, shape), j, shape) == x
-
-
 def test_domain_errors():
     shape = SystemShape(4, 2)
     with pytest.raises(ValueError):
@@ -57,8 +43,6 @@ def test_domain_errors():
         join(4, 0, shape)
     with pytest.raises(ValueError):
         join(0, 4, shape)
-    with pytest.raises(ValueError):
-        flip_bit(0, 4, shape)
     with pytest.raises(ValueError):
         SystemShape(4, 5)
     with pytest.raises(ValueError):

@@ -374,6 +374,39 @@ def test_config_boundary_exit_2(tmp_path, cfg):
     assert main([cfg["experiment"], "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
+_OUT_OF_RANGE_SEED = "seed and u_spec seed must lie in [0, 2**64)"
+
+
+@pytest.mark.parametrize(
+    "cfg, flags, message",
+    [
+        # a pool of one spacing was rejected with the histogram helper's "need at least 3 eigenvalues"
+        ({"experiment": "level-stats", "n": 6, "k": 4, "ensemble": 1, "u_spec": {"type": "hadamard"}}, [],
+         "level statistics need at least 2 spacings, and 1 survived the degeneracy cut"),
+        ({"experiment": "level-stats", "n": 6, "k": 1, "ensemble": 1}, [],
+         "level statistics need at least 2 spacings, and 1 survived the degeneracy cut"),
+        # RngSeed keeps the low 64 bits: seed -1 ran as 2**64 - 1, and 2**64 as 0
+        ({"experiment": "coherence"}, ["--seed", "-1"], _OUT_OF_RANGE_SEED),
+        ({"experiment": "coherence"}, ["--seed", str(2**64)], _OUT_OF_RANGE_SEED),
+        ({"experiment": "coherence", "seed": -1}, [], _OUT_OF_RANGE_SEED),
+        ({"experiment": "otoc-trace", "u_spec": {"type": "random_sign_hadamard", "seed": 2**64}}, [], _OUT_OF_RANGE_SEED),
+        ({"experiment": "otoc-trace", "u_spec": {"type": "random_sign_hadamard", "seed": -3}}, [], _OUT_OF_RANGE_SEED),
+    ],
+    ids=["one_spacing_hadamard", "one_spacing_k1", "seed_flag_negative", "seed_flag_2_64", "seed_negative",
+         "u_spec_seed_2_64", "u_spec_seed_negative"],
+)
+def test_config_boundary_exit_2_message(tmp_path, capsys, cfg, flags, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main([cfg["experiment"], "--config", str(bad), "--out", str(tmp_path), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_are_accepted(seed):
+    ExperimentConfig("coherence", seed=seed, u_spec={"type": "hadamard", "seed": seed}).validate()
+
+
 @pytest.mark.parametrize("top", [[1, 2], "x"], ids=["list", "string"])
 def test_config_top_level_must_be_an_object(tmp_path, capsys, top):
     """A config whose top level is valid JSON but no object is a config

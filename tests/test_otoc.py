@@ -25,7 +25,8 @@ from rsedlab.otoc import (
     poisson_bracket,
     zz_f_variance_hadamard_exact,
 )
-from rsedlab.randomness import SignFunction, identity_permutation, sample_permutation, sample_sign_function
+from conftest import identity_permutation
+from rsedlab.randomness import SignFunction, sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import PauliString, RsedOperator, dense_matrix
 from rsedlab.subsystem import (
@@ -37,8 +38,8 @@ from rsedlab.subsystem import (
     hadamard_sign_power,
     parent_hamiltonian,
     pauli_syk,
-    random_sign_diag,
     random_sign_hadamard,
+    sign_bits,
     unitary_power,
 )
 
@@ -58,7 +59,7 @@ def make_op(n, k, u, seed):
 def test_zz_identity_and_diagonal_sub():
     op = make_op(8, 3, SubUnitary(3, np.eye(8, dtype=complex)), 1)
     assert otoc_zz_exact(op, 0, 5).value == pytest.approx(1.0)
-    opd = make_op(8, 3, random_sign_diag(3, RngSeed(2)), 1)
+    opd = make_op(8, 3, SubUnitary(3, np.diag(1.0 - 2.0 * sign_bits(3, RngSeed(2)))), 1)
     assert otoc_zz_exact(opd, 0, 5).value == pytest.approx(1.0)
 
 

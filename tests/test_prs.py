@@ -1,9 +1,11 @@
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
-from rsedlab.bitcore import SystemShape, join
+from conftest import identity_permutation, zero_sign_function
+from rsedlab.bitcore import SystemShape
 from rsedlab.otoc import otoc_pauli_dense
 from rsedlab.prs import (
     DensityMatrix,
@@ -14,15 +16,9 @@ from rsedlab.prs import (
     entanglement_entropy,
     hybrid3_state,
     subset_phase_state,
-    sym_projector_state,
     trace_distance,
 )
-from rsedlab.randomness import (
-    identity_permutation,
-    sample_permutation,
-    sample_sign_function,
-    zero_sign_function,
-)
+from rsedlab.randomness import sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import PauliString, StateVector, dense_matrix
 from rsedlab.subsystem import hadamard_layer, hadamard_sign_power, random_sign_hadamard
@@ -30,12 +26,37 @@ from rsedlab.subsystem import hadamard_layer, hadamard_sign_power, random_sign_h
 LN2 = np.log(2.0)
 
 
+def pure(psi) -> DensityMatrix:
+    """|psi><psi|."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    return DensityMatrix(len(psi), np.outer(psi, psi.conj()))
+
+
+def sym_projector_state(d: int, t: int) -> DensityMatrix:
+    """Pi_sym / tr(Pi_sym) on t copies of a d-dimensional space."""
+    total = d**t
+    digits = np.empty((total, t), dtype=np.int64)
+    rem = np.arange(total)
+    for pos in range(t - 1, -1, -1):
+        digits[:, pos] = rem % d
+        rem //= d
+    proj = np.zeros((total, total), dtype=np.complex128)
+    idx = np.arange(total)
+    for perm in permutations(range(t)):
+        shuffled = digits[:, list(perm)]
+        target = np.zeros(total, dtype=np.int64)
+        for pos in range(t):
+            target = target * d + shuffled[:, pos]
+        proj[target, idx] += 1.0 / factorial(t)
+    return DensityMatrix(total, proj / np.trace(proj))
+
+
 def test_subset_phase_state_basics():
     shape = SystemShape(6, 4)
     p = sample_permutation(shape, RngSeed(1))
     f = sample_sign_function(shape, RngSeed(2))
     psi = subset_phase_state(p, f, 2, shape)
-    assert abs(psi.norm - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
     support = np.abs(psi.amplitudes) > 1e-14
     assert support.sum() == shape.subdim
     assert coherence_rel_entropy(psi) == pytest.approx(shape.k * LN2, abs=1e-9)
@@ -53,47 +74,26 @@ def test_coherence_examples():
     assert coherence_rel_entropy(basis) == 0.0
     uniform = StateVector(shape, np.full(32, 1 / np.sqrt(32), dtype=complex))
     assert coherence_rel_entropy(uniform) == pytest.approx(5 * LN2)
-    rho = DensityMatrix.pure(uniform.amplitudes)
+    rho = pure(uniform.amplitudes)
     assert coherence_rel_entropy(rho) == pytest.approx(5 * LN2, abs=1e-8)
 
 
 def test_hybrid3_small_cases():
-    shape = SystemShape(2, 1)
-    p = sample_permutation(shape, RngSeed(3))
-    rho = hybrid3_state(p, 1, shape, 1)
+    rho = hybrid3_state(1, 1)
     evals = np.linalg.eigvalsh(rho.entries)
     assert np.sum(evals > 1e-12) == 2
     assert evals[-1] == pytest.approx(0.5)
-    shape = SystemShape(4, 2)
-    rho2 = hybrid3_state(sample_permutation(shape, RngSeed(4)), 0, shape, 2)
+    rho2 = hybrid3_state(2, 2)
     assert np.trace(rho2.entries).real == pytest.approx(1.0)
     assert np.linalg.eigvalsh(rho2.entries)[0] >= -1e-9
-
-
-def test_hybrid3_full_vs_subset_basis():
-    """The full-space matrix is the subset-basis matrix embedded at the
-    permuted positions; trace distances agree."""
-    shape = SystemShape(3, 2)
-    p = sample_permutation(shape, RngSeed(5))
-    t = 2
-    full = hybrid3_state(p, 1, shape, t, basis="full")
-    sub = hybrid3_state(p, 1, shape, t, basis="subset")
-    xs = np.array([join(b, 1, shape) for b in range(shape.subdim)], dtype=np.uint32)
-    pos = p.forward_array(xs)
-    N = shape.dim
-    tuple_idx = np.array([pos[b1] * N + pos[b2] for b1 in range(4) for b2 in range(4)])
-    embedded = full.entries[np.ix_(tuple_idx, tuple_idx)]
-    assert np.max(np.abs(embedded - sub.entries)) < 1e-12
-    assert np.trace(embedded).real == pytest.approx(1.0)
 
 
 def test_hybrid3_vs_sym_projector_bound():
     """TD(hybrid3, sym projector) = (missing diagonal-pair weight) which is
     well inside 4 t^2 / K at K=16, t=2."""
     shape = SystemShape(4, 4)
-    p = identity_permutation(shape)
     t = 2
-    hyb = hybrid3_state(p, 0, shape, t, basis="subset")
+    hyb = hybrid3_state(shape.k, t)
     sym = sym_projector_state(shape.subdim, t)
     td = trace_distance(hyb, sym)
     K = shape.subdim
@@ -121,8 +121,8 @@ def test_sym_projector_examples():
 def test_trace_distance_properties():
     rho = sym_projector_state(2, 2)
     assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
-    e0 = DensityMatrix.pure(np.array([1.0, 0.0], dtype=complex))
-    e1 = DensityMatrix.pure(np.array([0.0, 1.0], dtype=complex))
+    e0 = pure(np.array([1.0, 0.0], dtype=complex))
+    e1 = pure(np.array([0.0, 1.0], dtype=complex))
     assert trace_distance(e0, e1) == pytest.approx(1.0)
     stream = WordStream(RngSeed(6))
     for _ in range(100):
@@ -131,7 +131,7 @@ def test_trace_distance_properties():
         for row in states:
             v = row[:2] + 1j * row[2:]
             v = v / np.linalg.norm(v)
-            mats.append(DensityMatrix.pure(v))
+            mats.append(pure(v))
         a, b, c = mats
         assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
 
@@ -248,7 +248,7 @@ def test_entanglement_entropy_examples():
     assert entanglement_entropy(bell, [1]) == pytest.approx(LN2)
     shape4 = SystemShape(4, 2)
     psi = StateVector(shape4, WordStream(RngSeed(15)).standard_normal(16).astype(complex))
-    psi = StateVector(shape4, psi.amplitudes / psi.norm)
+    psi = StateVector(shape4, psi.amplitudes / np.linalg.norm(psi.amplitudes))
     assert entanglement_entropy(psi, [0, 2]) == pytest.approx(entanglement_entropy(psi, [1, 3]), abs=1e-10)
     with pytest.raises(ValueError):
         entanglement_entropy(bell, [])

@@ -3,22 +3,17 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from rsedlab.bitcore import SystemShape, flip_bit, join
+from conftest import identity_permutation, zero_sign_function
+from rsedlab.bitcore import SystemShape
 from rsedlab.randomness import (
     FEISTEL_ROUNDS,
     SignFunction,
     SubsetPermutation,
-    bitflip_partner,
-    count_seed_fixed_points,
-    identity_permutation,
     load_permutation,
     sample_permutation,
     sample_sign_function,
     save_permutation,
-    zero_sign_function,
 )
 from rsedlab.rng import RngSeed
 
@@ -115,10 +110,10 @@ def test_permute_invert_scalar_roundtrip():
 
 def test_sign_function_examples():
     shape = SystemShape(6, 2)
-    f0 = zero_sign_function(shape)
-    assert all(f0.sign(x) == 0 for x in range(shape.dim))
+    xs = np.arange(shape.dim, dtype=np.uint32)
+    assert not zero_sign_function(shape).sign_array(xs).any()
     f = sample_sign_function(shape, RngSeed(3))
-    vals = [f.sign(11) for _ in range(100)]
+    vals = [int(f.sign_array(np.asarray([11]))[0]) for _ in range(100)]
     assert len(set(vals)) == 1
 
 
@@ -129,58 +124,31 @@ def test_keyed_prf_sign_balance():
     assert 0.45 <= bits.mean() <= 0.55
 
 
-def test_bitflip_partner_identity_perm():
-    shape = SystemShape(7, 3)
-    p = identity_permutation(shape)
-    for j in range(shape.k):
-        assert bitflip_partner(p, 5, 9, j) == (5 ^ (1 << j), 9)
-    for j in range(shape.k, shape.n):
-        assert bitflip_partner(p, 5, 9, j) == (5, 9 ^ (1 << (j - shape.k)))
-
-
-@given(st.integers(0, 2**32), st.data())
-@settings(max_examples=100)
-def test_bitflip_partner_defining_identity(seed, data):
-    shape = SystemShape(9, 4)
-    p = sample_permutation(shape, RngSeed(seed))
-    b = data.draw(st.integers(0, shape.subdim - 1))
-    a = data.draw(st.integers(0, shape.num_seeds - 1))
-    j = data.draw(st.integers(0, shape.n - 1))
-    xj, yj = bitflip_partner(p, b, a, j)
-    lhs = p.permute(join(xj, yj, shape))
-    rhs = flip_bit(p.permute(join(b, a, shape)), j, shape)
-    assert lhs == rhs
+def seed_fixed_points(p: SubsetPermutation, j: int) -> int:
+    """Exact count of the x = join(b, a) whose bit-j partner
+    p^{-1}(p(x) XOR e_j) keeps the seed a: all 2**n points enumerated."""
+    k = np.uint32(p.shape.k)
+    xs = np.arange(p.shape.dim, dtype=np.uint32)
+    pre = p.inverse_array(p.forward_array(xs) ^ np.uint32(1 << j))
+    return int(np.count_nonzero((pre >> k) == (xs >> k)))
 
 
 def test_count_seed_fixed_points_identity():
+    """The identity permutation keeps the seed exactly for the k subsystem
+    bits and never for the n - k seed bits."""
     shape = SystemShape(10, 4)
     p = identity_permutation(shape)
     for j in range(shape.k):
-        count, se = count_seed_fixed_points(p, j, shape)
-        assert count == shape.dim and se == 0.0
+        assert seed_fixed_points(p, j) == shape.dim
     for j in range(shape.k, shape.n):
-        count, _ = count_seed_fixed_points(p, j, shape)
-        assert count == 0
-
-
-def test_count_seed_fixed_points_montecarlo_unbiased():
-    shape = SystemShape(12, 5)
-    p = sample_permutation(shape, RngSeed(55))
-    exact, _ = count_seed_fixed_points(p, 2, shape)
-    est, se = count_seed_fixed_points(p, 2, shape, mode="montecarlo", samples=200_000, seed=RngSeed(56))
-    assert abs(est - exact) <= 5 * max(se, 1.0)
+        assert seed_fixed_points(p, j) == 0
 
 
 def test_count_seed_fixed_points_ensemble_statistics():
     """Mean over 200 random permutations at n=14, k=6 within 3 SE of 2^k,
     and the 2^{1.5 k} bound holds in at least 99/100 trials."""
     shape = SystemShape(14, 6)
-    counts = []
-    for r in range(200):
-        p = sample_permutation(shape, RngSeed(0x1E44, r))
-        c, _ = count_seed_fixed_points(p, 3, shape)
-        counts.append(c)
-    counts = np.asarray(counts)
+    counts = np.asarray([seed_fixed_points(sample_permutation(shape, RngSeed(0x1E44, r)), 3) for r in range(200)])
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - 2**shape.k) <= 3 * se
     bound = 2 ** (1.5 * shape.k)

@@ -31,8 +31,8 @@ from rsedlab.subsystem import (
     hadamard_layer,
     parent_hamiltonian,
     pauli_syk,
-    random_sign_diag,
     random_sign_hadamard,
+    sign_bits,
     unitary_power,
 )
 
@@ -276,9 +276,9 @@ def _parent_spectrum_principal_angles(k: int, d: np.ndarray) -> np.ndarray:
 
 
 def _sign_hadamard_family(k: int, seeds):
-    """(gate, d) for H^{tensor k} diag(d), d read from random_sign_diag."""
+    """(gate, d) for H^{tensor k} diag(d), d = (-1)**sign_bits."""
     for seed in seeds:
-        yield random_sign_hadamard(k, seed), np.diag(random_sign_diag(k, seed).matrix).real
+        yield random_sign_hadamard(k, seed), 1.0 - 2.0 * sign_bits(k, seed)
 
 
 # Each family yields (gate, d): d is the sign diagonal of a gate
@@ -325,7 +325,7 @@ def test_principal_angle_reference_matches_eigvals(k):
     spectrum, multiplicities included, for d all +1, all -1 and seeded."""
     h = hadamard_layer(k).matrix
     K = 1 << k
-    signs = [np.ones(K), -np.ones(K)] + [np.diag(random_sign_diag(k, RngSeed(11, s)).matrix).real for s in range(4)]
+    signs = [np.ones(K), -np.ones(K)] + [1.0 - 2.0 * sign_bits(k, RngSeed(11, s)) for s in range(4)]
     for d in signs:
         ref = _parent_spectrum_principal_angles(k, d)
         eig = _parent_spectrum_eigvals(_trusted(k, h * d))

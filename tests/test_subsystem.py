@@ -11,15 +11,14 @@ from rsedlab.subsystem import (
     SubHamiltonian,
     SubUnitary,
     _walsh_hadamard_inplace,
-    element_magnitude_stats,
     evolve,
     hadamard_layer,
     hadamard_sign_power,
     identity_gate,
     parent_hamiltonian,
     pauli_syk,
-    random_sign_diag,
     random_sign_hadamard,
+    sign_bits,
     unitary_power,
 )
 
@@ -40,10 +39,13 @@ def test_hadamard_entries():
 
 
 def test_random_sign_diag():
-    p = random_sign_diag(4, RngSeed(8))
-    assert np.max(np.abs(p.matrix @ p.matrix - np.eye(16))) == 0.0
-    p2 = random_sign_diag(4, RngSeed(8))
-    assert (p.matrix == p2.matrix).all()
+    """P = diag((-1)**phi) from the seeded sign bits squares to I exactly and
+    is reproduced by its seed."""
+    bits = sign_bits(4, RngSeed(8))
+    assert bits.dtype == np.uint8 and set(bits.tolist()) <= {0, 1}
+    p = np.diag(1.0 - 2.0 * bits)
+    assert np.max(np.abs(p @ p - np.eye(16))) == 0.0
+    assert (sign_bits(4, RngSeed(8)) == bits).all()
     zero_bits = SubUnitary(2, np.eye(4, dtype=complex))
     assert np.allclose(zero_bits.matrix, np.eye(4))
 
@@ -108,7 +110,7 @@ def test_pauli_syk_chaotic_matrix_elements():
     h = pauli_syk(4, RngSeed(22))
     for t in (1.0, 2.5, 4.0):
         u = evolve(h, t)
-        _, mean, _ = element_magnitude_stats(u)
+        mean = np.mean(np.abs(u.matrix) ** 2)
         assert mean * u.dim == pytest.approx(1.0, rel=2.0)
 
 
@@ -197,24 +199,12 @@ def test_evolve_examples():
     assert dev < 1e-9
 
 
-def test_element_magnitude_stats():
-    h = hadamard_layer(3)
-    mx, mean, frac = element_magnitude_stats(h, eps=0.5)
-    assert mx == pytest.approx(2.0**-3)
-    assert mean == pytest.approx(2.0**-3)
-    assert frac == 0.0
-    ident = SubUnitary(3, np.eye(8, dtype=complex))
-    mx, mean, _ = element_magnitude_stats(ident)
-    assert mx == 1.0 and mean == pytest.approx(2.0**-3)
-
-
 def test_element_magnitude_tail_random_sign_hadamard():
     """(H^{x8}P)^4: fraction of |u|^2 >= K^{-1/2} stays below 1e-3."""
     fracs = []
     for s in range(5):
         u = hadamard_sign_power(8, RngSeed(44, s), 4)
-        _, _, frac = element_magnitude_stats(u, eps=0.5)
-        fracs.append(frac)
+        fracs.append(np.mean(np.abs(u.matrix) ** 2 >= u.dim**-0.5))
     assert max(fracs) < 1e-3
 
 
@@ -249,13 +239,13 @@ def test_library_builders_are_unitary(k):
     seed = RngSeed(48, k)
     u = random_sign_hadamard(k, seed)
     h = pauli_syk(k, seed) if k >= 2 else SubHamiltonian(1, X)
-    gates = [hadamard_layer(k), identity_gate(k), random_sign_diag(k, seed), u, u.adjoint(), evolve(h, 0.9)]
+    gates = [hadamard_layer(k), identity_gate(k), u, u.adjoint(), evolve(h, 0.9)]
     gates += [unitary_power(u, 3), unitary_power(u, 0.75)]
     gates += [hadamard_sign_power(k, seed, t) for t in range(4)]
     for g in gates:
         assert g.k == k and g.matrix.dtype == np.complex128
         assert np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(g.dim))) <= 1e-10
-    assert (u.matrix == hadamard_layer(k).matrix @ random_sign_diag(k, seed).matrix).all()
+    assert (u.matrix == hadamard_layer(k).matrix @ np.diag(1.0 - 2.0 * sign_bits(k, seed))).all()
     assert (identity_gate(k).matrix == np.eye(1 << k)).all()
 
 
