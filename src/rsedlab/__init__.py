@@ -49,21 +49,19 @@ from .spectra import (
     SpectrumReport,
     ks_distance,
     level_spacing_stats,
-    rsed_sff,
     spectral_form_factor,
 )
 from .prs import (
-    DensityMatrix,
     coherence_rel_entropy,
     design_variance_condition,
     element_condition_check,
     entanglement_entropy,
     hybrid3_state,
+    mixture,
     subset_phase_state,
     trace_distance,
 )
 from .circuits import (
-    CircuitManifest,
     GateCircuit,
     build_manifest,
     parse,

@@ -14,13 +14,12 @@ references resolve against the circuit registry at simulation time.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcore import SystemShape
+from .bitcore import MAX_QUBITS, SystemShape
 from .randomness import (
     SignFunction,
     SubsetPermutation,
@@ -100,6 +99,8 @@ def parse(text: str, registry: dict | None = None) -> GateCircuit:
         n = int(head[2][2:])
     except ValueError:
         raise CircuitParseError(f"line 1: bad qubit count in header {lines[0]!r}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise CircuitParseError(f"line 1: qubit count {n} outside [1, {MAX_QUBITS}]")
     gates = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -278,33 +279,14 @@ def random_clifford_circuit(n: int, seed: RngSeed) -> GateCircuit:
     return GateCircuit(n, tuple(gates))
 
 
-@dataclass(frozen=True)
-class CircuitManifest:
-    """Seeds and choices sufficient to regenerate a circuit exactly."""
-
-    n: int
-    k: int
-    u_spec: dict
-    perm_seed: int
-    sign_seed: int
-    gate_counts: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CircuitManifest":
-        d = json.loads(text)
-        return cls(d["n"], d["k"], d["u_spec"], d["perm_seed"], d["sign_seed"], d["gate_counts"])
-
-    def regenerate(self) -> GateCircuit:
-        return synthesize_rsed_circuit(SystemShape(self.n, self.k), self.u_spec, self.perm_seed, self.sign_seed)
-
-
-def build_manifest(circuit: GateCircuit, u_spec: dict, perm_seed: int, sign_seed: int) -> CircuitManifest:
+def build_manifest(circuit: GateCircuit, u_spec: dict, perm_seed: int, sign_seed: int) -> dict:
     """The manifest of a circuit that synthesize_rsed_circuit built from
-    (u_spec, perm_seed, sign_seed): those inputs, with u_spec in canonical
-    form (_named_spec), and the circuit's gate counts.  Only named gate
-    specs have a manifest; an explicit SubUnitary is a ValueError."""
+    (u_spec, perm_seed, sign_seed): n, k and those inputs, with u_spec in
+    canonical form (_named_spec), enough to rebuild the circuit exactly, and
+    its gate counts.  Only named gate specs have a manifest; an explicit
+    SubUnitary is a ValueError."""
     k = circuit.registry["perm0"].shape.k
-    return CircuitManifest(circuit.n, k, _named_spec(u_spec), perm_seed, sign_seed, circuit.gate_counts())
+    return {
+        "n": circuit.n, "k": k, "u_spec": _named_spec(u_spec),
+        "perm_seed": perm_seed, "sign_seed": sign_seed, "gate_counts": circuit.gate_counts(),
+    }

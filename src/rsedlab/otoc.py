@@ -286,49 +286,33 @@ def otoc_pauli_dense(u_dense: np.ndarray, v: PauliString, w: PauliString) -> com
     return complex(np.einsum("ij,ji->", g, g) / dim)
 
 
-def otoc_pauli(
-    op: RsedOperator,
-    v: PauliString,
-    w: PauliString,
-    mode: str = "exact",
-    samples: int = 256,
-    seed: RngSeed = RngSeed(0),
-) -> OtocEstimate:
-    """Generic Pauli-string OTOC, dense (n <= 10) or stochastic-trace mode."""
-    n = op.shape.n
-    if mode == "exact":
-        if n > DENSE_MAX_N:
-            raise ValueError(f"exact mode capped at n={DENSE_MAX_N}")
-        value = otoc_pauli_dense(dense_matrix(op), v, w)
-        return OtocEstimate(value, 0.0, {
-            "estimator": "pauli-exact", "n": n, "k": op.shape.k,
-            "sites": (tuple(v.sites), tuple(w.sites)),
-        })
-    if mode == "stochastic":
-        if samples < 2:
-            raise ValueError("need at least 2 probes")
-        adj = op.adjoint()
-        stream = WordStream(seed)
-        vals = np.empty(samples, dtype=np.complex128)
-        for p_idx in range(samples):
-            z = np.exp(2j * np.pi * stream.uniform01(op.shape.dim))
-            probe = StateVector(op.shape, z)
-            y = apply_pauli(w, apply(adj, probe))
-            y = apply_pauli(v, apply(op, y))
-            y = apply_pauli(w, apply(adj, y))
-            y = apply_pauli(v, apply(op, y))
-            vals[p_idx] = np.vdot(z, y.amplitudes) / op.shape.dim
-        mean = complex(vals.mean())
-        se = np.sqrt(np.sum(np.abs(vals - mean) ** 2) / (samples * (samples - 1)))
-        # probe noise can push the sample mean just outside the unit disk the
-        # true value lives in; projecting back only moves it closer to truth
-        value = mean / abs(mean) if abs(mean) > 1.0 else mean
-        return OtocEstimate(value, float(se), {
-            "estimator": "pauli-stochastic", "n": n, "k": op.shape.k,
-            "sites": (tuple(v.sites), tuple(w.sites)), "samples": samples,
-            "raw_mean": mean,
-        })
-    raise ValueError(f"unknown mode {mode!r}")
+def otoc_pauli(op: RsedOperator, v: PauliString, w: PauliString, samples: int, seed: RngSeed) -> OtocEstimate:
+    """Stochastic-trace Pauli-string OTOC: the mean of <z| V U W U^dag V U W
+    U^dag |z> / 2**n over `samples` random-phase probes z, blockwise at any n.
+    The dense value at n <= 10 is otoc_pauli_dense(dense_matrix(op), v, w)."""
+    if samples < 2:
+        raise ValueError("need at least 2 probes")
+    adj = op.adjoint()
+    stream = WordStream(seed)
+    vals = np.empty(samples, dtype=np.complex128)
+    for p_idx in range(samples):
+        z = np.exp(2j * np.pi * stream.uniform01(op.shape.dim))
+        probe = StateVector(op.shape, z)
+        y = apply_pauli(w, apply(adj, probe))
+        y = apply_pauli(v, apply(op, y))
+        y = apply_pauli(w, apply(adj, y))
+        y = apply_pauli(v, apply(op, y))
+        vals[p_idx] = np.vdot(z, y.amplitudes) / op.shape.dim
+    mean = complex(vals.mean())
+    se = np.sqrt(np.sum(np.abs(vals - mean) ** 2) / (samples * (samples - 1)))
+    # probe noise can push the sample mean just outside the unit disk the
+    # true value lives in; projecting back only moves it closer to truth
+    value = mean / abs(mean) if abs(mean) > 1.0 else mean
+    return OtocEstimate(value, float(se), {
+        "estimator": "pauli-stochastic", "n": op.shape.n, "k": op.shape.k,
+        "sites": (tuple(v.sites), tuple(w.sites)), "samples": samples,
+        "raw_mean": mean,
+    })
 
 
 def otoc_finite_temperature(

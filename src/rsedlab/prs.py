@@ -1,9 +1,11 @@
 """Pseudorandom-state diagnostics: coherence, subset-phase states, type-state
-mixtures on K**t dimensions, trace distance and design-condition checks."""
+mixtures on K**t dimensions, trace distance and design-condition checks.
+
+Density matrices are plain complex arrays: mixture and hybrid3_state make
+them, and trace_distance compares two of them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import comb, factorial
 from typing import NamedTuple
@@ -19,31 +21,11 @@ from .subsystem import SubUnitary
 TCOPY_MAX_QUBITS = 16  # dense t-copy algebra capped at dimension 2**16
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Dense d x d state container; Hermiticity and unit trace checked."""
-
-    dim: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
-        object.__setattr__(self, "entries", m)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"expected shape {(self.dim, self.dim)}, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-9 or abs(np.trace(m).imag) > 1e-9:
-            raise ValueError(f"trace is {np.trace(m)}, expected 1")
-
-    @classmethod
-    def from_states(cls, states: np.ndarray, weights: np.ndarray | None = None) -> "DensityMatrix":
-        """Mixture sum_i w_i |s_i><s_i| from rows of `states`."""
-        states = np.asarray(states, dtype=np.complex128)
-        if weights is None:
-            weights = np.full(states.shape[0], 1.0 / states.shape[0])
-        m = (states.conj().T * weights[None, :]) @ states
-        return cls(states.shape[1], m)
+def mixture(states: np.ndarray) -> np.ndarray:
+    """Uniform mixture (1/m) sum_i |s_i><s_i| of the m rows of states."""
+    states = np.asarray(states, dtype=np.complex128)
+    weights = np.full(states.shape[0], 1.0 / states.shape[0])
+    return (states.T * weights[None, :]) @ states.conj()
 
 
 def subset_phase_state(
@@ -65,15 +47,10 @@ def _shannon(probs: np.ndarray) -> float:
     return float(-np.sum(probs * np.log(probs)))
 
 
-def coherence_rel_entropy(state) -> float:
-    """Relative entropy of coherence S(diag rho) - S(rho) in nats, >= 0."""
-    if isinstance(state, StateVector):
-        return _shannon(np.abs(state.amplitudes) ** 2)
-    if isinstance(state, DensityMatrix):
-        diag = np.real(np.diag(state.entries))
-        eigs = np.clip(np.linalg.eigvalsh(state.entries), 0.0, None)
-        return _shannon(diag) - _shannon(eigs)
-    raise TypeError(f"unsupported state type {type(state)!r}")
+def coherence_rel_entropy(psi: StateVector) -> float:
+    """Relative entropy of coherence S(diag rho) - S(rho) in nats, >= 0; for
+    a pure state S(rho) = 0, leaving the Shannon entropy of |amplitude|**2."""
+    return _shannon(np.abs(psi.amplitudes) ** 2)
 
 
 def _type_state(subset: tuple[int, ...], dim: int) -> np.ndarray:
@@ -88,7 +65,7 @@ def _type_state(subset: tuple[int, ...], dim: int) -> np.ndarray:
     return amps / np.sqrt(factorial(t))
 
 
-def hybrid3_state(k: int, t: int) -> DensityMatrix:
+def hybrid3_state(k: int, t: int) -> np.ndarray:
     """Uniform mixture over symmetrized t-tuples of distinct subsystem
     indices b in [0, K), K = 2**k, on K**t dimensions."""
     if t < 1:
@@ -103,14 +80,12 @@ def hybrid3_state(k: int, t: int) -> DensityMatrix:
     for subset in combinations(range(K), t):
         vec = _type_state(subset, K)
         rho += np.outer(vec, vec.conj())
-    return DensityMatrix(total, rho / comb(K, t))
+    return rho / comb(K, t)
 
 
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(1/2) sum |eig(rho - sigma)|, in [0, 1]."""
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
-    eigs = np.linalg.eigvalsh(rho.entries - sigma.entries)
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """(1/2) sum |eig(rho - sigma)| of two density matrices, in [0, 1]."""
+    eigs = np.linalg.eigvalsh(rho - sigma)
     return float(0.5 * np.sum(np.abs(eigs)))
 
 

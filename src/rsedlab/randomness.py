@@ -1,13 +1,14 @@
 """Seeded permutations p and sign functions f, and the RSEDPERM1 sidecar.
 
-Two permutation backends:
-  - ExplicitTable: forward + inverse uint32 arrays (Fisher-Yates), n <= 24
-  - Feistel: 4-round alternating Feistel network over the n-bit index with
-    rng.counter_words as round function; evaluated on demand, any n <= 30
-
-Two sign-function backends:
-  - ExplicitTable: bit array of length 2**n from the seeded stream
-  - KeyedPrf: bit 63 of rng.counter_words at counter x, evaluated on demand
+n alone picks the backend the samplers draw:
+  - n <= 16: explicit tables.  A permutation holds forward and inverse uint32
+    arrays (Fisher-Yates); a sign function holds the bit array of length
+    2**n from the seeded stream.
+  - n > 16: evaluated on demand.  A permutation is a 4-round alternating
+    Feistel network over the n-bit index with rng.counter_words as round
+    function; a sign function is the keyed PRF, bit 63 of
+    rng.counter_words at counter x.
+The constructors take either form at any n, so tests can compare them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .bitcore import SystemShape, check_index
 from .rng import RngSeed, WordStream, _finalize, counter_words, fisher_yates
 
-EXPLICIT_TABLE_MAX_N = 24
 FEISTEL_ROUNDS = 4
 
 PERM_MAGIC = b"RSEDPERM1"
@@ -142,29 +142,20 @@ class SignFunction:
         return (counter_words(self.key & 0xFFFFFFFFFFFFFFFF, xs) >> np.uint64(63)).astype(np.uint8)
 
 
-def sample_permutation(shape: SystemShape, seed: RngSeed, backend: str | None = None) -> SubsetPermutation:
-    """Seeded random permutation; default backend is explicit for n <= 16."""
-    if backend is None:
-        backend = "explicit" if shape.n <= 16 else "feistel"
-    if backend == "explicit":
-        if shape.n > EXPLICIT_TABLE_MAX_N:
-            raise ValueError(f"explicit table capped at n={EXPLICIT_TABLE_MAX_N}, got n={shape.n}")
+def sample_permutation(shape: SystemShape, seed: RngSeed) -> SubsetPermutation:
+    """Seeded random permutation: a Fisher-Yates table for n <= 16, else a
+    Feistel network keyed by the seed."""
+    if shape.n <= 16:
         return SubsetPermutation(shape, table=fisher_yates(shape.dim, seed))
-    if backend == "feistel":
-        return SubsetPermutation(shape, feistel=FeistelSpec(shape.n, int(seed.state())))
-    raise ValueError(f"unknown permutation backend {backend!r}")
+    return SubsetPermutation(shape, feistel=FeistelSpec(shape.n, int(seed.state())))
 
 
-def sample_sign_function(shape: SystemShape, seed: RngSeed, backend: str | None = None) -> SignFunction:
-    if backend is None:
-        backend = "explicit" if shape.n <= 16 else "keyed_prf"
-    if backend == "explicit":
-        if shape.n > EXPLICIT_TABLE_MAX_N:
-            raise ValueError(f"explicit table capped at n={EXPLICIT_TABLE_MAX_N}, got n={shape.n}")
+def sample_sign_function(shape: SystemShape, seed: RngSeed) -> SignFunction:
+    """Seeded sign function: bits from the seed's stream for n <= 16, else the
+    keyed PRF."""
+    if shape.n <= 16:
         return SignFunction(shape, bits=WordStream(seed).bits(shape.dim))
-    if backend == "keyed_prf":
-        return SignFunction(shape, key=int(seed.state()))
-    raise ValueError(f"unknown sign backend {backend!r}")
+    return SignFunction(shape, key=int(seed.state()))
 
 
 def save_permutation(p: SubsetPermutation, path) -> None:

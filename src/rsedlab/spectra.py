@@ -1,5 +1,5 @@
 """Eigenvalue statistics: nearest-neighbor spacings against the Wigner
-surmises, and spectral form factors with the embedded-degeneracy factor."""
+surmises, and the spectral form factor of a spectrum."""
 
 from __future__ import annotations
 
@@ -7,9 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .bitcore import SystemShape
-from .subsystem import SubHamiltonian
 
 DEGENERACY_TOL_SCALE = 1e-10
 HISTOGRAM_BINS = 40
@@ -24,14 +21,14 @@ class SpectrumReport:
     histogram: tuple[np.ndarray, np.ndarray]  # (bin edges, densities)
 
 
-def level_spacing_stats(evals: np.ndarray, exclude_degenerate: bool = False) -> SpectrumReport:
+def level_spacing_stats(evals: np.ndarray) -> SpectrumReport:
     """Sorted spectrum, unit-mean normalized gaps, histogram.
 
-    exclude_degenerate drops gaps below the tolerance (1e-10 times the
-    spectral range) before normalizing.  degeneracy_multiplicity is the
-    modal size of eigenvalue clusters at that tolerance (1 for a simple
-    spectrum, 2**(n-k) for an embedded one).  The histogram has
-    HISTOGRAM_BINS bins over [0, max(4, largest spacing)].
+    Every gap is kept (pooled_spacings makes the degeneracy cut).
+    degeneracy_multiplicity is the modal size of eigenvalue clusters at a
+    tolerance of 1e-10 times the spectral range (1 for a simple spectrum,
+    2**(n-k) for an embedded one).  The histogram has HISTOGRAM_BINS bins
+    over [0, max(4, largest spacing)].
     """
     evals = np.sort(np.asarray(evals, dtype=np.float64))
     if len(evals) < 3:
@@ -44,9 +41,7 @@ def level_spacing_stats(evals: np.ndarray, exclude_degenerate: bool = False) -> 
     cluster_sizes = np.diff(ends, prepend=-1, append=len(gaps))
     sizes, counts = np.unique(cluster_sizes, return_counts=True)
     multiplicity = int(sizes[np.argmax(counts)])
-    if exclude_degenerate:
-        gaps = gaps[gaps >= tol]
-    if len(gaps) == 0 or gaps.mean() == 0:
+    if gaps.mean() == 0:
         raise ValueError("no nonzero gaps to normalize")
     spacings = gaps / gaps.mean()
     top = max(4.0, float(spacings.max()))
@@ -64,8 +59,8 @@ def pooled_spacings(spectra, exclude_degenerate: bool = True) -> np.ndarray:
     are zero up to rounding (pooled spectra are parent-Hamiltonian
     eigenvalues -theta / 2pi in (-1/2, 1/2] or SYK energies of order one),
     at one threshold for every spectrum of the pool.  level_spacing_stats
-    scales its tolerance because it also sizes the degenerate clusters of one
-    spectrum at any energy scale.
+    scales its cluster tolerance because it sizes the degenerate clusters of
+    one spectrum at any energy scale.
 
     A kept gap set of mean 0 (one repeated eigenvalue, without the cut) or an
     empty pool (every spectrum degenerate, with it) is a ValueError.
@@ -107,21 +102,12 @@ def ks_distance(spacings: np.ndarray, ensemble: str = "GOE") -> float:
     return float(max(upper, lower))
 
 
-def spectral_form_factor(h: SubHamiltonian, beta: float, t: float) -> float:
-    """R_2S(beta, t) = |sum_m e^{-beta e_m - i e_m t}|^2 for the subsystem."""
+def spectral_form_factor(evals: np.ndarray, beta: float, t: float) -> float:
+    """R_2(beta, t) = |sum_m e^{-beta e_m - i e_m t}|^2 of a spectrum.
+
+    An RSED spectrum is the subsystem one 2**(n-k) times over, so its value
+    is 4**(n-k) times the subsystem's."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return sff_from_eigenvalues(h.eigenvalues, beta, t)
-
-
-def rsed_sff(shape: SystemShape, h: SubHamiltonian, beta: float, t: float) -> float:
-    """Full-system form factor: exactly 4**(n-k) times the subsystem value."""
-    if h.k != shape.k:
-        raise ValueError("Hamiltonian subsystem size does not match shape")
-    return 4.0 ** (shape.n - shape.k) * spectral_form_factor(h, beta, t)
-
-
-def sff_from_eigenvalues(evals: np.ndarray, beta: float, t: float) -> float:
-    """|tr e^{-beta H - i H t}|^2 from an explicit spectrum (dense oracle)."""
     z = np.sum(np.exp(-(beta + 1j * t) * np.asarray(evals)))
     return float(np.abs(z) ** 2)

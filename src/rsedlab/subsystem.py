@@ -167,14 +167,15 @@ def pauli_syk(k: int, seed: RngSeed) -> SubHamiltonian:
     return SubHamiltonian(k, h)
 
 
-def schur(a: np.ndarray, output: str = "complex"):
-    """scipy.linalg.schur, imported on first call: a lazy module-level name, so
-    runs that take no Schur form never pay the ~0.4 s scipy.linalg import (the
-    CLI loads it during config validation for runs that do), while
-    _unitary_eigh still calls it here, where it can be wrapped or patched."""
+def schur(a: np.ndarray):
+    """The complex scipy.linalg.schur form, imported on first call: a lazy
+    module-level name, so runs that take no Schur form never pay the ~0.4 s
+    scipy.linalg import (the CLI loads it during config validation for runs
+    that do), while _unitary_eigh still calls it here, where it can be
+    wrapped or patched."""
     from scipy.linalg import schur as scipy_schur
 
-    return scipy_schur(a, output=output)
+    return scipy_schur(a, output="complex")
 
 
 def _unitary_eigh(u: SubUnitary) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +188,7 @@ def _unitary_eigh(u: SubUnitary) -> tuple[np.ndarray, np.ndarray]:
     parent_spectrum of a complex gate and the criteria share it.
     """
     if u._eig is None:
-        t_mat, z = schur(u.matrix, output="complex")
+        t_mat, z = schur(u.matrix)
         theta = np.angle(np.diag(t_mat))
         theta.flags.writeable = False
         z.flags.writeable = False

@@ -1,7 +1,8 @@
 import hypothesis
 import numpy as np
 
-from rsedlab.randomness import SignFunction, SubsetPermutation
+from rsedlab.randomness import FeistelSpec, SignFunction, SubsetPermutation
+from rsedlab.rng import WordStream, fisher_yates
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
@@ -17,3 +18,21 @@ def identity_permutation(shape):
 def zero_sign_function(shape):
     """f(x) = 0 on [0, 2**n), as explicit bits."""
     return SignFunction(shape, bits=np.zeros(shape.dim, dtype=np.uint8))
+
+
+def backend_permutation(shape, seed, backend):
+    """The seeded permutation on a named backend at any n: the Fisher-Yates
+    table ("explicit") that sample_permutation draws for n <= 16, or the
+    Feistel network ("feistel") it draws above."""
+    if backend == "explicit":
+        return SubsetPermutation(shape, table=fisher_yates(shape.dim, seed))
+    return SubsetPermutation(shape, feistel=FeistelSpec(shape.n, int(seed.state())))
+
+
+def backend_sign_function(shape, seed, backend):
+    """The seeded sign function on a named backend at any n: the stream bits
+    ("explicit") that sample_sign_function draws for n <= 16, or the keyed
+    PRF ("keyed_prf") it draws above."""
+    if backend == "explicit":
+        return SignFunction(shape, bits=WordStream(seed).bits(shape.dim))
+    return SignFunction(shape, key=int(seed.state()))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import backend_permutation, backend_sign_function
 from rsedlab.bitcore import SystemShape
 from rsedlab.circuits import (
-    CircuitManifest,
     CircuitParseError,
     GateCircuit,
     build_manifest,
@@ -19,7 +19,6 @@ from rsedlab.circuits import (
     simulate_circuit,
     synthesize_rsed_circuit,
 )
-from rsedlab.randomness import sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import RsedOperator, StateVector, apply, dense_matrix
 from rsedlab.subsystem import SubUnitary, hadamard_layer, random_sign_hadamard, unitary_power
@@ -51,6 +50,10 @@ def test_parse_simple_and_errors():
         parse("RSEDCIRC 1 n=3\nH 0\nCX 1\n")
     with pytest.raises(CircuitParseError):
         parse("BADHEADER\nH 0\n")
+    # a count outside [1, MAX_QUBITS] parsed, to fail later or never
+    for n in (-3, 0, 31, 4_000_000_000):
+        with pytest.raises(CircuitParseError, match="line 1: qubit count"):
+            parse(f"RSEDCIRC 1 n={n}\n")
 
 
 @pytest.mark.parametrize("gate", [("CX", 1), ("CCX", 0, 1), ("H", 0, 1), ("PHASE_F",)])
@@ -180,15 +183,22 @@ def test_hadamard_gate_count():
     assert counts["PERM"] == 2 and counts["PHASE_F"] == 2
 
 
+def rebuild(manifest: dict):
+    """The circuit a manifest records, synthesized again from its fields."""
+    shape = SystemShape(manifest["n"], manifest["k"])
+    return synthesize_rsed_circuit(shape, manifest["u_spec"], manifest["perm_seed"], manifest["sign_seed"])
+
+
 def test_manifest_roundtrip_and_determinism():
     shape = SystemShape(6, 3)
     spec = {"type": "random_sign_hadamard", "seed": 9}
-    manifest = build_manifest(synthesize_rsed_circuit(shape, spec, 51, 52), spec, 51, 52)
-    again = CircuitManifest.from_json(manifest.to_json())
-    assert again == manifest
-    c1 = manifest.regenerate()
-    c2 = again.regenerate()
-    assert c1.gates == c2.gates
+    circ = synthesize_rsed_circuit(shape, spec, 51, 52)
+    manifest = build_manifest(circ, spec, 51, 52)
+    again = json.loads(json.dumps(manifest, sort_keys=True))
+    assert again == manifest and again["gate_counts"] == circ.gate_counts()
+    c1 = rebuild(manifest)
+    c2 = rebuild(again)
+    assert c1.gates == c2.gates == circ.gates
     assert (c1.registry["perm0"].table == c2.registry["perm0"].table).all()
     assert (c1.registry["f0"].bits == c2.registry["f0"].bits).all()
 
@@ -203,12 +213,12 @@ def test_manifest_roundtrip_and_determinism():
 )
 def test_manifest_records_the_canonical_spec(u_spec, recorded):
     """A hadamard spec records no seed, a random-sign one its seed (7 unless
-    given), and regenerate rebuilds the very circuit from that record."""
+    given), and the very circuit is rebuilt from that record."""
     shape = SystemShape(6, 3)
     circ = synthesize_rsed_circuit(shape, u_spec, 5, 6)
-    manifest = build_manifest(circ, u_spec, 5, 6)
-    assert json.loads(manifest.to_json())["u_spec"] == recorded
-    again = CircuitManifest.from_json(manifest.to_json()).regenerate()
+    manifest = json.loads(json.dumps(build_manifest(circ, u_spec, 5, 6), sort_keys=True))
+    assert manifest["u_spec"] == recorded
+    again = rebuild(manifest)
     assert again.gates == circ.gates
     assert np.array_equal(simulate_circuit(again, dense=True), simulate_circuit(circ, dense=True))
 
@@ -230,8 +240,8 @@ def test_unsupported_gate_specs_are_rejected(u_spec):
 @settings(max_examples=25, deadline=None)
 def test_apply_dense_and_circuit_agree(n, data, perm_backend, sign_backend, gate, seed):
     """Blockwise apply, dense_matrix and the simulated sandwich circuit give
-    the same U psi, with the Feistel and keyed-PRF backends forced at small n
-    (by default they serve only n > 16)."""
+    the same U psi, with the Feistel and keyed-PRF backends built at small n
+    (the samplers draw them only for n > 16)."""
     k = data.draw(st.integers(1, min(n, 6)))
     shape = SystemShape(n, k)
     if gate == "sub":
@@ -240,8 +250,8 @@ def test_apply_dense_and_circuit_agree(n, data, perm_backend, sign_backend, gate
         sub, u_spec = hadamard_layer(k), {"type": "hadamard"}
     else:
         sub, u_spec = random_sign_hadamard(k, RngSeed(seed % 1000)), {"type": gate, "seed": seed % 1000}
-    perm = sample_permutation(shape, RngSeed(seed, 1), backend=perm_backend)
-    sign = sample_sign_function(shape, RngSeed(seed, 2), backend=sign_backend)
+    perm = backend_permutation(shape, RngSeed(seed, 1), perm_backend)
+    sign = backend_sign_function(shape, RngSeed(seed, 2), sign_backend)
     circ = synthesize_rsed_circuit(shape, u_spec, 0, 0)
     circ = GateCircuit(n, circ.gates, {**circ.registry, "perm0": perm, "f0": sign})
     op = RsedOperator(shape, perm, sign, sub)

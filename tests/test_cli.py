@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import rsedlab
 from rsedlab import __version__, subsystem
-from rsedlab.cli import ConfigError, ExperimentConfig, main
+from rsedlab.cli import ConfigError, ExperimentConfig, load_config, main
 
 
 def read_csv_rows(path: Path):
@@ -222,8 +223,7 @@ def test_sff_driver_ratio_constant(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["sff", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    summary = json.loads((tmp_path / "sff_summary.json").read_text())
-    assert summary["exact_factorization"] is True
+    assert json.loads((tmp_path / "sff_summary.json").read_text())["factor"] == 4.0 ** (9 - 3)
     _, rows = read_csv_rows(tmp_path / "sff.csv")
     for row in rows:
         assert float(row[4]) == pytest.approx(4.0 ** (9 - 3))
@@ -375,6 +375,10 @@ def test_config_boundary_exit_2(tmp_path, cfg):
 
 
 _OUT_OF_RANGE_SEED = "seed and u_spec seed must lie in [0, 2**64)"
+_SAMPLED_ENSEMBLE_CAP = (
+    "sampled otoc-trace ensemble 5001 > 5000 would reuse streams: realization r draws p and f "
+    "from RngSeed(seed, 2r) and RngSeed(seed, 2r + 1), and its seed sample from RngSeed(seed, 10000 + r)"
+)
 
 
 @pytest.mark.parametrize(
@@ -391,9 +395,12 @@ _OUT_OF_RANGE_SEED = "seed and u_spec seed must lie in [0, 2**64)"
         ({"experiment": "coherence", "seed": -1}, [], _OUT_OF_RANGE_SEED),
         ({"experiment": "otoc-trace", "u_spec": {"type": "random_sign_hadamard", "seed": 2**64}}, [], _OUT_OF_RANGE_SEED),
         ({"experiment": "otoc-trace", "u_spec": {"type": "random_sign_hadamard", "seed": -3}}, [], _OUT_OF_RANGE_SEED),
+        # realization 5000 drew p from stream 10000, realization 0's seed sample
+        ({"experiment": "otoc-trace", "ensemble": 5001, "estimator": {"mode": "sampled", "num_seeds": 4}}, [],
+         _SAMPLED_ENSEMBLE_CAP),
     ],
     ids=["one_spacing_hadamard", "one_spacing_k1", "seed_flag_negative", "seed_flag_2_64", "seed_negative",
-         "u_spec_seed_2_64", "u_spec_seed_negative"],
+         "u_spec_seed_2_64", "u_spec_seed_negative", "sampled_trace_ensemble_5001"],
 )
 def test_config_boundary_exit_2_message(tmp_path, capsys, cfg, flags, message):
     bad = tmp_path / "bad.json"
@@ -405,6 +412,18 @@ def test_config_boundary_exit_2_message(tmp_path, capsys, cfg, flags, message):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_seed_range_ends_are_accepted(seed):
     ExperimentConfig("coherence", seed=seed, u_spec={"type": "hadamard", "seed": seed}).validate()
+
+
+def test_sampled_trace_ensemble_cap_is_5000(tmp_path):
+    """5000 sampled realizations keep their streams 0..9999 and 10000..14999
+    apart and load; exact mode draws no seed sample and has no such cap."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "otoc-trace", "ensemble": 5000, "estimator": {"mode": "sampled"}}))
+    args = argparse.Namespace(config=str(cfg), seed=None, out=None, threads=None)
+    assert load_config("otoc-trace", args).ensemble == 5000
+    ExperimentConfig("otoc-trace", ensemble=5001).validate()
+    with pytest.raises(ConfigError, match="> 5000 would reuse streams"):
+        ExperimentConfig("otoc-trace", ensemble=5001, estimator={"mode": "sampled"}).validate()
 
 
 @pytest.mark.parametrize("top", [[1, 2], "x"], ids=["list", "string"])

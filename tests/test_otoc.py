@@ -25,7 +25,7 @@ from rsedlab.otoc import (
     poisson_bracket,
     zz_f_variance_hadamard_exact,
 )
-from conftest import identity_permutation
+from conftest import backend_permutation, backend_sign_function, identity_permutation
 from rsedlab.randomness import SignFunction, sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import PauliString, RsedOperator, dense_matrix
@@ -266,12 +266,12 @@ def test_zz_kernel_matches_generic_pauli_otoc(n, data, perm_backend, sign_backen
         assert (not u.matrix.imag.any()) == (gate == "integer_power")
     op = RsedOperator(
         shape,
-        sample_permutation(shape, RngSeed(seed, 1), backend=perm_backend),
-        sample_sign_function(shape, RngSeed(seed, 2), backend=sign_backend),
+        backend_permutation(shape, RngSeed(seed, 1), perm_backend),
+        backend_sign_function(shape, RngSeed(seed, 2), sign_backend),
         u,
     )
     zz = otoc_zz_exact(op, i, j).value
-    generic = otoc_pauli(op, PauliString(((i, "Z"),)), PauliString(((j, "Z"),)), mode="exact").value
+    generic = otoc_pauli_dense(dense_matrix(op), PauliString(((i, "Z"),)), PauliString(((j, "Z"),)))
     assert abs(zz - generic) <= 1e-10
 
 
@@ -325,7 +325,7 @@ def test_minor_traces_match_the_dense_oracle(n, data, perm_backend, complex_gate
     if perm_backend == "identity":
         p = identity_permutation(shape)
     else:
-        p = sample_permutation(shape, RngSeed(seed, 1), backend=perm_backend)
+        p = backend_permutation(shape, RngSeed(seed, 1), perm_backend)
     op = RsedOperator(shape, p, sample_sign_function(shape, RngSeed(seed, 2)), u)
     draws = WordStream(RngSeed(seed, 4)).integers(shape.num_seeds, data.draw(st.integers(1, 12))).astype(np.uint32)
     per_chunk = data.draw(st.integers(1, 5))
@@ -457,10 +457,13 @@ def test_sampled_subsample_consistency():
 
 def test_otoc_pauli_commuting_and_anticommuting():
     opi = make_op(6, 3, SubUnitary(3, np.eye(8, dtype=complex)), 19)
+    u = dense_matrix(opi)
     v, w = PauliString(((0, "Z"),)), PauliString(((1, "Z"),))
-    assert otoc_pauli(opi, v, w).value == pytest.approx(1.0)
+    assert otoc_pauli_dense(u, v, w) == pytest.approx(1.0)
+    assert otoc_pauli(opi, v, w, 2, RngSeed(1)).value == pytest.approx(1.0)
     x0, z0 = PauliString(((0, "X"),)), PauliString(((0, "Z"),))
-    assert otoc_pauli(opi, x0, z0).value == pytest.approx(-1.0)
+    assert otoc_pauli_dense(u, x0, z0) == pytest.approx(-1.0)
+    assert otoc_pauli(opi, x0, z0, 2, RngSeed(1)).value == pytest.approx(-1.0)
 
 
 def test_otoc_pauli_stochastic_consistency():
@@ -468,9 +471,9 @@ def test_otoc_pauli_stochastic_consistency():
     op = make_op(8, 4, u, 21)
     v = PauliString(((0, "X"), (3, "Z")))
     w = PauliString(((5, "Z"),))
-    exact = otoc_pauli(op, v, w, mode="exact")
-    stoch = otoc_pauli(op, v, w, mode="stochastic", samples=512, seed=RngSeed(22))
-    assert abs(stoch.value - exact.value) <= 4 * stoch.std_error
+    exact = otoc_pauli_dense(dense_matrix(op), v, w)
+    stoch = otoc_pauli(op, v, w, 512, RngSeed(22))
+    assert abs(stoch.value - exact) <= 4 * stoch.std_error
 
 
 def test_poisson_bracket_values():
@@ -490,8 +493,8 @@ def test_finite_temperature_beta0_equals_pauli():
     op = make_op(6, 3, unitary_power(base, 2), 24)
     v, w = PauliString(((0, "Z"),)), PauliString(((4, "Z"),))
     thermal = otoc_finite_temperature(op, h, 0.0, v, w, mode="exact")
-    pauli = otoc_pauli(op, v, w, mode="exact")
-    assert abs(thermal.value - pauli.value) < 1e-12
+    pauli = otoc_pauli_dense(dense_matrix(op), v, w)
+    assert abs(thermal.value - pauli) < 1e-12
 
 
 def test_finite_temperature_leading_formula_brute_force():

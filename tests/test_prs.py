@@ -8,13 +8,13 @@ from conftest import identity_permutation, zero_sign_function
 from rsedlab.bitcore import SystemShape
 from rsedlab.otoc import otoc_pauli_dense
 from rsedlab.prs import (
-    DensityMatrix,
     coherence_rel_entropy,
     coherence_trial,
     design_variance_condition,
     element_condition_check,
     entanglement_entropy,
     hybrid3_state,
+    mixture,
     subset_phase_state,
     trace_distance,
 )
@@ -26,13 +26,13 @@ from rsedlab.subsystem import hadamard_layer, hadamard_sign_power, random_sign_h
 LN2 = np.log(2.0)
 
 
-def pure(psi) -> DensityMatrix:
+def pure(psi) -> np.ndarray:
     """|psi><psi|."""
     psi = np.asarray(psi, dtype=np.complex128)
-    return DensityMatrix(len(psi), np.outer(psi, psi.conj()))
+    return np.outer(psi, psi.conj())
 
 
-def sym_projector_state(d: int, t: int) -> DensityMatrix:
+def sym_projector_state(d: int, t: int) -> np.ndarray:
     """Pi_sym / tr(Pi_sym) on t copies of a d-dimensional space."""
     total = d**t
     digits = np.empty((total, t), dtype=np.int64)
@@ -48,7 +48,7 @@ def sym_projector_state(d: int, t: int) -> DensityMatrix:
         for pos in range(t):
             target = target * d + shuffled[:, pos]
         proj[target, idx] += 1.0 / factorial(t)
-    return DensityMatrix(total, proj / np.trace(proj))
+    return proj / np.trace(proj)
 
 
 def test_subset_phase_state_basics():
@@ -74,18 +74,16 @@ def test_coherence_examples():
     assert coherence_rel_entropy(basis) == 0.0
     uniform = StateVector(shape, np.full(32, 1 / np.sqrt(32), dtype=complex))
     assert coherence_rel_entropy(uniform) == pytest.approx(5 * LN2)
-    rho = pure(uniform.amplitudes)
-    assert coherence_rel_entropy(rho) == pytest.approx(5 * LN2, abs=1e-8)
 
 
 def test_hybrid3_small_cases():
     rho = hybrid3_state(1, 1)
-    evals = np.linalg.eigvalsh(rho.entries)
+    evals = np.linalg.eigvalsh(rho)
     assert np.sum(evals > 1e-12) == 2
     assert evals[-1] == pytest.approx(0.5)
     rho2 = hybrid3_state(2, 2)
-    assert np.trace(rho2.entries).real == pytest.approx(1.0)
-    assert np.linalg.eigvalsh(rho2.entries)[0] >= -1e-9
+    assert np.trace(rho2).real == pytest.approx(1.0)
+    assert np.linalg.eigvalsh(rho2)[0] >= -1e-9
 
 
 def test_hybrid3_vs_sym_projector_bound():
@@ -106,15 +104,15 @@ def test_hybrid3_vs_sym_projector_bound():
 
 def test_sym_projector_examples():
     s1 = sym_projector_state(3, 1)
-    assert np.allclose(s1.entries, np.eye(3) / 3.0)
+    assert np.allclose(s1, np.eye(3) / 3.0)
     s2 = sym_projector_state(2, 2)
-    proj = s2.entries * 3.0  # triplet projector
+    proj = s2 * 3.0  # triplet projector
     assert np.allclose(proj @ proj, proj, atol=1e-12)
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
     assert np.max(np.abs(proj @ singlet)) < 1e-12
     for d, t in ((2, 2), (2, 3), (4, 2)):
         s = sym_projector_state(d, t)
-        rank = np.sum(np.linalg.eigvalsh(s.entries) > 1e-12)
+        rank = np.sum(np.linalg.eigvalsh(s) > 1e-12)
         assert rank == comb(d + t - 1, t)
 
 
@@ -256,8 +254,13 @@ def test_entanglement_entropy_examples():
         entanglement_entropy(bell, [0, 1])
 
 
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.array([[0.5, 0.5], [0.2, 0.5]]))
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.eye(2) * 0.7)
+def test_mixture_is_the_sum_of_projectors():
+    """A single state s gives |s><s| = outer(s, conj s), not its conjugate
+    (s = (1, i)/sqrt 2 has <0|rho|1> = -i/2), and m states give the mean of
+    their projectors."""
+    s = np.array([1.0, 1j]) / np.sqrt(2)
+    assert np.array_equal(mixture(s[None, :]), np.outer(s, s.conj()))
+    assert mixture(s[None, :])[0, 1] == pytest.approx(-0.5j)
+    stream = WordStream(RngSeed(31))
+    states = stream.standard_normal(12).reshape(3, 4) + 1j * stream.standard_normal(12).reshape(3, 4)
+    assert np.allclose(mixture(states), sum(pure(row) for row in states) / 3, atol=1e-14)

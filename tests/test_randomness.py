@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import identity_permutation, zero_sign_function
+from conftest import backend_permutation, backend_sign_function, identity_permutation, zero_sign_function
 from rsedlab.bitcore import SystemShape
 from rsedlab.randomness import (
     FEISTEL_ROUNDS,
@@ -38,7 +38,7 @@ def test_explicit_backend_bijective_exhaustive():
 @pytest.mark.parametrize("n", [4, 7, 8, 9, 11, 12])
 def test_feistel_bijective_exhaustive(n):
     shape = SystemShape(n, 2)
-    p = sample_permutation(shape, RngSeed(77, n), backend="feistel")
+    p = backend_permutation(shape, RngSeed(77, n), "feistel")
     xs = np.arange(shape.dim, dtype=np.uint32)
     fwd = p.forward_array(xs)
     assert sorted(fwd.tolist()) == list(range(shape.dim))
@@ -48,14 +48,14 @@ def test_feistel_bijective_exhaustive(n):
 def test_feistel_four_rounds_default_and_nontrivial():
     assert FEISTEL_ROUNDS == 4
     shape = SystemShape(8, 2)
-    p = sample_permutation(shape, RngSeed(4242), backend="feistel")
+    p = backend_permutation(shape, RngSeed(4242), "feistel")
     xs = np.arange(256, dtype=np.uint32)
     assert (p.forward_array(xs) != xs).any()
 
 
 def test_feistel_round_steps_compose_and_sampled_bijectivity():
     shape = SystemShape(20, 4)
-    p = sample_permutation(shape, RngSeed(88), backend="feistel")
+    p = sample_permutation(shape, RngSeed(88))
     xs = np.arange(0, shape.dim, 997, dtype=np.uint32)
     composed = xs
     for i in range(FEISTEL_ROUNDS):
@@ -119,7 +119,7 @@ def test_sign_function_examples():
 
 def test_keyed_prf_sign_balance():
     shape = SystemShape(12, 4)
-    f = sample_sign_function(shape, RngSeed(0xBEEF), backend="keyed_prf")
+    f = backend_sign_function(shape, RngSeed(0xBEEF), "keyed_prf")
     bits = f.sign_array(np.arange(shape.dim, dtype=np.uint32))
     assert 0.45 <= bits.mean() <= 0.55
 
@@ -196,9 +196,18 @@ def test_serialization_rejects_truncated_header(tmp_path):
         load_permutation(path, k=1)
 
 
-def test_explicit_table_capacity_error():
-    with pytest.raises(ValueError):
-        sample_permutation(SystemShape(25, 4), RngSeed(1), backend="explicit")
+def test_n_picks_the_sampled_backend():
+    """Tables and stream bits up to n = 16, a Feistel network and the keyed
+    PRF from n = 17 on, each equal to the constructor built from the seed."""
+    xs = np.arange(0, 1 << 17, 997, dtype=np.uint32)
+    for n, table in ((16, True), (17, False)):
+        shape, sp, sf = SystemShape(n, 4), RngSeed(31, n), RngSeed(32, n)
+        p, f = sample_permutation(shape, sp), sample_sign_function(shape, sf)
+        assert (p.table is not None, f.bits is not None) == (table, table)
+        backend = ("explicit", "explicit") if table else ("feistel", "keyed_prf")
+        ys = xs[xs < shape.dim]
+        assert (p.forward_array(ys) == backend_permutation(shape, sp, backend[0]).forward_array(ys)).all()
+        assert (f.sign_array(ys) == backend_sign_function(shape, sf, backend[1]).sign_array(ys)).all()
 
 
 def _sha256(a, dtype) -> str:
@@ -231,8 +240,8 @@ _FEISTEL_PRF_GOLDEN = [
 def test_feistel_and_keyed_prf_golden(n, fwd_head, inv_head, sign_head, fwd_sha, inv_sha, sign_sha):
     shape = SystemShape(n, 6)
     xs = np.arange(0, shape.dim, 997)
-    p = sample_permutation(shape, RngSeed(15, n), backend="feistel")
-    f = sample_sign_function(shape, RngSeed(16, n), backend="keyed_prf")
+    p = sample_permutation(shape, RngSeed(15, n))
+    f = sample_sign_function(shape, RngSeed(16, n))
     fwd, inv, signs = p.forward_array(xs), p.inverse_array(xs), f.sign_array(xs)
     assert fwd[:4].tolist() == fwd_head and inv[:4].tolist() == inv_head
     assert signs[:16].tolist() == sign_head

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_permutation, zero_sign_function
+from conftest import backend_permutation, identity_permutation, zero_sign_function
 from rsedlab.bitcore import SystemShape
 from rsedlab.randomness import sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
@@ -115,7 +115,7 @@ def test_factorization_identity_dense():
     """sum_a O_a u O_a^dag = P F (u x I) F P^dag, exactly, for mixed backends."""
     for idx, backend in enumerate(["explicit", "feistel"]):
         shape = SystemShape(8, 4)
-        p = sample_permutation(shape, RngSeed(21, idx), backend=backend)
+        p = backend_permutation(shape, RngSeed(21, idx), backend)
         f = sample_sign_function(shape, RngSeed(22, idx))
         u = random_sign_hadamard(4, RngSeed(23, idx))
         op = RsedOperator(shape, p, f, u)

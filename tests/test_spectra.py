@@ -16,8 +16,6 @@ from rsedlab.spectra import (
     ks_distance,
     level_spacing_stats,
     pooled_spacings,
-    rsed_sff,
-    sff_from_eigenvalues,
     spectral_form_factor,
     wigner_dyson_cdf,
 )
@@ -25,7 +23,6 @@ from rsedlab import spectra, subsystem
 from rsedlab.subsystem import (
     PHASE_SNAP,
     parent_spectrum,
-    SubHamiltonian,
     SubUnitary,
     _trusted,
     hadamard_layer,
@@ -80,10 +77,9 @@ def test_embedded_zero_gap_fraction():
     assert zero == shape.dim - shape.subdim
     frac = zero / (shape.dim - 1)
     assert frac == pytest.approx(1.0 - (shape.subdim - 1) / (shape.dim - 1))
-    report = level_spacing_stats(full, exclude_degenerate=False)
+    report = level_spacing_stats(full)
     assert report.degeneracy_multiplicity == shape.num_seeds
-    excluded = level_spacing_stats(full, exclude_degenerate=True)
-    assert np.allclose(excluded.spacings, 1.0)  # linspace gaps are equal
+    assert np.allclose(pooled_spacings([full]), 1.0)  # the cut leaves the equal linspace gaps
 
 
 def test_hadamard_parent_two_point_pattern():
@@ -91,8 +87,7 @@ def test_hadamard_parent_two_point_pattern():
     h = parent_hamiltonian(hadamard_layer(4))
     vals = np.unique(np.round(h.eigenvalues, 9))
     assert np.allclose(vals, [0.0, 0.5], atol=1e-9)
-    report = level_spacing_stats(h.eigenvalues, exclude_degenerate=True)
-    assert np.allclose(report.spacings, 1.0)  # single nonzero gap
+    assert np.allclose(pooled_spacings([h.eigenvalues]), 1.0)  # the cut leaves the single nonzero gap
 
 
 def test_wigner_dyson_pdf_properties():
@@ -147,25 +142,11 @@ def test_gue_cdf_math_erf_matches_scipy_erf():
 
 def test_sff_examples():
     h = pauli_syk(3, RngSeed(1))
-    assert spectral_form_factor(h, 0.0, 0.0) == pytest.approx(h.dim**2)
-    single = SubHamiltonian(1, np.diag([0.4, 0.4]).astype(complex))
+    assert spectral_form_factor(h.eigenvalues, 0.0, 0.0) == pytest.approx(h.dim**2)
     # both eigenvalues 0.4: R2s = |2 e^{-0.4 beta}|^2; the one-eigenvalue law
-    assert spectral_form_factor(single, 2.0, 0.0) == pytest.approx(4 * np.exp(-2 * 0.4 * 2.0))
-
-
-def test_sff_factorization_exact():
-    stream = WordStream(RngSeed(2))
-    betas = stream.uniform01(20) * 3
-    ts = stream.uniform01(20) * 8
-    for idx in range(20):
-        n = 4 + idx % 5
-        k = 1 + idx % min(n, 3)
-        shape = SystemShape(n, k)
-        h = pauli_syk(max(k, 2), RngSeed(3, idx)) if k >= 2 else SubHamiltonian(1, np.diag([0.3, -0.9]).astype(complex))
-        if h.k != k:
-            continue
-        r2s = spectral_form_factor(h, float(betas[idx]), float(ts[idx]))
-        assert rsed_sff(shape, h, float(betas[idx]), float(ts[idx])) == 4.0 ** (n - k) * r2s
+    assert spectral_form_factor(np.array([0.4, 0.4]), 2.0, 0.0) == pytest.approx(4 * np.exp(-2 * 0.4 * 2.0))
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        spectral_form_factor(h.eigenvalues, -0.5, 1.0)
 
 
 def test_rsed_sff_matches_dense_embedding():
@@ -182,7 +163,8 @@ def test_rsed_sff_matches_dense_embedding():
         h_emb[np.ix_(pos[a], pos[a])] = (sg[a][:, None] * sg[a][None, :]) * h.matrix
     evals = np.linalg.eigvalsh(h_emb)
     for beta, t in ((0.0, 1.0), (0.5, 4.2), (1.5, 0.0)):
-        assert abs(sff_from_eigenvalues(evals, beta, t) - rsed_sff(shape, h, beta, t)) < 1e-8
+        full = 4.0 ** (n - k) * spectral_form_factor(h.eigenvalues, beta, t)
+        assert abs(spectral_form_factor(evals, beta, t) - full) < 1e-8
 
 
 def test_embed_spectrum_examples():
@@ -458,7 +440,7 @@ _REPEATS = np.sort(WordStream(RngSeed(15)).integers(40, 120).astype(np.float64))
 def test_level_spacing_clusters_match_a_gap_walk(monkeypatch, evals, scale, multiplicity):
     """degeneracy_multiplicity is the modal cluster size (the smallest on a
     tie), clusters split at the gaps not below tol, as a gap-by-gap walk
-    finds them; spacings are the gaps, or those not below tol, at unit mean."""
+    finds them; spacings are all the gaps at unit mean."""
     monkeypatch.setattr(spectra, "DEGENERACY_TOL_SCALE", scale)
     tol = scale * (evals.max() - evals.min())
     counts = Counter(_gap_walk_clusters(evals, tol))
@@ -466,17 +448,13 @@ def test_level_spacing_clusters_match_a_gap_walk(monkeypatch, evals, scale, mult
     assert level_spacing_stats(evals).degeneracy_multiplicity == multiplicity
     gaps = np.diff(np.sort(evals))
     assert np.array_equal(level_spacing_stats(evals).spacings, gaps / gaps.mean())
-    kept = gaps[gaps >= tol]
-    if len(kept):
-        assert np.array_equal(level_spacing_stats(evals, exclude_degenerate=True).spacings, kept / kept.mean())
-    else:
-        with pytest.raises(ValueError, match="no nonzero gaps"):
-            level_spacing_stats(evals, exclude_degenerate=True)
 
 
 def test_level_spacing_stats_errors():
     with pytest.raises(ValueError):
         level_spacing_stats(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="no nonzero gaps"):
+        level_spacing_stats(np.zeros(3))
 
 
 def test_histogram_export(tmp_path):

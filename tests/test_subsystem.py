@@ -2,7 +2,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.linalg import schur
 
 from rsedlab import subsystem
 from rsedlab.cli import hadamard_sign_f_average
@@ -177,6 +176,7 @@ def test_cached_schur_form_is_bit_identical(monkeypatch, make):
     for the cached gate."""
     u = make()
     calls = []
+    schur = subsystem.schur
     monkeypatch.setattr(subsystem, "schur", lambda *a, **kw: calls.append(1) or schur(*a, **kw))
     unitary_power(u, 0.25)
     for t in (0.5, 1.5, 2.75):

@@ -1,8 +1,10 @@
-"""The public surface holds only names the program itself reaches.
+"""The public surface holds only names and options the program itself uses.
 
 Every name `rsedlab/__init__.py` exports must be used, as a name or an
 attribute, somewhere in the library modules, `scripts/` or `perfbench/`.  A
-name that only its own tests call belongs in those tests.
+name that only its own tests call belongs in those tests.  Likewise every
+defaulted parameter of a public function must be varied by those calls; a
+value that only tests change belongs in the tests' own construction.
 """
 
 import ast
@@ -16,6 +18,12 @@ PACKAGE = ROOT / "src" / "rsedlab"
 ALLOWED = {"parse", "load_permutation", "entanglement_entropy"}
 
 
+def _program_files() -> list[Path]:
+    """The library modules (without __init__), scripts/ and perfbench/."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    return files + [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+
+
 def _exported() -> set[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
@@ -24,10 +32,8 @@ def _exported() -> set[str]:
 def _used() -> set[str]:
     """Every Name and attribute read in the program; a def or class line
     binds its name without using it, so it adds nothing here."""
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     used = set()
-    for path in files:
+    for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -40,3 +46,63 @@ def test_every_export_is_reached_by_the_program():
     exported = _exported()
     assert ALLOWED <= exported
     assert sorted(exported - _used() - ALLOWED) == []
+
+
+def _public_defs():
+    """(qualified name, def) for each public function and method of the library."""
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield node.name, node
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _literal(node: ast.expr) -> str | None:
+    """repr of a literal expression, None for a computed one."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def _unvaried() -> list[str]:
+    """Qualified names of the defaulted parameters that no call varies."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in _program_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    unvaried = []
+    for qualname, fn in _public_defs():
+        a = fn.args
+        positional = [p.arg for p in a.posonlyargs + a.args]
+        defaults = dict(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+        defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+        if positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        for param, default in defaults.items():
+            values = set()
+            for call in calls.get(fn.name, []):
+                given = dict(zip(positional, call.args)) | {kw.arg: kw.value for kw in call.keywords}
+                if any(isinstance(v, ast.Starred) for v in call.args) or None in given:
+                    values.add(None)  # *args or **kwargs: anything may pass
+                    continue
+                value = given.get(param, default)
+                values.add(_literal(value) or (ast.dump(value) if value is default else None))
+            if None not in values and len(values) < 2:
+                unvaried.append(f"{qualname}.{param}")
+    return sorted(unvaried)
+
+
+def test_every_default_parameter_is_varied_by_the_program():
+    """Each defaulted parameter of a public function or method gets at least
+    two distinct values, or a computed one, across the calls in the library,
+    `scripts/` and `perfbench/`.  Calls are matched by name, and one that
+    omits the parameter counts as its default.  A parameter that never
+    varies is a constant in disguise.  parse has no caller in the program: it
+    reads RSEDCIRC text at a trust boundary."""
+    assert _unvaried() == ["parse.registry"]
