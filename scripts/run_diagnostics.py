@@ -44,7 +44,7 @@ JOBS = [
         "experiment": "coherence",
         "n": 10,
         "k": 5,
-        "trials": 100,
+        "ensemble": 100,
         "seed": 99,
     },
 ]

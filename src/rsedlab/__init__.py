@@ -46,7 +46,6 @@ from .otoc import (
     poisson_bracket,
 )
 from .spectra import (
-    SpectrumReport,
     ks_distance,
     level_spacing_stats,
     spectral_form_factor,

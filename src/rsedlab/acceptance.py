@@ -36,7 +36,7 @@ from .prs import coherence_trial, hybrid3_state, mixture, trace_distance
 from .randomness import SignFunction, sample_permutation, sample_sign_function
 from .rng import RngSeed, WordStream
 from .rsed import RsedOperator, dense_embedding, dense_matrix, evolve_basis_state
-from .spectra import ks_distance, pooled_spacings, spectral_form_factor
+from .spectra import ks_distance, level_spacing_stats, spectral_form_factor
 from .subsystem import (
     SubHamiltonian,
     SubUnitary,
@@ -332,7 +332,7 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     spectra = [parent_spectrum(random_sign_hadamard(8, RngSeed(0xA0, s))) for s in range(40)]
-    ks = ks_distance(pooled_spacings(spectra), "GOE")
+    ks = ks_distance(level_spacing_stats(spectra).spacings, "GOE")
     return CriterionResult("10", "pooled parent-spectrum spacings vs GOE surmise (k=8, 40 seeds)", ks, "<= 0.08", ks <= 0.08)
 
 

@@ -36,12 +36,7 @@ from .prs import coherence_trial, design_variance_condition, element_condition_c
 from .randomness import sample_permutation, sample_sign_function, save_permutation
 from .rng import RngSeed
 from .rsed import RsedOperator, dense_matrix
-from .spectra import (
-    ks_distance,
-    level_spacing_stats,
-    pooled_spacings,
-    spectral_form_factor,
-)
+from .spectra import ks_distance, level_spacing_stats, spectral_form_factor
 from .subsystem import (
     MAX_SUB_QUBITS,
     SubHamiltonian,
@@ -51,7 +46,6 @@ from .subsystem import (
     hadamard_layer,
     hadamard_sign_power,
     identity_gate,
-    parent_hamiltonian,
     parent_spectrum,
     pauli_syk,
     random_sign_hadamard,
@@ -85,14 +79,12 @@ class ExperimentConfig:
     t_grid: list = field(default_factory=lambda: [0.0, 1.0, 2.0, 3.0, 4.0])
     t_fixed: float = 4.0
     ensemble: int = 8
-    trials: int = 100
     sites: list = field(default_factory=lambda: [0, 1])
     estimator: dict = field(default_factory=lambda: {"mode": "exact"})
     beta_list: list = field(default_factory=lambda: [0.0, 1.0])
     t_copies: int = 2
     b_star: int = 0
     eps: float = 0.3
-    exclude_degenerate: bool = True
     seed: int = 1
     out: str = "."
     threads: int = 1
@@ -111,8 +103,8 @@ class ExperimentConfig:
         scaling = self.experiment == "otoc-scaling"
         if not scaling and not 1 <= k <= min(self.n, MAX_SUB_QUBITS):
             raise ConfigError(f"k={k} out of range for n={self.n} (at most min(n, {MAX_SUB_QUBITS}))")
-        if self.ensemble < 1 or self.trials < 1:
-            raise ConfigError("ensemble and trials must be >= 1")
+        if self.ensemble < 1:
+            raise ConfigError("ensemble must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.experiment == "verify" and (self.seed != ExperimentConfig.seed or self.threads != 1):
@@ -128,6 +120,9 @@ class ExperimentConfig:
             raise ConfigError("t_grid must not be empty")
         if not all(_type_ok(v, "float") and -inf < v < inf for v in [*self.t_grid, *self.beta_list, self.t_fixed]):
             raise ConfigError("t_grid and beta_list entries and t_fixed must be finite numbers")
+        # the element threshold K**-eps is at least 1 at eps <= 0, which no |u|**2 exceeds
+        if not 0 < self.eps < inf:
+            raise ConfigError(f"eps must be a finite number > 0, got {self.eps}")
         if scaling:
             if self.t_fixed < 0 or not float(self.t_fixed).is_integer():
                 raise ConfigError(f"otoc-scaling needs an integer t_fixed >= 0, got {self.t_fixed}")
@@ -155,13 +150,15 @@ class ExperimentConfig:
 
 def _preload_schur(cfg: ExperimentConfig) -> None:
     """Import scipy.linalg during set-up if the run takes a Schur form: verify,
-    or sff or u**t at a t not a whole number >= 0 (see evolved) of a gate other
-    than pauli_syk, which evolves through its own eigh.  Other runs never load
-    scipy.  No output depends on this guess, only where the import is paid."""
+    or u**t at a t not a whole number >= 0 (see evolved) of a gate other than
+    pauli_syk, which evolves through its own eigh.  Other runs never load
+    scipy: every other gate is real, so its spectrum (gate_spectrum) comes
+    from a symmetric eigenproblem.  No output depends on this guess, only
+    where the import is paid."""
     ts = [cfg.t_fixed] if cfg.experiment == "design-check" else cfg.t_grid
     powers = cfg.experiment in ("otoc-trace", "otoc-average", "design-check")
     fractional = powers and any(t < 0 or not float(t).is_integer() for t in ts)
-    if cfg.experiment == "verify" or (cfg.u_spec.get("type") != "pauli_syk" and (cfg.experiment == "sff" or fractional)):
+    if cfg.experiment == "verify" or (cfg.u_spec.get("type") != "pauli_syk" and fractional):
         import scipy.linalg  # noqa: F401
 
 
@@ -190,6 +187,12 @@ def base_gate(cfg: ExperimentConfig, k: int, realization: int) -> SubUnitary | S
     if kind == "pauli_syk":
         return pauli_syk(k, seed)
     raise ConfigError(f"unknown u_spec type {kind!r}")
+
+
+def gate_spectrum(gate: SubUnitary | SubHamiltonian) -> np.ndarray:
+    """The sorted spectrum of a gate: the energies of a SubHamiltonian (eigh
+    sorts them), else its parent spectrum."""
+    return gate.eigenvalues if isinstance(gate, SubHamiltonian) else parent_spectrum(gate)
 
 
 def evolved(gate: SubUnitary | SubHamiltonian, t: float) -> SubUnitary:
@@ -354,17 +357,11 @@ def run_otoc_average(cfg: ExperimentConfig, out: Path) -> dict:
 def run_level_stats(cfg: ExperimentConfig, out: Path) -> dict:
     k = resolve_k(cfg, cfg.n)
 
-    def one(r: int) -> np.ndarray:
-        gate = base_gate(cfg, k, r)
-        return np.sort(gate.eigenvalues) if isinstance(gate, SubHamiltonian) else parent_spectrum(gate)
-
-    spac = pooled_spacings(_parallel(cfg, one, range(cfg.ensemble)), cfg.exclude_degenerate)
+    stats = level_spacing_stats(_parallel(cfg, lambda r: gate_spectrum(base_gate(cfg, k, r)), range(cfg.ensemble)))
+    spac = stats.spacings
     if spac.size < 2:
         raise ConfigError(f"level statistics need at least 2 spacings, and {spac.size} survived the degeneracy cut")
-    # histogram the pooled spacings by feeding their cumulative sum back in
-    # as a synthetic spectrum whose gaps are exactly `spac`
-    report = level_spacing_stats(np.cumsum(np.concatenate([[0.0], spac])))
-    edges, dens = report.histogram
+    edges, dens = stats.histogram
     write_csv(out / "level_stats_hist.csv", cfg, ["bin_left", "bin_right", "density"], list(zip(edges[:-1], edges[1:], dens)))
     ks_goe = ks_distance(spac, "GOE")
     ks_gue = ks_distance(spac, "GUE")
@@ -384,12 +381,11 @@ def run_sff(cfg: ExperimentConfig, out: Path) -> dict:
     shape = SystemShape(cfg.n, k)
     # the full spectrum is the subsystem's 2**(n-k) times over
     factor = 4.0 ** (shape.n - shape.k)
-    gate = base_gate(cfg, k, 0)
-    h_par = gate if isinstance(gate, SubHamiltonian) else parent_hamiltonian(gate)
+    evals = gate_spectrum(base_gate(cfg, k, 0))
     rows = []
     for beta in cfg.beta_list:
         for t in cfg.t_grid:
-            r2s = spectral_form_factor(h_par.eigenvalues, float(beta), float(t))
+            r2s = spectral_form_factor(evals, float(beta), float(t))
             full = factor * r2s
             ratio = full / r2s if r2s else float("nan")
             rows.append([float(beta), float(t), r2s, full, float(ratio)])
@@ -427,7 +423,7 @@ def run_coherence(cfg: ExperimentConfig, out: Path) -> dict:
 
     rows = []
     passes = 0
-    for r, (c0, c1) in enumerate(_parallel(cfg, one, range(cfg.trials))):
+    for r, (c0, c1) in enumerate(_parallel(cfg, one, range(cfg.ensemble))):
         lifted = c1 >= (cfg.n / 4.0) * np.log(2.0)
         passes += int(lifted)
         rows.append([r, c0, c1, int(lifted)])
@@ -436,7 +432,7 @@ def run_coherence(cfg: ExperimentConfig, out: Path) -> dict:
         "expected_nats": k * float(np.log(2.0)),
         "max_dev": max(abs(r[1] - k * np.log(2.0)) for r in rows),
         "lift_passes": passes,
-        "trials": cfg.trials,
+        "trials": cfg.ensemble,
     }
     write_json(out / "coherence_summary.json", cfg, summary)
     return summary

@@ -1,83 +1,48 @@
-"""Eigenvalue statistics: nearest-neighbor spacings against the Wigner
-surmises, and the spectral form factor of a spectrum."""
+"""Eigenvalue statistics: pooled nearest-neighbor spacings against the
+Wigner surmises, and the spectral form factor of a spectrum.
+
+level_spacing_stats is the one path from spectra to spacings: it cuts the
+gaps below 1e-12, scales each spectrum's remaining gaps to unit mean, pools
+them and bins them."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-DEGENERACY_TOL_SCALE = 1e-10
 HISTOGRAM_BINS = 40
 _erf = np.vectorize(math.erf, otypes=[float])  # elementwise, without loading scipy.special
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    eigenvalues: np.ndarray = field(repr=False)
-    spacings: np.ndarray = field(repr=False)
-    degeneracy_multiplicity: int
+class SpacingStats(NamedTuple):
+    spacings: np.ndarray
     histogram: tuple[np.ndarray, np.ndarray]  # (bin edges, densities)
 
 
-def level_spacing_stats(evals: np.ndarray) -> SpectrumReport:
-    """Sorted spectrum, unit-mean normalized gaps, histogram.
+def level_spacing_stats(spectra) -> SpacingStats:
+    """Pooled unit-mean spacings of sorted spectra, and their histogram.
 
-    Every gap is kept (pooled_spacings makes the degeneracy cut).
-    degeneracy_multiplicity is the modal size of eigenvalue clusters at a
-    tolerance of 1e-10 times the spectral range (1 for a simple spectrum,
-    2**(n-k) for an embedded one).  The histogram has HISTOGRAM_BINS bins
-    over [0, max(4, largest spacing)].
-    """
-    evals = np.sort(np.asarray(evals, dtype=np.float64))
-    if len(evals) < 3:
-        raise ValueError("need at least 3 eigenvalues")
-    spread = evals[-1] - evals[0]
-    tol = DEGENERACY_TOL_SCALE * spread
-    gaps = np.diff(evals)
-    # each gap not below tol ends a cluster; sizes are the runs between them
-    ends = np.flatnonzero(~(gaps < tol))
-    cluster_sizes = np.diff(ends, prepend=-1, append=len(gaps))
-    sizes, counts = np.unique(cluster_sizes, return_counts=True)
-    multiplicity = int(sizes[np.argmax(counts)])
-    if gaps.mean() == 0:
-        raise ValueError("no nonzero gaps to normalize")
-    spacings = gaps / gaps.mean()
-    top = max(4.0, float(spacings.max()))
-    dens, edges = np.histogram(spacings, bins=HISTOGRAM_BINS, range=(0.0, top), density=True)
-    return SpectrumReport(evals, spacings, multiplicity, (edges, dens))
-
-
-def pooled_spacings(spectra, exclude_degenerate: bool = True) -> np.ndarray:
-    """Nearest-neighbor gaps of each sorted spectrum, each set scaled to unit
-    mean, concatenated in order.
-
-    exclude_degenerate drops gaps below an absolute 1e-12 before the scaling,
-    and a spectrum with no gap left adds nothing.  The cut is absolute, not
-    1e-10 of the spread as in level_spacing_stats: it removes only gaps that
-    are zero up to rounding (pooled spectra are parent-Hamiltonian
-    eigenvalues -theta / 2pi in (-1/2, 1/2] or SYK energies of order one),
-    at one threshold for every spectrum of the pool.  level_spacing_stats
-    scales its cluster tolerance because it sizes the degenerate clusters of
-    one spectrum at any energy scale.
-
-    A kept gap set of mean 0 (one repeated eigenvalue, without the cut) or an
-    empty pool (every spectrum degenerate, with it) is a ValueError.
+    Each spectrum's gaps below an absolute 1e-12 are dropped (they are zero
+    up to rounding: pooled spectra are parent-Hamiltonian eigenvalues
+    -theta / 2pi in (-1/2, 1/2] or SYK energies of order one), the rest are
+    scaled to unit mean, and the sets are concatenated in order; a spectrum
+    with no gap left adds nothing, and an empty pool is a ValueError.  The
+    histogram has HISTOGRAM_BINS bins over [0, max(4, largest spacing)].
     """
     pooled = []
-    for r, evals in enumerate(spectra):
+    for evals in spectra:
         gaps = np.diff(evals)
-        if exclude_degenerate:
-            gaps = gaps[gaps >= 1e-12]
+        gaps = gaps[gaps >= 1e-12]
         if gaps.size:
-            mean = gaps.mean()
-            if not mean > 0:
-                raise ValueError(f"spectrum {r} has gaps of mean {mean}; a degenerate spectrum has no unit scale")
-            pooled.append(gaps / mean)
+            pooled.append(gaps / gaps.mean())
     if not pooled:
         raise ValueError("no spectrum has a gap above the 1e-12 degeneracy cut; nothing to pool")
-    return np.concatenate(pooled)
+    spacings = np.concatenate(pooled)
+    top = max(4.0, float(spacings.max()))
+    dens, edges = np.histogram(spacings, bins=HISTOGRAM_BINS, range=(0.0, top), density=True)
+    return SpacingStats(spacings, (edges, dens))
 
 
 def wigner_dyson_cdf(s, ensemble: str = "GOE"):

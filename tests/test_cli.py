@@ -10,7 +10,9 @@ import pytest
 
 import rsedlab
 from rsedlab import __version__, subsystem
-from rsedlab.cli import ConfigError, ExperimentConfig, load_config, main
+from rsedlab.cli import ConfigError, ExperimentConfig, base_gate, load_config, main
+from rsedlab.spectra import spectral_form_factor
+from rsedlab.subsystem import parent_hamiltonian, parent_spectrum
 
 
 def read_csv_rows(path: Path):
@@ -196,7 +198,7 @@ def test_level_stats_driver(tmp_path):
         ({"experiment": "level-stats", "n": 6, "k": 4, "ensemble": 2}, "level_stats_hist.csv"),
         ({"experiment": "sff", "n": 6, "k": 3, "t_grid": [1.0], "beta_list": [0.0]}, "sff.csv"),
         ({"experiment": "design-check", "n": 6, "k": 3, "ensemble": 1}, "design_check.csv"),
-        ({"experiment": "coherence", "n": 6, "k": 3, "trials": 2}, "coherence.csv"),
+        ({"experiment": "coherence", "n": 6, "k": 3, "ensemble": 2}, "coherence.csv"),
     ],
 )
 def test_every_csv_carries_config_seed_and_version(tmp_path, cfg, csv_name):
@@ -229,6 +231,24 @@ def test_sff_driver_ratio_constant(tmp_path):
         assert float(row[4]) == pytest.approx(4.0 ** (9 - 3))
 
 
+@pytest.mark.parametrize("kind", ["hadamard", "random_sign_hadamard"])
+def test_sff_reads_the_parent_spectrum(tmp_path, kind):
+    """r2_sub is the form factor of parent_spectrum(gate) bit for bit, and
+    agrees with the eigenvalues of the dense parent Hamiltonian to 1e-12."""
+    cfg = {"experiment": "sff", "n": 9, "k": 6, "u_spec": {"type": kind, "seed": 3},
+           "t_grid": [0.0, 0.5, 1.0, 2.5, 8.0], "beta_list": [0.0, 1.0, 10.0]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["sff", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    gate = base_gate(ExperimentConfig(**cfg), 6, 0)
+    fast, dense = parent_spectrum(gate), parent_hamiltonian(gate).eigenvalues
+    _, rows = read_csv_rows(tmp_path / "sff.csv")
+    assert len(rows) == 15
+    for row in rows:
+        beta, t, r2s = float(row[0]), float(row[1]), float(row[2])
+        assert r2s == spectral_form_factor(fast, beta, t)
+        assert abs(r2s - spectral_form_factor(dense, beta, t)) <= 1e-12 * r2s
+
+
 def test_design_check_driver(tmp_path):
     cfg = {
         "experiment": "design-check",
@@ -254,7 +274,7 @@ def test_coherence_driver(tmp_path):
         "experiment": "coherence",
         "n": 8,
         "k": 4,
-        "trials": 10,
+        "ensemble": 10,
         "seed": 3,
     }
     cfg_path = tmp_path / "cfg.json"
@@ -330,6 +350,7 @@ def test_config_errors_exit_2(tmp_path):
         # a fractional site would shift by bit 0 and give a wrong curve silently
         {"experiment": "otoc-trace", "sites": [0.5, 1]},
         {"experiment": "otoc-scaling", "n_list": [4, "8"]},
+        # exclude_degenerate is no field: the degeneracy cut is always on
         {"experiment": "otoc-trace", "exclude_degenerate": 1},
         {"experiment": "otoc-trace", "ensemble": True},
         {"experiment": "otoc-trace", "u_spec": {"type": "random_sign_hadamard", "seed": "x"}},
@@ -355,7 +376,7 @@ def test_config_errors_exit_2(tmp_path):
         # misspelled nested keys silently ran 64 seeds and gate seed 7
         {"experiment": "otoc-trace", "estimator": {"mode": "sampled", "num_seed": 8}},
         {"experiment": "otoc-trace", "u_spec": {"type": "random_sign_hadamard", "sed": 3}},
-        # a fully degenerate parent spectrum: NaN KS with the cut off, nothing to pool with it on
+        # a fully degenerate parent spectrum has nothing to pool
         {"experiment": "level-stats", "u_spec": {"type": "identity"}, "exclude_degenerate": False},
         {"experiment": "level-stats", "u_spec": {"type": "identity"}},
         # the exhaustive clamp of a sampled run keeps exact mode's n - k <= 20 cap
@@ -366,6 +387,12 @@ def test_config_errors_exit_2(tmp_path):
         {"experiment": "otoc-trace", "inject_fault": "closed-form-sign"},
         # k is a whole number; null no longer falls back to min(n, 4)
         {"experiment": "otoc-trace", "k": None},
+        # the element threshold K**-eps is at least 1 at eps <= 0: every gate passed
+        {"experiment": "design-check", "n": 8, "k": 4, "ensemble": 2, "eps": -1.0},
+        {"experiment": "design-check", "n": 8, "k": 4, "ensemble": 2, "eps": 0.0},
+        {"experiment": "design-check", "n": 8, "k": 4, "ensemble": 2, "eps": float("nan")},
+        # coherence reads ensemble like every other driver; trials is no field
+        {"experiment": "coherence", "n": 6, "k": 3, "trials": 2},
     ],
 )
 def test_config_boundary_exit_2(tmp_path, cfg):
@@ -546,11 +573,11 @@ print(json.dumps([code, predicted, "scipy.linalg" in sys.modules, "scipy" in sys
         ({"experiment": "otoc-trace", "n": 6, "k": 3, "sites": [0, 4], "t_grid": [0.0, 1.0, 2.0], "ensemble": 1}, False),
         ({"experiment": "otoc-trace", "n": 6, "k": 3, "sites": [0, 4], "t_grid": [0.0, 0.5], "ensemble": 1}, True),
         ({"experiment": "otoc-average", "n": 6, "k": 3, "t_grid": [1.0, 1.5], "ensemble": 1}, True),
-        ({"experiment": "sff", "n": 6, "k": 3}, True),
+        ({"experiment": "sff", "n": 6, "k": 3}, False),
         ({"experiment": "design-check", "n": 6, "k": 3, "t_fixed": 2, "ensemble": 1}, False),
         ({"experiment": "design-check", "n": 6, "k": 3, "t_fixed": 2.5, "ensemble": 1}, True),
         ({"experiment": "otoc-scaling", "n_list": [4, 6, 8], "k_rule": "log2sq", "t_fixed": 2, "ensemble": 1}, False),
-        ({"experiment": "coherence", "n": 6, "k": 3, "trials": 3}, False),
+        ({"experiment": "coherence", "n": 6, "k": 3, "ensemble": 3}, False),
         ({"experiment": "circuit-emit", "n": 6, "k": 3}, False),
     ],
     ids=lambda v: v if isinstance(v, bool) else f"{v['experiment']}-{v.get('u_spec', {}).get('type', '')}",
@@ -558,7 +585,7 @@ print(json.dumps([code, predicted, "scipy.linalg" in sys.modules, "scipy" in sys
 def test_schur_prediction_matches_what_the_driver_loads(tmp_path, cfg, schur):
     """validate() imports scipy.linalg exactly when the driver takes a Schur
     form, so the import is paid in set-up; each run is a fresh process, since
-    a module once imported stays in sys.modules.  level-stats and
+    a module once imported stays in sys.modules.  level-stats, sff and
     otoc-scaling load no part of scipy at all."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -571,5 +598,5 @@ def test_schur_prediction_matches_what_the_driver_loads(tmp_path, cfg, schur):
     code, predicted, loaded, any_scipy = json.loads(probe.stdout.splitlines()[-1])
     assert code == 0
     assert predicted == loaded == schur
-    if cfg["experiment"] in ("level-stats", "otoc-scaling"):
+    if cfg["experiment"] in ("level-stats", "sff", "otoc-scaling"):
         assert not any_scipy

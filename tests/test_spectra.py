@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -15,11 +14,10 @@ from rsedlab.spectra import (
     HISTOGRAM_BINS,
     ks_distance,
     level_spacing_stats,
-    pooled_spacings,
     spectral_form_factor,
     wigner_dyson_cdf,
 )
-from rsedlab import spectra, subsystem
+from rsedlab import subsystem
 from rsedlab.subsystem import (
     PHASE_SNAP,
     parent_spectrum,
@@ -61,9 +59,10 @@ def embed_spectrum(shape: SystemShape, evals_sub: np.ndarray) -> np.ndarray:
 
 
 def test_equally_spaced_spacings():
-    report = level_spacing_stats(np.array([0.0, 1.0, 2.0, 3.0]))
-    assert np.allclose(report.spacings, 1.0)
-    assert report.degeneracy_multiplicity == 1
+    stats = level_spacing_stats([np.array([0.0, 1.0, 2.0, 3.0])])
+    assert np.array_equal(stats.spacings, np.ones(3))
+    edges, dens = stats.histogram
+    assert len(dens) == HISTOGRAM_BINS and edges[0] == 0.0 and edges[-1] == 4.0
 
 
 def test_embedded_zero_gap_fraction():
@@ -77,9 +76,8 @@ def test_embedded_zero_gap_fraction():
     assert zero == shape.dim - shape.subdim
     frac = zero / (shape.dim - 1)
     assert frac == pytest.approx(1.0 - (shape.subdim - 1) / (shape.dim - 1))
-    report = level_spacing_stats(full)
-    assert report.degeneracy_multiplicity == shape.num_seeds
-    assert np.allclose(pooled_spacings([full]), 1.0)  # the cut leaves the equal linspace gaps
+    # the cut leaves the K - 1 equal linspace gaps
+    assert np.allclose(level_spacing_stats([full]).spacings, np.ones(shape.subdim - 1))
 
 
 def test_hadamard_parent_two_point_pattern():
@@ -87,7 +85,7 @@ def test_hadamard_parent_two_point_pattern():
     h = parent_hamiltonian(hadamard_layer(4))
     vals = np.unique(np.round(h.eigenvalues, 9))
     assert np.allclose(vals, [0.0, 0.5], atol=1e-9)
-    assert np.allclose(pooled_spacings([h.eigenvalues]), 1.0)  # the cut leaves the single nonzero gap
+    assert np.allclose(level_spacing_stats([h.eigenvalues]).spacings, [1.0])  # the cut leaves the single nonzero gap
 
 
 def test_wigner_dyson_pdf_properties():
@@ -384,77 +382,74 @@ def test_level_statistics_goe_fit_k10():
 
 def test_pooled_spacings_unit_mean_per_spectrum():
     """Each spectrum's gaps are scaled to unit mean before pooling; gaps
-    below 1e-12 go only when excluding, and a spectrum with none left adds
-    nothing."""
+    below 1e-12 go, and a spectrum with none left adds nothing."""
     spectra = [np.array([0.0, 1.0, 3.0]), np.array([0.0, 0.0, 5e-13]), np.array([-1.0, -1.0, 0.0, 2.0])]
-    assert np.array_equal(pooled_spacings(spectra), [2 / 3, 4 / 3, 2 / 3, 4 / 3])
-    kept = pooled_spacings(spectra, exclude_degenerate=False)
-    assert kept.size == 7 and np.allclose(kept[2:4], [0.0, 2.0]) and np.allclose(kept[4:], [0.0, 1.0, 2.0])
+    assert np.array_equal(level_spacing_stats(spectra).spacings, [2 / 3, 4 / 3, 2 / 3, 4 / 3])
 
 
 @pytest.mark.parametrize(
-    "spectra, exclude, match",
+    "spectra, match",
     [
-        ([np.array([0.0, 1.0]), np.zeros(4)], False, "spectrum 1 has gaps of mean 0.0"),
-        ([np.zeros(4), np.full(3, 0.5)], True, "nothing to pool"),
-        ([], True, "nothing to pool"),
+        ([np.zeros(4), np.full(3, 0.5)], "nothing to pool"),
+        ([], "nothing to pool"),
     ],
+    ids=["spectra1-True-nothing to pool", "spectra2-True-nothing to pool"],
 )
-def test_pooled_spacings_rejects_degenerate_pools(spectra, exclude, match):
-    """A gap set of mean 0 has no unit scale (it gave NaN spacings), and an
-    empty pool has nothing to concatenate."""
+def test_pooled_spacings_rejects_degenerate_pools(spectra, match):
+    """An empty pool has nothing to concatenate."""
     with pytest.raises(ValueError, match=match):
-        pooled_spacings(spectra, exclude_degenerate=exclude)
+        level_spacing_stats(spectra)
 
 
-def _gap_walk_clusters(evals: np.ndarray, tol: float) -> list[int]:
-    """Cluster sizes by walking the sorted gaps one at a time."""
-    sizes, run = [], 1
+def _gap_walk_spacings(evals: np.ndarray) -> tuple[int, list[float]]:
+    """(cluster count, spacings) by walking the sorted gaps one at a time: a
+    gap below 1e-12 stays inside a cluster of repeated levels, any other
+    starts the next cluster and is a spacing, scaled to unit mean at the end."""
+    clusters, kept = 1, []
     for g in np.diff(np.sort(evals)):
-        if g < tol:
-            run += 1
-        else:
-            sizes.append(run)
-            run = 1
-    return sizes + [run]
+        if g >= 1e-12:
+            clusters += 1
+            kept.append(g)
+    return clusters, [g / np.mean(kept) for g in kept]
 
 
 _REPEATS = np.sort(WordStream(RngSeed(15)).integers(40, 120).astype(np.float64))
 
 
 @pytest.mark.parametrize(
-    "evals, scale, multiplicity",
+    "evals, clusters",
     [
-        (np.array([0.0, 0.3, 0.5, 1.0]), 1e-10, 1),
-        # tol = 2 * spread puts every gap below it: one cluster of all four
-        (np.array([0.0, 0.3, 0.5, 1.0]), 2.0, 4),
-        (np.array([0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0]), 1e-10, 1),
-        (np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 3.0]), 1e-10, 1),
-        (np.array([0.0, 1.0, 1.0, 2.0, 2.0, 2.0]), 1e-10, 1),
-        (np.array([0.0, 0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]), 1e-10, 2),
-        (_REPEATS, 1e-10, 2),  # sizes 2 and 4 tie at 11 clusters each
+        (np.array([0.0, 0.3, 0.5, 1.0]), 4),
+        # every gap below the cut: one cluster and nothing to pool
+        (np.array([0.0, 0.3, 0.5, 1.0]) * 1e-12, 1),
+        (np.array([0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0]), 5),
+        (np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 3.0]), 4),
+        (np.array([0.0, 1.0, 1.0, 2.0, 2.0, 2.0]), 3),
+        (np.array([0.0, 0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]), 5),
+        (_REPEATS, len(np.unique(_REPEATS))),
     ],
     ids=["none_below", "all_below", "mixed", "cluster_at_low_end", "cluster_at_high_end",
          "clusters_at_both_ends", "seeded_repeats"],
 )
-def test_level_spacing_clusters_match_a_gap_walk(monkeypatch, evals, scale, multiplicity):
-    """degeneracy_multiplicity is the modal cluster size (the smallest on a
-    tie), clusters split at the gaps not below tol, as a gap-by-gap walk
-    finds them; spacings are all the gaps at unit mean."""
-    monkeypatch.setattr(spectra, "DEGENERACY_TOL_SCALE", scale)
-    tol = scale * (evals.max() - evals.min())
-    counts = Counter(_gap_walk_clusters(evals, tol))
-    assert max(sorted(counts), key=counts.get) == multiplicity
-    assert level_spacing_stats(evals).degeneracy_multiplicity == multiplicity
-    gaps = np.diff(np.sort(evals))
-    assert np.array_equal(level_spacing_stats(evals).spacings, gaps / gaps.mean())
+def test_level_spacing_clusters_match_a_gap_walk(evals, clusters):
+    """The degeneracy cut leaves one spacing between each pair of adjacent
+    clusters of repeated levels, wherever the clusters sit, as a gap-by-gap
+    walk finds them."""
+    walked, spacings = _gap_walk_spacings(evals)
+    assert walked == clusters
+    if clusters == 1:
+        with pytest.raises(ValueError, match="nothing to pool"):
+            level_spacing_stats([evals])
+    else:
+        assert np.array_equal(level_spacing_stats([evals]).spacings, spacings)
 
 
 def test_level_spacing_stats_errors():
-    with pytest.raises(ValueError):
-        level_spacing_stats(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="no nonzero gaps"):
-        level_spacing_stats(np.zeros(3))
+    """A spectrum of fewer than two levels, or of one repeated level, has no
+    gap to pool."""
+    for spectra in ([np.array([1.0])], [np.zeros(3)], [np.array([2.0, 2.0 + 1e-13])]):
+        with pytest.raises(ValueError, match="nothing to pool"):
+            level_spacing_stats(spectra)
 
 
 def test_histogram_export(tmp_path):
@@ -469,3 +464,24 @@ def test_histogram_export(tmp_path):
     assert len(rows) == HISTOGRAM_BINS and rows[0][0] == 0.0
     assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
     assert sum((hi - lo) * d for lo, hi, d in rows) == pytest.approx(1.0)
+
+
+def test_histogram_bins_the_spacings_the_ks_distances_read(tmp_path):
+    """level_stats_hist.csv is np.histogram of the pooled spacings themselves,
+    bit for bit, on the benchmark's level-stats shape at seed 1, whose
+    largest spacing (4.03) sets the top edge."""
+    cfg = {"experiment": "level-stats", "n": 13, "k": 10, "ensemble": 2, "seed": 1,
+           "u_spec": {"type": "random_sign_hadamard", "seed": 1}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["level-stats", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    gates = [base_gate(ExperimentConfig(**cfg), 10, r) for r in range(2)]
+    spacings = []
+    for gaps in (np.diff(parent_spectrum(u)) for u in gates):
+        gaps = gaps[gaps >= 1e-12]
+        spacings.append(gaps / gaps.mean())
+    spacings = np.concatenate(spacings)
+    assert spacings.max() > 4.0
+    dens, edges = np.histogram(spacings, HISTOGRAM_BINS, (0.0, max(4.0, spacings.max())), density=True)
+    lines = [ln for ln in (tmp_path / "level_stats_hist.csv").read_text().splitlines() if not ln.startswith("#")]
+    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    assert rows == [[lo, hi, d] for lo, hi, d in zip(edges[:-1].tolist(), edges[1:].tolist(), dens.tolist())]
