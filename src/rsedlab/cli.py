@@ -287,10 +287,11 @@ def hadamard_sign_f_average(k: int, seed: RngSeed, t: int) -> float:
     """otoc_zz_f_average((H^{tensor k} P)^t) without the K x K gate.
 
     The gate's column batches go one at a time from hadamard_sign_power into
-    otoc_zz_f_average, so at k = 12 no more than two 4096 x 512 float arrays
-    are alive (32 MiB traced, against 512 MiB for the dense gate), and the
-    value equals otoc_zz_f_average(hadamard_sign_power(k, seed, t)) bit for
-    bit.
+    otoc_zz_f_average, so at k = 12 no more than two 4096 x 512 arrays of
+    8-byte entries are alive (the batch with its scratch, or before that the
+    batch with its XOR index; 32 MiB traced, against 512 MiB for the dense
+    gate), and the value equals otoc_zz_f_average(hadamard_sign_power(k,
+    seed, t)) bit for bit.
     """
     return otoc_zz_f_average(hadamard_sign_power(k, seed, t, cols) for cols in column_batches(k))
 
@@ -386,10 +387,8 @@ def run_sff(cfg: ExperimentConfig, out: Path) -> dict:
     for beta in cfg.beta_list:
         for t in cfg.t_grid:
             r2s = spectral_form_factor(evals, float(beta), float(t))
-            full = factor * r2s
-            ratio = full / r2s if r2s else float("nan")
-            rows.append([float(beta), float(t), r2s, full, float(ratio)])
-    write_csv(out / "sff.csv", cfg, ["beta", "t", "r2_sub", "r2_full", "ratio"], rows)
+            rows.append([float(beta), float(t), r2s, factor * r2s])
+    write_csv(out / "sff.csv", cfg, ["beta", "t", "r2_sub", "r2_full"], rows)
     summary = {"factor": factor}
     write_json(out / "sff_summary.json", cfg, summary)
     return summary

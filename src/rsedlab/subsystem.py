@@ -4,6 +4,7 @@ Hadamard, the Pauli spin-SYK model, parent Hamiltonians, real-time powers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -100,6 +101,16 @@ def _dense_h(k: int) -> np.ndarray:
     m = np.array([[1.0]])
     for _ in range(k):
         m = np.kron(m, h1)
+    return m
+
+
+@cache
+def _hadamard_factor(k: int) -> np.ndarray:
+    """_dense_h(k) as a shared read-only array, for the small factors (at
+    most 64 x 64 while k <= 12) of _walsh_hadamard_inplace; full gates call
+    _dense_h, so no K x K array outlives its gate."""
+    m = _dense_h(k)
+    m.flags.writeable = False
     return m
 
 
@@ -299,16 +310,16 @@ def _walsh_hadamard_inplace(a: np.ndarray, scratch: np.ndarray) -> None:
 
     The row index splits into (high k1 bits, low k2 bits) and H^{tensor k}
     factorizes accordingly, so the transform is two dense multiplications by
-    small Hadamard blocks instead of one K x K product, each followed by a
-    transpose copy that brings the other half of the row bits to the front.
+    small Hadamard blocks instead of one K x K product: H_hi @ a viewed as
+    (K1, K2 * cols) into scratch, then one stacked product H_lo @ scratch
+    viewed as (K1, K2, cols) back into a, which reaches the low bits without
+    a transpose copy.
     """
     K, cols = a.shape
     k = K.bit_length() - 1
     K1, K2 = 1 << (k // 2), 1 << (k - k // 2)
-    np.matmul(_dense_h(k // 2), a.reshape(K1, K2 * cols), out=scratch.reshape(K1, K2 * cols))
-    np.copyto(a.reshape(K2, K1, cols), scratch.reshape(K1, K2, cols).transpose(1, 0, 2))
-    np.matmul(_dense_h(k - k // 2), a.reshape(K2, K1 * cols), out=scratch.reshape(K2, K1 * cols))
-    np.copyto(a.reshape(K1, K2, cols), scratch.reshape(K2, K1, cols).transpose(1, 0, 2))
+    np.matmul(_hadamard_factor(k // 2), a.reshape(K1, K2 * cols), out=scratch.reshape(K1, K2 * cols))
+    np.matmul(_hadamard_factor(k - k // 2), scratch.reshape(K1, K2, cols), out=a.reshape(K1, K2, cols))
 
 
 def column_batches(k: int):
@@ -324,15 +335,19 @@ def column_batches(k: int):
 
 
 def hadamard_sign_power(k: int, seed: RngSeed, t: int, columns=None) -> SubUnitary | np.ndarray:
-    """(H^{tensor k} P)^t for integer t >= 0, from columns of the identity.
+    """(H^{tensor k} P)^t for integer t >= 0, P = diag(s), batch by batch.
 
-    A batch of identity columns goes t times through signs * m ->
-    _walsh_hadamard_inplace.  Without `columns` the K x K gate is assembled
-    from the batches of column_batches(k), so each of its columns is bit for
-    bit the one its batch gives alone.  With `columns` (column indices) only
-    those columns are computed and returned as a real (K, len(columns))
-    array; otoc_zz_f_average reads the gate that way without the K x K
-    matrix.
+    For t >= 2 a batch of columns c starts from the closed form of the first
+    two factors: with g = H s / sqrt(K), (H P H)[b, c] = g[b ^ c], so
+    (H P)^2 e_c = s_c g[b ^ c] costs one length-K transform of s and one XOR
+    gather; the remaining t - 2 steps go through signs * m ->
+    _walsh_hadamard_inplace.  For t < 2 the batch starts from identity
+    columns and takes t steps, so t = 0 is exactly the identity.  Without
+    `columns` the K x K gate is assembled from the batches of
+    column_batches(k), so each of its columns is bit for bit the one its
+    batch gives alone.  With `columns` (integer column indices) only those
+    columns are computed and returned as a real (K, len(columns)) array;
+    otoc_zz_f_average reads the gate that way without the K x K matrix.
     """
     _check_k(k)
     if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
@@ -345,15 +360,25 @@ def hadamard_sign_power(k: int, seed: RngSeed, t: int, columns=None) -> SubUnita
         for cols in column_batches(k):
             m[:, cols.start : cols.stop] = hadamard_sign_power(k, seed, t, cols)
         return _trusted(k, m)
-    cols = np.asarray(columns, dtype=np.intp).reshape(-1)
+    cols = np.asarray(columns).reshape(-1)
+    if cols.size and cols.dtype.kind not in "iu":
+        raise ValueError(f"columns must be integers, got dtype {cols.dtype}")
     if cols.size and not (0 <= cols.min() and cols.max() < K):
         raise ValueError(f"columns must lie in [0, {K})")
-    signs = _signs(k, seed)[:, None]
-    m = np.zeros((K, cols.size))
-    m[cols, np.arange(cols.size)] = 1.0
+    cols = cols.astype(np.intp, copy=False)
+    signs = _signs(k, seed)
+    if t < 2:
+        m = np.zeros((K, cols.size))
+        m[cols, np.arange(cols.size)] = 1.0
+    else:
+        g = signs.reshape(K, 1).copy()
+        _walsh_hadamard_inplace(g, np.empty_like(g))
+        xor = np.bitwise_xor.outer(np.arange(K), cols)
+        m = np.take(g.reshape(K), xor)
+        del xor  # free the index array before scratch is allocated
+        m *= signs[cols] / np.sqrt(K)
     scratch = np.empty_like(m)
-    for _ in range(t):
-        np.multiply(m, signs, out=m)
+    for _ in range(t if t < 2 else t - 2):
+        np.multiply(m, signs[:, None], out=m)
         _walsh_hadamard_inplace(m, scratch)
     return m
-

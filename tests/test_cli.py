@@ -226,9 +226,11 @@ def test_sff_driver_ratio_constant(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["sff", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "sff_summary.json").read_text())["factor"] == 4.0 ** (9 - 3)
-    _, rows = read_csv_rows(tmp_path / "sff.csv")
+    header, rows = read_csv_rows(tmp_path / "sff.csv")
+    assert header == ["beta", "t", "r2_sub", "r2_full"]
+    assert len(rows) == 6
     for row in rows:
-        assert float(row[4]) == pytest.approx(4.0 ** (9 - 3))
+        assert float(row[3]) == 4.0 ** (9 - 3) * float(row[2])
 
 
 @pytest.mark.parametrize("kind", ["hadamard", "random_sign_hadamard"])

@@ -208,20 +208,54 @@ def test_element_magnitude_tail_random_sign_hadamard():
     assert max(fracs) < 1e-3
 
 
+def _hadamard_rows(k: int, rows: np.ndarray) -> np.ndarray:
+    """Rows of H^{tensor k} from its definition, 2**(-k/2) * (-1)**(b . b')."""
+    parity = np.bitwise_count(np.bitwise_and.outer(rows, np.arange(1 << k))) & 1
+    return (1.0 - 2.0 * parity) * 2.0 ** (-k / 2)
+
+
 def test_walsh_hadamard_matches_dense():
-    for k in (5, 6):  # odd and even splits of the row bits
-        m = WordStream(RngSeed(45, k)).standard_normal(5 << k).reshape(1 << k, 5)
-        dense = hadamard_layer(k).matrix.real @ m
+    """Every k up to 12: odd and even splits of the row bits, K1 = 1 at
+    k = 1, against H built from its definition 512 rows at a time."""
+    for k in range(1, 13):
+        K = 1 << k
+        m = WordStream(RngSeed(45, k)).standard_normal(3 * K).reshape(K, 3)
+        dense = np.concatenate([_hadamard_rows(k, np.arange(lo, min(lo + 512, K))) @ m for lo in range(0, K, 512)])
         _walsh_hadamard_inplace(m, np.empty_like(m))
         assert np.max(np.abs(m - dense)) < 1e-10
 
 
 def test_hadamard_sign_power_matches_unitary_power():
-    u = random_sign_hadamard(5, RngSeed(46))
-    for t in (0, 1, 3):
-        fast = hadamard_sign_power(5, RngSeed(46), t)
-        slow = unitary_power(u, t)
-        assert np.max(np.abs(fast.matrix - slow.matrix)) < 1e-10
+    """The closed-form start (t >= 2) and the identity start (t < 2) against
+    matrix_power of the dense gate, for the whole gate and for unsorted,
+    repeated and empty column lists; t = 0 is exactly the identity."""
+    for k in range(1, 9):
+        K = 1 << k
+        seed = RngSeed(46, k)
+        u = random_sign_hadamard(k, seed)
+        assert (hadamard_sign_power(k, seed, 0).matrix == np.eye(K)).all()
+        for t in range(6):
+            slow = unitary_power(u, t).matrix
+            assert np.max(np.abs(hadamard_sign_power(k, seed, t).matrix - slow)) < 1e-12
+            for cols in ([K - 1, 0, K // 2], [1, 1, 0, 1], []):
+                fast = hadamard_sign_power(k, seed, t, cols)
+                assert fast.shape == (K, len(cols))
+                assert np.max(np.abs(fast - slow[:, cols]), initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("t", range(6))
+def test_hadamard_sign_power_transform_count(monkeypatch, t):
+    """From t = 2 on, a batch starts from the closed form of (H P)^2: one
+    (K, 1) transform of the signs, then t - 2 transforms of the batch."""
+    shapes = []
+
+    def counted(a, scratch):
+        shapes.append(a.shape)
+        _walsh_hadamard_inplace(a, scratch)
+
+    monkeypatch.setattr(subsystem, "_walsh_hadamard_inplace", counted)
+    hadamard_sign_power(7, RngSeed(54), t, range(5, 45))
+    assert shapes == ([(128, 40)] * t if t < 2 else [(128, 1)] + [(128, 40)] * (t - 2))
 
 
 def test_subhamiltonian_invariants():
@@ -279,8 +313,14 @@ def test_hadamard_sign_power_columns():
     assert cols.shape == (64, 3) and cols.dtype == np.float64
     assert np.max(np.abs(cols - u.matrix[:, [5, 0, 63]].real)) < 1e-12
     for bad in ([64], [-1]):
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ValueError, match="columns must lie"):
             hadamard_sign_power(6, seed, 3, bad)
+    # not cast: [0.7, 2.9] would read columns 0 and 2, [True, False] 1 and 0
+    for bad in ([0.7, 2.9], [True, False], np.array([1.0])):
+        with pytest.raises(ValueError, match="columns must be integers"):
+            hadamard_sign_power(6, seed, 3, bad)
+    unsigned = hadamard_sign_power(6, seed, 3, np.array([63, 5], dtype=np.uint8))
+    assert (unsigned == hadamard_sign_power(6, seed, 3, [63, 5])).all()
     with pytest.raises(ValueError, match=">= 0"):
         hadamard_sign_power(6, seed, -1)
 
