@@ -36,8 +36,6 @@ JOBS = [
         "u_spec": {"type": "random_sign_hadamard", "seed": 5},
         "ensemble": 10,
         "t_fixed": 1,
-        "t_copies": 2,
-        "eps": 0.3,
         "seed": 99,
     },
     {

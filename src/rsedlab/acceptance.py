@@ -290,7 +290,7 @@ def criterion_8() -> CriterionResult:
     axes = stream.integers(2, 100)
     for idx in range(50):
         circ = random_clifford_circuit(n, RngSeed(0x89, idx))
-        u = simulate_circuit(circ, dense=True)
+        u = simulate_circuit(circ, np.eye(2**n))
         i, j = int(sites[2 * idx]), int(sites[2 * idx + 1])
         if i == j:
             j = (j + 1) % n

@@ -8,8 +8,8 @@ listed in application order, so a synthesized circuit reads
 
 Text format ("RSEDCIRC 1"):  header line "RSEDCIRC 1 n=<n>", then one gate
 per line: "H 0", "X 2", "S 1", "T 3", "CX 2 5", "CCX 0 1 2",
-"PERM fwd|inv <name>", "PHASE_F <name>", "SUB <name>".  PERM/PHASE_F/SUB
-references resolve against the circuit registry at simulation time.
+"PERM fwd|inv <name>", "PHASE_F <name>".  PERM/PHASE_F references resolve
+against the circuit registry at simulation time.
 """
 
 from __future__ import annotations
@@ -27,19 +27,41 @@ from .randomness import (
     sample_sign_function,
 )
 from .rng import RngSeed, WordStream
-from .rsed import DENSE_MAX_N, StateVector
-from .subsystem import SubUnitary, sign_bits
+from .subsystem import sign_bits
 
 HEADER = "RSEDCIRC 1"
 DEFAULT_GATE_SEED = 7  # the seed of a u_spec that names none
 
 # arguments per mnemonic; gates on qubits take integer indices, the rest names
-_ARITY = {"H": 1, "X": 1, "S": 1, "T": 1, "CX": 2, "CCX": 3, "PERM": 2, "PHASE_F": 1, "SUB": 1}
+_ARITY = {"H": 1, "X": 1, "S": 1, "T": 1, "CX": 2, "CCX": 3, "PERM": 2, "PHASE_F": 1}
 _QUBIT_GATES = {"H", "X", "S", "T", "CX", "CCX"}
 
 
 class CircuitParseError(ValueError):
     pass
+
+
+def _check_gate(gate: tuple, n: int, registry: dict) -> None:
+    """ValueError unless gate is a known mnemonic with its number of
+    arguments: distinct qubits in [0, n), or a PERM direction and names that
+    registry, where it holds them, binds to the right kind."""
+    name, args = gate[0], gate[1:]
+    if name not in _ARITY:
+        raise ValueError(f"unknown gate {name!r}")
+    if len(args) != _ARITY[name]:
+        raise ValueError(f"{name} takes {_ARITY[name]} arguments, got {args}")
+    if name in _QUBIT_GATES:
+        if len(set(args)) != len(args):
+            raise ValueError(f"repeated qubit in gate args {args}")
+        for q in args:
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range [0, {n})")
+        return
+    if name == "PERM" and args[0] not in ("fwd", "inv"):
+        raise ValueError(f"bad PERM direction {args[0]!r}")
+    ref, kind = (args[1], SubsetPermutation) if name == "PERM" else (args[0], SignFunction)
+    if ref in registry and not isinstance(registry[ref], kind):
+        raise ValueError(f"reference {ref!r} is not a {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -50,32 +72,7 @@ class GateCircuit:
 
     def __post_init__(self):
         for gate in self.gates:
-            name, args = gate[0], gate[1:]
-            if name not in _ARITY:
-                raise ValueError(f"unknown gate {name!r}")
-            if len(args) != _ARITY[name]:
-                raise ValueError(f"{name} takes {_ARITY[name]} arguments, got {args}")
-            if name in _QUBIT_GATES:
-                self._check_qubits(*args)
-            elif name == "PERM":
-                if args[0] not in ("fwd", "inv"):
-                    raise ValueError(f"bad PERM direction {args[0]!r}")
-                self._check_ref(args[1], SubsetPermutation)
-            elif name == "PHASE_F":
-                self._check_ref(args[0], SignFunction)
-            else:
-                self._check_ref(args[0], SubUnitary)
-
-    def _check_qubits(self, *qs):
-        if len(set(qs)) != len(qs):
-            raise ValueError(f"repeated qubit in gate args {qs}")
-        for q in qs:
-            if not 0 <= q < self.n:
-                raise ValueError(f"qubit {q} out of range [0, {self.n})")
-
-    def _check_ref(self, ref: str, kind) -> None:
-        if ref in self.registry and not isinstance(self.registry[ref], kind):
-            raise ValueError(f"reference {ref!r} is not a {kind.__name__}")
+            _check_gate(gate, self.n, self.registry)
 
     def gate_counts(self) -> dict[str, int]:
         return dict(Counter(g[0] for g in self.gates))
@@ -101,22 +98,20 @@ def parse(text: str, registry: dict | None = None) -> GateCircuit:
         raise CircuitParseError(f"line 1: bad qubit count in header {lines[0]!r}")
     if not 1 <= n <= MAX_QUBITS:
         raise CircuitParseError(f"line 1: qubit count {n} outside [1, {MAX_QUBITS}]")
+    registry = registry or {}
     gates = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
             continue
         name, *args = line.split()
-        if name not in _ARITY:
-            raise CircuitParseError(f"line {lineno}: unknown mnemonic {name!r}")
-        malformed = CircuitParseError(f"line {lineno}: malformed gate {line!r}")
-        if len(args) != _ARITY[name]:
-            raise malformed
         try:
-            gates.append((name, *map(int, args)) if name in _QUBIT_GATES else (name, *args))
+            gate = (name, *map(int, args)) if name in _QUBIT_GATES else (name, *args)
+            _check_gate(gate, n, registry)
         except ValueError as exc:
-            raise malformed from exc
-    return GateCircuit(n, tuple(gates), registry or {})
+            raise CircuitParseError(f"line {lineno}: malformed gate {line!r}: {exc}") from exc
+        gates.append(gate)
+    return GateCircuit(n, tuple(gates), registry)
 
 
 def _named_spec(u_spec: dict) -> dict:
@@ -131,53 +126,31 @@ def _named_spec(u_spec: dict) -> dict:
     raise ValueError(f"unsupported u_spec {u_spec!r}")
 
 
-def synthesize_rsed_circuit(
-    shape: SystemShape, u_spec: dict | SubUnitary, perm_seed: int, sign_seed: int
-) -> GateCircuit:
+def synthesize_rsed_circuit(shape: SystemShape, u_spec: dict, perm_seed: int, sign_seed: int) -> GateCircuit:
     """PERM(inv) PHASE_F [u gates] PHASE_F PERM(fwd), realizing
     sum_a O_a u O_a^dagger.
 
-    u_spec is a gate spec dict, {"type": "hadamard"} (k H gates) or {"type":
-    "random_sign_hadamard", "seed": s} (a PHASE_F of the seeded sign
-    diagonal, then k H gates; see _named_spec), or a SubUnitary, kept as an
-    opaque SUB block on the low k qubits.
+    u_spec names the gate as a config does: {"type": "hadamard"} (k H gates)
+    or {"type": "random_sign_hadamard", "seed": s} (a PHASE_F of the seeded
+    sign diagonal, then k H gates; see _named_spec).  Any other spec is a
+    ValueError, so every gate of the circuit is a named mnemonic.
     """
     registry = {
         "perm0": sample_permutation(shape, RngSeed(perm_seed)),
         "f0": sample_sign_function(shape, RngSeed(sign_seed)),
     }
-    if isinstance(u_spec, SubUnitary):
-        if u_spec.k != shape.k:
-            raise ValueError("explicit sub-unitary does not match shape.k")
-        registry["u0"] = u_spec
-        mid = [("SUB", "u0")]
-    else:
-        spec = _named_spec(u_spec)
-        mid = [("H", q) for q in range(shape.k)]
-        if spec["type"] == "random_sign_hadamard":
-            bits = sign_bits(shape.k, RngSeed(spec["seed"]))
-            registry["psign0"] = SignFunction(shape, bits=np.tile(bits, shape.num_seeds))
-            mid = [("PHASE_F", "psign0")] + mid
+    spec = _named_spec(u_spec)
+    mid = [("H", q) for q in range(shape.k)]
+    if spec["type"] == "random_sign_hadamard":
+        bits = sign_bits(shape.k, RngSeed(spec["seed"]))
+        registry["psign0"] = SignFunction(shape, bits=np.tile(bits, shape.num_seeds))
+        mid = [("PHASE_F", "psign0")] + mid
     gates = (
         [("PERM", "inv", "perm0"), ("PHASE_F", "f0")]
         + mid
         + [("PHASE_F", "f0"), ("PERM", "fwd", "perm0")]
     )
     return GateCircuit(shape.n, tuple(gates), registry)
-
-
-def simulate_circuit(circuit: GateCircuit, psi: StateVector | None = None, dense: bool = False):
-    """Left-to-right application; returns a StateVector, or the dense matrix
-    of the circuit when dense=True (n <= 10)."""
-    if dense:
-        if circuit.n > DENSE_MAX_N:
-            raise ValueError(f"dense mode capped at n={DENSE_MAX_N}")
-        return _run(circuit, np.eye(1 << circuit.n))
-    if psi is None:
-        raise ValueError("psi is required unless dense=True")
-    if psi.shape.n != circuit.n:
-        raise ValueError("state size does not match circuit")
-    return StateVector(psi.shape, _run(circuit, psi.amplitudes))
 
 
 def _resolve(circuit: GateCircuit, ref: str, kind):
@@ -223,12 +196,14 @@ def _gate_flip(amps: np.ndarray, controls: tuple, q: int) -> np.ndarray:
     return amps[np.where((xs & cmask) == cmask, xs ^ (1 << q), xs)]
 
 
-def _run(circuit: GateCircuit, amps: np.ndarray) -> np.ndarray:
-    """The circuit applied to amps of shape (2**n,) or (2**n, m), each column
-    a state; the gate kernels act on rows, so every column comes out as it
-    would alone.  Each gate updates one private C-contiguous (2**n, m) copy
-    in place or replaces it (X, CX, CCX, PERM inv, SUB); kernel temporaries
-    stay in the kernels' scope, so a replaced copy is freed at once."""
+def simulate_circuit(circuit: GateCircuit, amps: np.ndarray) -> np.ndarray:
+    """The circuit applied left to right to amps of shape (2**n,) or
+    (2**n, m), each column a state, in an array of the same shape; at
+    np.eye(2**n) that is the circuit's dense matrix.  The gate kernels act
+    on rows, so every column comes out as it would alone.  Each gate updates
+    one private C-contiguous (2**n, m) copy in place or replaces it (X, CX,
+    CCX, PERM inv); kernel temporaries stay in the kernels' scope, so a
+    replaced copy is freed at once."""
     dim = 1 << circuit.n
     if len(amps) != dim:
         raise ValueError("amplitude length mismatch")
@@ -252,10 +227,6 @@ def _run(circuit: GateCircuit, amps: np.ndarray) -> np.ndarray:
         elif name == "PHASE_F":
             f = _resolve(circuit, gate[1], SignFunction)
             amps *= 1.0 - 2.0 * f.sign_array(np.arange(dim, dtype=np.uint32)).astype(np.float64)[:, None]
-        elif name == "SUB":
-            u = _resolve(circuit, gate[1], SubUnitary)
-            # blocks[a, b, c] = amps[b + a K, c]; u acts on b within each block
-            amps = (u.matrix @ amps.reshape(dim // u.dim, u.dim, -1)).reshape(dim, -1)
     return amps.reshape(shape)
 
 
@@ -283,8 +254,7 @@ def build_manifest(circuit: GateCircuit, u_spec: dict, perm_seed: int, sign_seed
     """The manifest of a circuit that synthesize_rsed_circuit built from
     (u_spec, perm_seed, sign_seed): n, k and those inputs, with u_spec in
     canonical form (_named_spec), enough to rebuild the circuit exactly, and
-    its gate counts.  Only named gate specs have a manifest; an explicit
-    SubUnitary is a ValueError."""
+    its gate counts."""
     k = circuit.registry["perm0"].shape.k
     return {
         "n": circuit.n, "k": k, "u_spec": _named_spec(u_spec),

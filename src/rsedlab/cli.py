@@ -4,7 +4,8 @@ Subcommands: otoc-trace, otoc-scaling, otoc-average, level-stats, sff,
 design-check, coherence, circuit-emit, verify.  Global flags --config PATH,
 --seed U64, --out DIR, --threads INT; everything else lives in the JSON
 config.  Exit codes: 0 success, 1 verification failure, 2 usage/config
-error or input the library rejects (a ValueError raised inside a driver).
+error, an output directory that cannot be made, or input the library
+rejects (a ValueError raised inside a driver).
 Outputs embed the config (without out and threads), seed, and library
 version, and re-running with the same config reproduces the numeric columns
 bit for bit.
@@ -73,7 +74,7 @@ class ExperimentConfig:
     experiment: str
     n: int = 8
     k: int = 4
-    k_rule: str | None = None  # "log2sq" resolves k = log2sq_k(n)
+    k_rule: str | None = None  # otoc-scaling only, which takes k = log2sq_k(n) in any case
     n_list: list = field(default_factory=list)
     u_spec: dict = field(default_factory=lambda: {"type": "random_sign_hadamard", "seed": DEFAULT_GATE_SEED})
     t_grid: list = field(default_factory=lambda: [0.0, 1.0, 2.0, 3.0, 4.0])
@@ -82,9 +83,6 @@ class ExperimentConfig:
     sites: list = field(default_factory=lambda: [0, 1])
     estimator: dict = field(default_factory=lambda: {"mode": "exact"})
     beta_list: list = field(default_factory=lambda: [0.0, 1.0])
-    t_copies: int = 2
-    b_star: int = 0
-    eps: float = 0.3
     seed: int = 1
     out: str = "."
     threads: int = 1
@@ -98,11 +96,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.k_rule not in (None, "log2sq"):
             raise ConfigError(f"unknown k_rule {self.k_rule!r}")
-        k = resolve_k(self, self.n)
         # otoc-scaling takes k = log2sq_k(n) per n_list entry and never reads k, sites or u_spec
         scaling = self.experiment == "otoc-scaling"
-        if not scaling and not 1 <= k <= min(self.n, MAX_SUB_QUBITS):
-            raise ConfigError(f"k={k} out of range for n={self.n} (at most min(n, {MAX_SUB_QUBITS}))")
+        if not scaling and self.k_rule is not None:
+            raise ConfigError(f"k_rule is an otoc-scaling field; {self.experiment} reads k, here {self.k}")
+        if not scaling and not 1 <= self.k <= min(self.n, MAX_SUB_QUBITS):
+            raise ConfigError(f"k={self.k} out of range for n={self.n} (at most min(n, {MAX_SUB_QUBITS}))")
         if self.ensemble < 1:
             raise ConfigError("ensemble must be >= 1")
         if self.threads < 1:
@@ -120,9 +119,6 @@ class ExperimentConfig:
             raise ConfigError("t_grid must not be empty")
         if not all(_type_ok(v, "float") and -inf < v < inf for v in [*self.t_grid, *self.beta_list, self.t_fixed]):
             raise ConfigError("t_grid and beta_list entries and t_fixed must be finite numbers")
-        # the element threshold K**-eps is at least 1 at eps <= 0, which no |u|**2 exceeds
-        if not 0 < self.eps < inf:
-            raise ConfigError(f"eps must be a finite number > 0, got {self.eps}")
         if scaling:
             if self.t_fixed < 0 or not float(self.t_fixed).is_integer():
                 raise ConfigError(f"otoc-scaling needs an integer t_fixed >= 0, got {self.t_fixed}")
@@ -165,11 +161,6 @@ def _preload_schur(cfg: ExperimentConfig) -> None:
 def log2sq_k(n: int) -> int:
     """The subsystem size k = ceil(log2(n)^2) = omega(log n) of the scaling curve."""
     return ceil(log2(n) ** 2)
-
-
-def resolve_k(cfg: ExperimentConfig, n: int) -> int:
-    """k at size n: log2sq_k(n) under the k rule, else cfg.k."""
-    return log2sq_k(n) if cfg.k_rule == "log2sq" else cfg.k
 
 
 def base_gate(cfg: ExperimentConfig, k: int, realization: int) -> SubUnitary | SubHamiltonian:
@@ -254,12 +245,11 @@ def _parallel(cfg: ExperimentConfig, fn, args_list):
 
 
 def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
-    k = resolve_k(cfg, cfg.n)
-    shape = SystemShape(cfg.n, k)
+    shape = SystemShape(cfg.n, cfg.k)
     i, j = cfg.sites
 
     def one(r: int) -> list[float]:
-        gate = base_gate(cfg, k, r)
+        gate = base_gate(cfg, cfg.k, r)
         p, f = _realization(cfg, shape, r)
         col = []
         for t in cfg.t_grid:
@@ -278,7 +268,7 @@ def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
         rows.append([float(t), *vals, float(np.mean(vals)), float(np.std(vals) / np.sqrt(len(vals)))])
     header = ["t"] + [f"C_r{r}" for r in range(cfg.ensemble)] + ["mean", "sem"]
     write_csv(out / "otoc_trace.csv", cfg, header, rows)
-    summary = {"mean_final": rows[-1][-2], "n": cfg.n, "k": k}
+    summary = {"mean_final": rows[-1][-2], "n": cfg.n, "k": cfg.k}
     write_json(out / "otoc_trace_summary.json", cfg, summary)
     return summary
 
@@ -340,25 +330,22 @@ def run_otoc_scaling(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_otoc_average(cfg: ExperimentConfig, out: Path) -> dict:
-    k = resolve_k(cfg, cfg.n)
     cols = []  # one gate per realization, so its Schur form serves every t
     for r in range(cfg.ensemble):
-        gate = base_gate(cfg, k, r)
+        gate = base_gate(cfg, cfg.k, r)
         cols.append([otoc_zz_f_average(evolved(gate, float(t))) for t in cfg.t_grid])
     rows = []
     for t_idx, t in enumerate(cfg.t_grid):
         vals = [col[t_idx] for col in cols]
         rows.append([float(t), float(np.mean(vals)), float(1.0 - np.mean(vals))])
     write_csv(out / "otoc_average.csv", cfg, ["t", "mean_EfO", "mean_C"], rows)
-    summary = {"final_mean_EfO": rows[-1][1], "k": k}
+    summary = {"final_mean_EfO": rows[-1][1], "k": cfg.k}
     write_json(out / "otoc_average_summary.json", cfg, summary)
     return summary
 
 
 def run_level_stats(cfg: ExperimentConfig, out: Path) -> dict:
-    k = resolve_k(cfg, cfg.n)
-
-    stats = level_spacing_stats(_parallel(cfg, lambda r: gate_spectrum(base_gate(cfg, k, r)), range(cfg.ensemble)))
+    stats = level_spacing_stats(_parallel(cfg, lambda r: gate_spectrum(base_gate(cfg, cfg.k, r)), range(cfg.ensemble)))
     spac = stats.spacings
     if spac.size < 2:
         raise ConfigError(f"level statistics need at least 2 spacings, and {spac.size} survived the degeneracy cut")
@@ -371,18 +358,17 @@ def run_level_stats(cfg: ExperimentConfig, out: Path) -> dict:
         "ks_gue": ks_gue,
         "pass_goe": bool(ks_goe <= 0.08),
         "spacing_count": int(spac.size),
-        "k": k,
+        "k": cfg.k,
     }
     write_json(out / "level_stats_summary.json", cfg, summary)
     return summary
 
 
 def run_sff(cfg: ExperimentConfig, out: Path) -> dict:
-    k = resolve_k(cfg, cfg.n)
-    shape = SystemShape(cfg.n, k)
+    shape = SystemShape(cfg.n, cfg.k)
     # the full spectrum is the subsystem's 2**(n-k) times over
     factor = 4.0 ** (shape.n - shape.k)
-    evals = gate_spectrum(base_gate(cfg, k, 0))
+    evals = gate_spectrum(base_gate(cfg, cfg.k, 0))
     rows = []
     for beta in cfg.beta_list:
         for t in cfg.t_grid:
@@ -395,14 +381,14 @@ def run_sff(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_design_check(cfg: ExperimentConfig, out: Path) -> dict:
-    k = resolve_k(cfg, cfg.n)
-    K = 1 << k
+    K = 1 << cfg.k
     rows = []
     worst = 0.0
     for r in range(cfg.ensemble):
-        ut = evolved(base_gate(cfg, k, r), cfg.t_fixed)
-        dv = design_variance_condition(ut, cfg.t_copies, cfg.b_star)
-        ec = element_condition_check(ut, cfg.eps)
+        ut = evolved(base_gate(cfg, cfg.k, r), cfg.t_fixed)
+        # two copies, reference column 0 and the element threshold K**-0.3
+        dv = design_variance_condition(ut, 2, 0)
+        ec = element_condition_check(ut, 0.3)
         rows.append([r, float(dv.value), int(dv.degenerate), float(ec.max_column_fraction), int(ec.passed)])
         if not dv.degenerate:
             worst = max(worst, dv.value)
@@ -413,8 +399,7 @@ def run_design_check(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_coherence(cfg: ExperimentConfig, out: Path) -> dict:
-    k = resolve_k(cfg, cfg.n)
-    shape = SystemShape(cfg.n, k)
+    shape = SystemShape(cfg.n, cfg.k)
 
     def one(r: int) -> tuple[float, float]:
         p, f = _realization(cfg, shape, r)
@@ -428,8 +413,8 @@ def run_coherence(cfg: ExperimentConfig, out: Path) -> dict:
         rows.append([r, c0, c1, int(lifted)])
     write_csv(out / "coherence.csv", cfg, ["trial", "coherence_nats", "after_hadamard_nats", "lifted"], rows)
     summary = {
-        "expected_nats": k * float(np.log(2.0)),
-        "max_dev": max(abs(r[1] - k * np.log(2.0)) for r in rows),
+        "expected_nats": cfg.k * float(np.log(2.0)),
+        "max_dev": max(abs(r[1] - cfg.k * np.log(2.0)) for r in rows),
         "lift_passes": passes,
         "trials": cfg.ensemble,
     }
@@ -438,8 +423,7 @@ def run_coherence(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_circuit_emit(cfg: ExperimentConfig, out: Path) -> dict:
-    k = resolve_k(cfg, cfg.n)
-    shape = SystemShape(cfg.n, k)
+    shape = SystemShape(cfg.n, cfg.k)
     if cfg.u_spec["type"] not in ("hadamard", "random_sign_hadamard"):
         raise ConfigError("circuit-emit supports hadamard / random_sign_hadamard u_specs")
     circuit = synthesize_rsed_circuit(shape, cfg.u_spec, cfg.seed, cfg.seed + 1)
@@ -453,8 +437,8 @@ def run_circuit_emit(cfg: ExperimentConfig, out: Path) -> dict:
         save_permutation(perm, out / sidecar)
     summary: dict = {"gates": circuit.gate_counts(), "sidecar": sidecar}
     if cfg.n <= 10:
-        op = RsedOperator(shape, perm, circuit.registry["f0"], base_gate(cfg, k, 0))
-        dev = float(np.max(np.abs(simulate_circuit(circuit, dense=True) - dense_matrix(op))))
+        op = RsedOperator(shape, perm, circuit.registry["f0"], base_gate(cfg, cfg.k, 0))
+        dev = float(np.max(np.abs(simulate_circuit(circuit, np.eye(2**cfg.n)) - dense_matrix(op))))
         summary["dense_deviation"] = dev
     write_json(out / "circuit_summary.json", cfg, summary)
     return summary
@@ -526,7 +510,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.command, args)
         out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file where the directory or one of its parents should be
+            print(f"error: cannot make output directory: {exc}", file=sys.stderr)
+            return 2
         if args.command == "verify":
             return run_verify(cfg, out)
         _DRIVERS[args.command](cfg, out)

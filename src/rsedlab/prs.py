@@ -133,7 +133,8 @@ def coherence_trial(p: SubsetPermutation, f: SignFunction, a: int, shape: System
     """(c0, c1) in nats: the coherence of the subset-phase state of seed a,
     which is exactly k log 2, and that after a Hadamard on every qubit."""
     psi = subset_phase_state(p, f, a, shape)
-    phi = simulate_circuit(GateCircuit(shape.n, tuple(("H", q) for q in range(shape.n))), psi)
+    layer = GateCircuit(shape.n, tuple(("H", q) for q in range(shape.n)))
+    phi = StateVector(shape, simulate_circuit(layer, psi.amplitudes))
     return coherence_rel_entropy(psi), coherence_rel_entropy(phi)
 
 

@@ -21,7 +21,7 @@ from rsedlab.circuits import (
 )
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import RsedOperator, StateVector, apply, dense_matrix
-from rsedlab.subsystem import SubUnitary, hadamard_layer, random_sign_hadamard, unitary_power
+from rsedlab.subsystem import hadamard_layer, random_sign_hadamard, unitary_power
 
 
 def test_serialize_parse_roundtrip_random():
@@ -48,6 +48,13 @@ def test_parse_simple_and_errors():
         parse("RSEDCIRC 1 n=3\nFOO 0\n")
     with pytest.raises(CircuitParseError, match="line 3"):
         parse("RSEDCIRC 1 n=3\nH 0\nCX 1\n")
+    # the gate checks GateCircuit makes name their line too
+    with pytest.raises(CircuitParseError, match="line 3"):
+        parse("RSEDCIRC 1 n=2\nH 0\nH 5")
+    with pytest.raises(CircuitParseError, match="line 2"):
+        parse("RSEDCIRC 1 n=3\nCX 1 1")
+    with pytest.raises(CircuitParseError, match="line 2"):
+        parse("RSEDCIRC 1 n=3\nPERM sideways p0")
     with pytest.raises(CircuitParseError):
         parse("BADHEADER\nH 0\n")
     # a count outside [1, MAX_QUBITS] parsed, to fail later or never
@@ -83,12 +90,12 @@ def test_empty_and_single_gate_simulation():
     shape = SystemShape(3, 1)
     psi = StateVector.basis(shape, 0)
     empty = GateCircuit(3, ())
-    assert (simulate_circuit(empty, psi).amplitudes == psi.amplitudes).all()
+    assert (simulate_circuit(empty, psi.amplitudes) == psi.amplitudes).all()
     h0 = GateCircuit(3, (("H", 0),))
-    out = simulate_circuit(h0, psi)
+    out = simulate_circuit(h0, psi.amplitudes)
     expect = np.zeros(8, dtype=complex)
     expect[0] = expect[1] = 1 / np.sqrt(2)
-    assert np.allclose(out.amplitudes, expect)
+    assert np.allclose(out, expect)
 
 
 def test_ccx_truth_table():
@@ -97,7 +104,7 @@ def test_ccx_truth_table():
     for gate, controls in ((("X", 2), 0b00), (("CX", 1, 2), 0b10), (("CCX", 0, 1, 2), 0b11)):
         circ = GateCircuit(3, (gate,))
         for x in range(8):
-            out = simulate_circuit(circ, StateVector.basis(shape, x)).amplitudes
+            out = simulate_circuit(circ, StateVector.basis(shape, x).amplitudes)
             target = x ^ (1 << 2) if (x & controls) == controls else x
             assert out[target] == 1.0
             assert np.count_nonzero(out) == 1
@@ -130,19 +137,20 @@ def test_every_gate_at_every_placement_matches_kron_reference():
     assert len(cases) == 16 + 12 + 24
     for gate, want in cases:
         circ = GateCircuit(n, (gate,))
-        dense = simulate_circuit(circ, dense=True)
+        dense = simulate_circuit(circ, np.eye(1 << n))
         assert np.max(np.abs(dense - want)) <= 1e-15, gate
         for x in range(1 << n):
-            assert np.array_equal(simulate_circuit(circ, StateVector.basis(shape, x)).amplitudes, dense[:, x]), gate
+            assert np.array_equal(simulate_circuit(circ, StateVector.basis(shape, x).amplitudes), dense[:, x]), gate
 
 
 def test_dense_simulation_peak_memory():
-    """The n = 10 sandwich in dense mode holds at most two 2^10 x 2^10
-    complex buffers (32 MiB) at once: the gates work in place on qubit views."""
+    """The n = 10 sandwich run over the identity holds at most two 2^10 x
+    2^10 complex buffers (32 MiB) at once: the gates work in place on qubit
+    views."""
     circ = synthesize_rsed_circuit(SystemShape(10, 6), {"type": "random_sign_hadamard", "seed": 7}, 11, 12)
     tracemalloc.start()
     try:
-        simulate_circuit(circ, dense=True)
+        simulate_circuit(circ, np.eye(1 << 10))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -155,24 +163,8 @@ def test_synthesized_circuit_matches_rsed_dense():
         circ = synthesize_rsed_circuit(shape, spec, 21, 22)
         sub = hadamard_layer(4) if spec["type"] == "hadamard" else random_sign_hadamard(4, RngSeed(5))
         op = RsedOperator(shape, circ.registry["perm0"], circ.registry["f0"], sub)
-        dev = np.max(np.abs(simulate_circuit(circ, dense=True) - dense_matrix(op)))
+        dev = np.max(np.abs(simulate_circuit(circ, np.eye(shape.dim)) - dense_matrix(op)))
         assert dev < 1e-12
-
-
-def test_synthesized_explicit_subunitary():
-    shape = SystemShape(6, 2)
-    u = random_sign_hadamard(2, RngSeed(31))
-    circ = synthesize_rsed_circuit(shape, u, 32, 33)
-    op = RsedOperator(shape, circ.registry["perm0"], circ.registry["f0"], u)
-    dev = np.max(np.abs(simulate_circuit(circ, dense=True) - dense_matrix(op)))
-    assert dev < 1e-12
-    assert circ.gate_counts()["SUB"] == 1
-
-
-def test_identity_sub_gives_identity_circuit():
-    shape = SystemShape(6, 2)
-    circ = synthesize_rsed_circuit(shape, SubUnitary(2, np.eye(4, dtype=complex)), 41, 42)
-    assert np.max(np.abs(simulate_circuit(circ, dense=True) - np.eye(64))) < 1e-12
 
 
 def test_hadamard_gate_count():
@@ -220,10 +212,12 @@ def test_manifest_records_the_canonical_spec(u_spec, recorded):
     assert manifest["u_spec"] == recorded
     again = rebuild(manifest)
     assert again.gates == circ.gates
-    assert np.array_equal(simulate_circuit(again, dense=True), simulate_circuit(circ, dense=True))
+    assert np.array_equal(simulate_circuit(again, np.eye(64)), simulate_circuit(circ, np.eye(64)))
 
 
-@pytest.mark.parametrize("u_spec", ["hadamard", ("random_sign_hadamard", 5), {"type": "pauli_syk"}, {}])
+@pytest.mark.parametrize(
+    "u_spec", ["hadamard", ("random_sign_hadamard", 5), {"type": "pauli_syk"}, {}, hadamard_layer(2)]
+)
 def test_unsupported_gate_specs_are_rejected(u_spec):
     with pytest.raises(ValueError, match="unsupported u_spec"):
         synthesize_rsed_circuit(SystemShape(4, 2), u_spec, 1, 2)
@@ -234,42 +228,44 @@ def test_unsupported_gate_specs_are_rejected(u_spec):
     data=st.data(),
     perm_backend=st.sampled_from(["explicit", "feistel"]),
     sign_backend=st.sampled_from(["explicit", "keyed_prf"]),
-    gate=st.sampled_from(["hadamard", "random_sign_hadamard", "sub"]),
+    gate=st.sampled_from(["hadamard", "random_sign_hadamard", "complex"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=25, deadline=None)
 def test_apply_dense_and_circuit_agree(n, data, perm_backend, sign_backend, gate, seed):
     """Blockwise apply, dense_matrix and the simulated sandwich circuit give
     the same U psi, with the Feistel and keyed-PRF backends built at small n
-    (the samplers draw them only for n > 16)."""
+    (the samplers draw them only for n > 16).  A complex gate has no circuit,
+    so only apply and dense_matrix meet on it."""
     k = data.draw(st.integers(1, min(n, 6)))
     shape = SystemShape(n, k)
-    if gate == "sub":
-        sub = u_spec = unitary_power(random_sign_hadamard(k, RngSeed(seed, 3)), 0.5)  # complex
+    if gate == "complex":
+        sub, u_spec = unitary_power(random_sign_hadamard(k, RngSeed(seed, 3)), 0.5), None
     elif gate == "hadamard":
         sub, u_spec = hadamard_layer(k), {"type": "hadamard"}
     else:
         sub, u_spec = random_sign_hadamard(k, RngSeed(seed % 1000)), {"type": gate, "seed": seed % 1000}
     perm = backend_permutation(shape, RngSeed(seed, 1), perm_backend)
     sign = backend_sign_function(shape, RngSeed(seed, 2), sign_backend)
-    circ = synthesize_rsed_circuit(shape, u_spec, 0, 0)
-    circ = GateCircuit(n, circ.gates, {**circ.registry, "perm0": perm, "f0": sign})
     op = RsedOperator(shape, perm, sign, sub)
     stream = WordStream(RngSeed(seed, 4))
     psi = StateVector(shape, stream.standard_normal(shape.dim) + 1j * stream.standard_normal(shape.dim))
     blockwise = apply(op, psi).amplitudes
     assert np.max(np.abs(dense_matrix(op) @ psi.amplitudes - blockwise)) < 1e-12
-    assert np.max(np.abs(simulate_circuit(circ, psi).amplitudes - blockwise)) < 1e-12
+    if u_spec is not None:
+        circ = synthesize_rsed_circuit(shape, u_spec, 0, 0)
+        circ = GateCircuit(n, circ.gates, {**circ.registry, "perm0": perm, "f0": sign})
+        assert np.max(np.abs(simulate_circuit(circ, psi.amplitudes) - blockwise)) < 1e-12
 
 
 def test_unresolved_reference_error():
     circ = parse("RSEDCIRC 1 n=3\nPERM fwd nosuch\n")
     shape = SystemShape(3, 1)
     with pytest.raises(KeyError):
-        simulate_circuit(circ, StateVector.basis(shape, 0))
+        simulate_circuit(circ, StateVector.basis(shape, 0).amplitudes)
 
 
 def test_random_clifford_circuit_unitary():
     circ = random_clifford_circuit(5, RngSeed(61))
-    u = simulate_circuit(circ, dense=True)
+    u = simulate_circuit(circ, np.eye(32))
     assert np.max(np.abs(u.conj().T @ u - np.eye(32))) < 1e-12

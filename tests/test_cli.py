@@ -259,8 +259,6 @@ def test_design_check_driver(tmp_path):
         "u_spec": {"type": "hadamard"},
         "ensemble": 3,
         "t_fixed": 1,
-        "t_copies": 2,
-        "eps": 0.5,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -373,7 +371,7 @@ def test_config_errors_exit_2(tmp_path):
         {"experiment": "otoc-scaling", "n_list": [4, 8]},
         {"experiment": "otoc-scaling", "n_list": [4, 4, 8]},
         {"experiment": "otoc-scaling", "n_list": [8, 6, 4]},
-        # zero copies would make the design condition vacuously 0
+        # design-check takes 2 copies and the threshold K**-0.3 itself: no t_copies or eps field
         {"experiment": "design-check", "n": 6, "k": 3, "ensemble": 1, "t_copies": 0},
         # misspelled nested keys silently ran 64 seeds and gate seed 7
         {"experiment": "otoc-trace", "estimator": {"mode": "sampled", "num_seed": 8}},
@@ -389,7 +387,6 @@ def test_config_errors_exit_2(tmp_path):
         {"experiment": "otoc-trace", "inject_fault": "closed-form-sign"},
         # k is a whole number; null no longer falls back to min(n, 4)
         {"experiment": "otoc-trace", "k": None},
-        # the element threshold K**-eps is at least 1 at eps <= 0: every gate passed
         {"experiment": "design-check", "n": 8, "k": 4, "ensemble": 2, "eps": -1.0},
         {"experiment": "design-check", "n": 8, "k": 4, "ensemble": 2, "eps": 0.0},
         {"experiment": "design-check", "n": 8, "k": 4, "ensemble": 2, "eps": float("nan")},
@@ -466,12 +463,26 @@ def test_config_top_level_must_be_an_object(tmp_path, capsys, top):
 
 
 def test_resolved_k_is_checked_as_a_config_error(tmp_path, capsys):
-    """k = log2sq_k(5) = 6 exceeds n = 5: rejected by the config check, not
-    later by SystemShape inside the driver."""
+    """Only otoc-scaling takes k from the k rule; any other experiment reads
+    k, so a k rule there is a config error rather than a silent change of k."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "otoc-trace", "n": 5, "k_rule": "log2sq"}))
     assert main(["otoc-trace", "--config", str(bad), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: k=6 out of range for n=5")
+    assert capsys.readouterr().err == "config error: k_rule is an otoc-scaling field; otoc-trace reads k, here 4\n"
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
+def test_unusable_out_directory_exits_2(tmp_path, capsys, sub):
+    """--out naming an existing file, or a path under one, is one error line
+    with exit 2, not a traceback with exit 1 (the code for a failed check)."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = tmp_path / "ls.json"
+    cfg.write_text(json.dumps({"experiment": "level-stats", "n": 6, "k": 4, "ensemble": 1}))
+    assert main(["level-stats", "--config", str(cfg), "--out", str(afile / sub)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot make output directory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_flags_are_validated(tmp_path, capsys):

@@ -211,7 +211,7 @@ def test_otoc_invariant_under_onsite_layer():
     u = dense_matrix(op)
     t_site = 1
     l_circ = GateCircuit(n, (("T", t_site),))
-    l_mat = simulate_circuit(l_circ, dense=True)
+    l_mat = simulate_circuit(l_circ, np.eye(2**n))
     v = PauliString(((t_site, "X"),))
     w = PauliString(((4, "Z"),))
     lhs = otoc_pauli_dense(l_mat @ u, v, w)

@@ -3,12 +3,16 @@
 Every name `rsedlab/__init__.py` exports must be used, as a name or an
 attribute, somewhere in the library modules, `scripts/` or `perfbench/`.  A
 name that only its own tests call belongs in those tests.  Likewise every
-defaulted parameter of a public function must be varied by those calls; a
-value that only tests change belongs in the tests' own construction.
+defaulted parameter of a public function must be varied by those calls, and
+every defaulted config field by the configs the program builds; a value
+that only tests change belongs in the tests' own construction.
 """
 
 import ast
+from dataclasses import MISSING, fields
 from pathlib import Path
+
+from rsedlab.cli import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rsedlab"
@@ -106,3 +110,68 @@ def test_every_default_parameter_is_varied_by_the_program():
     varies is a constant in disguise.  parse has no caller in the program: it
     reads RSEDCIRC text at a trust boundary."""
     assert _unvaried() == ["parse.registry"]
+
+
+# Config fields that may keep their default in every program config.
+CONSTANT_FIELDS_ALLOWED = {
+    # The seed-sampling estimator of otoc-trace is the only route past exact
+    # mode's n - k <= 20 cap, and the column-sampled f-average of ROADMAP.md
+    # reuses it.
+    "estimator",
+    # Set by the --out flag, never in a config.
+    "out",
+}
+
+_VARIED = object()  # a value computed at run time: it may be anything
+
+
+def _config_values() -> dict[str, list]:
+    """The values each config field takes in the configs of `scripts/` and
+    `perfbench/workloads.py`: dict displays whose keys are all field names,
+    `dict(...)` keywords and subscript assignments such as `cfg["k"] = 6`.
+    A value that is no literal is _VARIED."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    pairs = []
+    for path in [*(ROOT / "scripts").glob("*.py"), ROOT / "perfbench" / "workloads.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Dict):
+                keys = [key.value if isinstance(key, ast.Constant) else None for key in node.keys]
+                if keys and set(keys) <= names:
+                    pairs += zip(keys, node.values)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict":
+                pairs += [(kw.arg, kw.value) for kw in node.keywords if kw.arg in names]
+            elif isinstance(node, ast.Assign):
+                pairs += [
+                    (target.slice.value, node.value) for target in node.targets
+                    if isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Constant)
+                    and target.slice.value in names
+                ]
+    values: dict[str, list] = {}
+    for name, value in pairs:
+        values.setdefault(name, []).append(ast.literal_eval(value) if _literal(value) is not None else _VARIED)
+    return values
+
+
+def _constant_fields() -> list[str]:
+    """The defaulted config fields that take one value, counted by ==, across
+    their default and every program config."""
+    given = _config_values()
+    constant = []
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.default_factory is MISSING:
+            continue
+        default = f.default if f.default is not MISSING else f.default_factory()
+        distinct = [default]
+        for value in given.get(f.name, []):
+            if value is _VARIED or all(value != seen for seen in distinct):
+                distinct.append(value)
+        if len(distinct) < 2:
+            constant.append(f.name)
+    return sorted(set(constant) - CONSTANT_FIELDS_ALLOWED)
+
+
+def test_every_config_field_is_varied_by_the_program():
+    """A config field that every program config leaves at one value is a
+    constant in disguise: the driver that reads it should hold the value."""
+    assert CONSTANT_FIELDS_ALLOWED <= {f.name for f in fields(ExperimentConfig)}
+    assert _constant_fields() == []
