@@ -163,11 +163,11 @@ def log2sq_k(n: int) -> int:
     return ceil(log2(n) ** 2)
 
 
-def base_gate(cfg: ExperimentConfig, k: int, realization: int) -> SubUnitary | SubHamiltonian:
-    """Realization r's gate as cfg.u_spec names it, seeded by RngSeed(u_spec
-    seed, r): a SubUnitary u, or for pauli_syk the SubHamiltonian h of the
-    dynamics u = e^{-iht} (see evolved)."""
-    kind = cfg.u_spec["type"]
+def base_gate(cfg: ExperimentConfig, realization: int) -> SubUnitary | SubHamiltonian:
+    """Realization r's gate on cfg.k qubits as cfg.u_spec names it, seeded by
+    RngSeed(u_spec seed, r): a SubUnitary u, or for pauli_syk the
+    SubHamiltonian h of the dynamics u = e^{-iht} (see evolved)."""
+    k, kind = cfg.k, cfg.u_spec["type"]
     seed = RngSeed(cfg.u_spec.get("seed", DEFAULT_GATE_SEED), realization)
     if kind == "identity":
         return identity_gate(k)
@@ -249,7 +249,7 @@ def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
     i, j = cfg.sites
 
     def one(r: int) -> list[float]:
-        gate = base_gate(cfg, cfg.k, r)
+        gate = base_gate(cfg, r)
         p, f = _realization(cfg, shape, r)
         col = []
         for t in cfg.t_grid:
@@ -332,7 +332,7 @@ def run_otoc_scaling(cfg: ExperimentConfig, out: Path) -> dict:
 def run_otoc_average(cfg: ExperimentConfig, out: Path) -> dict:
     cols = []  # one gate per realization, so its Schur form serves every t
     for r in range(cfg.ensemble):
-        gate = base_gate(cfg, cfg.k, r)
+        gate = base_gate(cfg, r)
         cols.append([otoc_zz_f_average(evolved(gate, float(t))) for t in cfg.t_grid])
     rows = []
     for t_idx, t in enumerate(cfg.t_grid):
@@ -345,7 +345,7 @@ def run_otoc_average(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_level_stats(cfg: ExperimentConfig, out: Path) -> dict:
-    stats = level_spacing_stats(_parallel(cfg, lambda r: gate_spectrum(base_gate(cfg, cfg.k, r)), range(cfg.ensemble)))
+    stats = level_spacing_stats(_parallel(cfg, lambda r: gate_spectrum(base_gate(cfg, r)), range(cfg.ensemble)))
     spac = stats.spacings
     if spac.size < 2:
         raise ConfigError(f"level statistics need at least 2 spacings, and {spac.size} survived the degeneracy cut")
@@ -368,7 +368,7 @@ def run_sff(cfg: ExperimentConfig, out: Path) -> dict:
     shape = SystemShape(cfg.n, cfg.k)
     # the full spectrum is the subsystem's 2**(n-k) times over
     factor = 4.0 ** (shape.n - shape.k)
-    evals = gate_spectrum(base_gate(cfg, cfg.k, 0))
+    evals = gate_spectrum(base_gate(cfg, 0))
     rows = []
     for beta in cfg.beta_list:
         for t in cfg.t_grid:
@@ -385,7 +385,7 @@ def run_design_check(cfg: ExperimentConfig, out: Path) -> dict:
     rows = []
     worst = 0.0
     for r in range(cfg.ensemble):
-        ut = evolved(base_gate(cfg, cfg.k, r), cfg.t_fixed)
+        ut = evolved(base_gate(cfg, r), cfg.t_fixed)
         # two copies, reference column 0 and the element threshold K**-0.3
         dv = design_variance_condition(ut, 2, 0)
         ec = element_condition_check(ut, 0.3)
@@ -437,7 +437,7 @@ def run_circuit_emit(cfg: ExperimentConfig, out: Path) -> dict:
         save_permutation(perm, out / sidecar)
     summary: dict = {"gates": circuit.gate_counts(), "sidecar": sidecar}
     if cfg.n <= 10:
-        op = RsedOperator(shape, perm, circuit.registry["f0"], base_gate(cfg, cfg.k, 0))
+        op = RsedOperator(shape, perm, circuit.registry["f0"], base_gate(cfg, 0))
         dev = float(np.max(np.abs(simulate_circuit(circuit, np.eye(2**cfg.n)) - dense_matrix(op))))
         summary["dense_deviation"] = dev
     write_json(out / "circuit_summary.json", cfg, summary)

@@ -93,10 +93,8 @@ def _minor_sets(pos: np.ndarray, i: int, j: int) -> np.ndarray:
 
 def _zero_padded(u: np.ndarray) -> np.ndarray:
     """u with a zero row and column appended, flattened: the target of the
-    padded sets.  Real if u's imaginary part is exactly zero (every integer
-    power of a Hadamard-family gate), so that gate runs in real arithmetic."""
-    if not u.imag.any():
-        u = u.real
+    padded sets.  It keeps u's dtype, so a real gate (every integer power of
+    a Hadamard-family gate) runs in real arithmetic."""
     K = len(u)
     out = np.zeros((K + 1, K + 1), dtype=u.dtype)
     out[:K, :K] = u

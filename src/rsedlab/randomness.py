@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,9 @@ class FeistelSpec:
     The low ceil(n/2) bits form L, the high floor(n/2) bits form R.  Round i
     XORs a keyed mix of the untouched half into the other: even rounds update
     L from R, odd rounds update R from L.  Inversion replays rounds in
-    reverse order.
+    reverse order.  A round's mix depends on the untouched half alone, so it
+    is evaluated once at every value of that half (at most 2**15 words for
+    n <= 30) and kept with the spec: a round is then one uint32 gather.
     """
 
     n: int
@@ -47,6 +50,18 @@ class FeistelSpec:
     def _round_key(self, i: int) -> np.uint64:
         return _finalize(np.uint64(self.key & 0xFFFFFFFFFFFFFFFF) ^ np.uint64(0xA076_1D64_78BD_642F + i))
 
+    @cached_property
+    def _round_tables(self) -> tuple[np.ndarray, ...]:
+        """Round i's mix, masked to the half it updates, at every value of the
+        half it reads, as uint32."""
+        n_low, n_high = self._halves()
+        tables = []
+        for i in range(FEISTEL_ROUNDS):
+            src, dst = (n_high, n_low) if i % 2 == 0 else (n_low, n_high)
+            words = counter_words(self._round_key(i), np.arange(1 << src, dtype=np.uint64))
+            tables.append((words & np.uint64((1 << dst) - 1)).astype(np.uint32))
+        return tuple(tables)
+
     def forward(self, xs: np.ndarray) -> np.ndarray:
         return self._run(xs, range(FEISTEL_ROUNDS))
 
@@ -55,17 +70,16 @@ class FeistelSpec:
 
     def _run(self, xs: np.ndarray, order) -> np.ndarray:
         n_low, n_high = self._halves()
-        mask_low = np.uint64((1 << n_low) - 1)
-        mask_high = np.uint64((1 << n_high) - 1) if n_high else np.uint64(0)
-        x = np.asarray(xs, dtype=np.uint64)
-        lo = x & mask_low
-        hi = (x >> np.uint64(n_low)) & mask_high
+        tables = self._round_tables
+        x = np.asarray(xs, dtype=np.uint32)
+        lo = x & np.uint32((1 << n_low) - 1)
+        hi = (x >> np.uint32(n_low)) & np.uint32((1 << n_high) - 1)
         for i in order:
             if i % 2 == 0:
-                lo = lo ^ (counter_words(self._round_key(i), hi) & mask_low)
+                lo = lo ^ tables[i][hi]
             else:
-                hi = hi ^ (counter_words(self._round_key(i), lo) & mask_high)
-        return (lo | (hi << np.uint64(n_low))).astype(np.uint32)
+                hi = hi ^ tables[i][lo]
+        return lo | (hi << np.uint32(n_low))
 
 
 @dataclass(frozen=True)

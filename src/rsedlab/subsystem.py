@@ -30,8 +30,9 @@ class SubUnitary:
     """Dense K x K unitary acting on the embedded subsystem.
 
     The constructor is the one unitarity check (O(K**3)), as the matrix comes
-    from the caller; gates this module builds skip it via _trusted.  The
-    Schur eigenpath (theta, z) is computed on first use and kept with the
+    from the caller; gates this module builds skip it via _trusted.  A real
+    matrix is kept as float64 and any other as complex128 (_gate_array).
+    The Schur eigenpath (theta, z) is computed on first use and kept with the
     gate (see _unitary_eigh), so treat `matrix` as read-only."""
 
     k: int
@@ -40,7 +41,7 @@ class SubUnitary:
 
     def __post_init__(self):
         _check_k(self.k)
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = _gate_array(self.matrix)
         object.__setattr__(self, "matrix", m)
         K = 1 << self.k
         if m.shape != (K, K):
@@ -57,12 +58,20 @@ class SubUnitary:
         return _trusted(self.k, self.matrix.conj().T)
 
 
+def _gate_array(matrix) -> np.ndarray:
+    """A gate's matrix as float64 if it is real, else as complex128: a real
+    gate stays real, so parent_spectrum and the ZZ trace kernel can pick
+    their real path by dtype."""
+    m = np.asarray(matrix)
+    return m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
+
+
 def _trusted(k: int, matrix: np.ndarray) -> SubUnitary:
     """SubUnitary around a matrix, no check: the caller must build it unitary,
     since parent spectra, powers and Schur eigenpaths never check again."""
     u = object.__new__(SubUnitary)
     object.__setattr__(u, "k", k)
-    object.__setattr__(u, "matrix", np.asarray(matrix, dtype=np.complex128))
+    object.__setattr__(u, "matrix", _gate_array(matrix))
     object.__setattr__(u, "_eig", None)
     return u
 
@@ -95,13 +104,28 @@ class SubHamiltonian:
         return 1 << self.k
 
 
-def _dense_h(k: int) -> np.ndarray:
-    """Real H^{tensor k}: entries 2**(-k/2) * (-1)**(b . b')."""
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    m = np.array([[1.0]])
+@cache
+def _sylvester(k: int) -> np.ndarray:
+    """The sign pattern (-1)**(b . b') of H^{tensor k}, as a shared read-only
+    int8 array (1 MiB at k = 10)."""
+    p = np.ones((1, 1), dtype=np.int8)
     for _ in range(k):
-        m = np.kron(m, h1)
-    return m
+        p = np.block([[p, p], [p, -p]])
+    p.flags.writeable = False
+    return p
+
+
+def _dense_h(k: int) -> np.ndarray:
+    """Real H^{tensor k}: entries 2**(-k/2) * (-1)**(b . b'), a new array.
+
+    The magnitude is 1/sqrt(2) multiplied in k times, rounded at each step,
+    so the result equals the chain of k Kronecker products by the normalized
+    2 x 2 factor bit for bit (a product of two normalized factors would not:
+    it rounds differently at k = 4 and k = 12)."""
+    scale = 1.0
+    for _ in range(k):
+        scale *= 1.0 / np.sqrt(2.0)
+    return _sylvester(k) * scale
 
 
 @cache
@@ -133,13 +157,15 @@ def hadamard_layer(k: int) -> SubUnitary:
 def identity_gate(k: int) -> SubUnitary:
     """u = identity on k qubits."""
     _check_k(k)
-    return _trusted(k, np.eye(1 << k, dtype=np.complex128))
+    return _trusted(k, np.eye(1 << k))
 
 
 def random_sign_hadamard(k: int, seed: RngSeed) -> SubUnitary:
     """u = H^{tensor k} P, the workhorse non-chaotic embedded gate."""
     _check_k(k)
-    return _trusted(k, _dense_h(k) * _signs(k, seed)[None, :])
+    m = _dense_h(k)
+    m *= _signs(k, seed)[None, :]
+    return _trusted(k, m)
 
 
 def pauli_syk(k: int, seed: RngSeed) -> SubHamiltonian:
@@ -213,34 +239,59 @@ def _phase_branch(theta: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _is_symmetric(a: np.ndarray) -> bool:
+    """a == a.T exactly, compared in 128 x 128 tiles against the transposed
+    tile so that both reads stay in cache (a whole-matrix a == a.T is ~8x
+    slower at K = 1024)."""
+    K, tile = len(a), 128
+    return all(
+        np.array_equal(a[i : i + tile, j : j + tile], a[j : j + tile, i : i + tile].T)
+        for i in range(0, K, tile)
+        for j in range(i, K, tile)
+    )
+
+
 def _orthogonal_phases(m: np.ndarray) -> np.ndarray:
     """Eigenphases of a real orthogonal m from the symmetric eigenproblem.
 
-    m is the real part of a SubUnitary, orthogonal by that contract, hence
-    normal: the real parts of its eigenvalues are the eigenvalues of
-    (m + m^T)/2, and its spectrum is closed under theta -> -theta.  Sorted in
-    descending order, each conjugate pair e^{+-i theta} shows up as two
-    adjacent cos(theta) entries, so alternate signs +, - rebuild it.  arccos
-    loses ~1e-8 next to +-1, so theta within PHASE_SNAP of 0 or pi is set to
-    exactly 0 or pi (the real eigenvalues +1 and -1).
+    m is orthogonal by the SubUnitary contract, hence normal: the real parts
+    of its eigenvalues are the eigenvalues of (m + m^T)/2, and its spectrum
+    is closed under theta -> -theta.  Sorted in descending order, each
+    conjugate pair e^{+-i theta} shows up as two adjacent cos(theta)
+    entries, so alternate signs +, - rebuild it.  arccos loses ~1e-8 next
+    to +-1, so theta within PHASE_SNAP of 0 or pi is set to exactly 0 or pi
+    (the real eigenvalues +1 and -1).
 
-    The symmetric part is solved block by block when it splits exactly.  The
-    candidate split is S = {b : m[0, b] > 0}: for m = H^{tensor k} diag(d),
-    row 0 is d / sqrt(K), and (m + m^T)/2 = blockdiag(H[S, S], -H[S^c, S^c])
-    with off-diagonal entries H_ab (d_a + d_b) / 2, exact zeros.  Any S whose
-    off-block m[S, S^c] + m[S^c, S]^T is exactly zero is a valid split, so
-    the two diagonal blocks (about K/2 each, 1/4 of the eigvalsh work) give
-    the same matrix's spectrum for every gate that passes the check.  Gates
-    that fail it, and those with S or S^c empty (H^{tensor k} itself), take
-    one K x K eigvalsh.
+    Let S = {b : m[0, b] > 0} and J = diag(+1 on S, -1 off it).  When J m is
+    exactly symmetric (every H^{tensor k} diag(d), whose S is the set d = +1,
+    H^{tensor k} and the identity), m = J (J m) is a product of two
+    involutions, (m + m^T)/2 = blockdiag(m[S, S], m[S^c, S^c]), and by the
+    two-subspace theorem (Halmos 1969) the two blocks share every eigenvalue
+    in (-1, 1) with its multiplicity: m[S, S^c] maps the c-eigenvectors of
+    m[S^c, S^c] onto those of m[S, S].  So one eigvalsh of the smaller block
+    (none for a block of size 0 or 1) gives the values both hold: the larger
+    block holds the ones with |c| <= cos(PHASE_SNAP), which PHASE_SNAP does
+    not snap, plus n_+ values +1 and n_- values -1, read from its size and
+    trace.  Any other gate, or counts that are not within 1e-6 of whole
+    numbers >= 0, takes one K x K eigvalsh of (m + m^T)/2.
     """
     pos = m[0] > 0
-    s, r = np.flatnonzero(pos), np.flatnonzero(~pos)
-    if s.size and r.size and not np.any(m[np.ix_(s, r)] + m[np.ix_(r, s)].T):
-        blocks = (m[np.ix_(s, s)], m[np.ix_(r, r)])
-    else:
-        blocks = (m,)
-    c = np.sort(np.concatenate([np.linalg.eigvalsh(0.5 * (b + b.T)) for b in blocks]))[::-1]
+    c = None
+    if _is_symmetric(m * np.where(pos, 1.0, -1.0)[:, None]):
+        s, r = np.flatnonzero(pos), np.flatnonzero(~pos)
+        if s.size > r.size:
+            s, r = r, s
+        small = m[np.ix_(s, s)]
+        c_small = np.linalg.eigvalsh(small) if s.size > 1 else np.diag(small)
+        paired = c_small[np.abs(c_small) <= np.cos(PHASE_SNAP)]
+        units = r.size - paired.size  # n_+ + n_-
+        net = float(m.diagonal()[r].sum() - paired.sum())  # n_+ - n_-
+        n_plus, n_minus = (units + net) / 2.0, (units - net) / 2.0
+        if min(n_plus, n_minus) > -1e-6 and abs(n_plus - round(n_plus)) <= 1e-6:
+            c = np.concatenate([c_small, paired, np.ones(round(n_plus)), -np.ones(round(n_minus))])
+    if c is None:
+        c = np.linalg.eigvalsh(0.5 * (m + m.T))
+    c = np.sort(c)[::-1]
     theta = np.arccos(np.clip(c, -1.0, 1.0))
     theta[theta < PHASE_SNAP] = 0.0
     theta[theta > np.pi - PHASE_SNAP] = np.pi
@@ -262,18 +313,16 @@ def parent_spectrum(u: SubUnitary) -> np.ndarray:
     """Sorted eigenvalues of the parent Hamiltonian, without the dense
     reconstruction (same branch as parent_hamiltonian).
 
-    A gate with an exactly zero imaginary part (the rule of otoc._zero_padded)
-    is orthogonal by the SubUnitary contract and goes through the symmetric
-    eigenproblem of (u + u^T)/2 (_orthogonal_phases), several times faster
-    than a general eigensolver: two diagonal blocks when it splits exactly
-    along the signs of row 0 of u (every H^{tensor k} P), one K x K block
-    otherwise.  A complex gate reads the eigenphases of the Schur form
-    cached on it (_unitary_eigh), the one factorization its fractional
-    powers and parent_hamiltonian also use.
+    A real (float64) gate is orthogonal by the SubUnitary contract and goes
+    through the symmetric eigenproblem (_orthogonal_phases), several times
+    faster than a general eigensolver: one block of at most K/2 for every
+    H^{tensor k} P, one K x K block for other gates.  A complex gate reads
+    the eigenphases of the Schur form cached on it (_unitary_eigh), the one
+    factorization its fractional powers and parent_hamiltonian also use.
     """
     m = u.matrix
-    if not m.imag.any():
-        theta = _orthogonal_phases(m.real)
+    if m.dtype == np.float64:
+        theta = _orthogonal_phases(m)
     else:
         theta = _unitary_eigh(u)[0]
     return np.sort(_phase_branch(theta))
@@ -356,7 +405,7 @@ def hadamard_sign_power(k: int, seed: RngSeed, t: int, columns=None) -> SubUnita
         raise ValueError("t must be >= 0")
     K = 1 << k
     if columns is None:
-        m = np.empty((K, K), dtype=np.complex128)
+        m = np.empty((K, K))
         for cols in column_batches(k):
             m[:, cols.start : cols.stop] = hadamard_sign_power(k, seed, t, cols)
         return _trusted(k, m)

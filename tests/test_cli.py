@@ -241,7 +241,7 @@ def test_sff_reads_the_parent_spectrum(tmp_path, kind):
            "t_grid": [0.0, 0.5, 1.0, 2.5, 8.0], "beta_list": [0.0, 1.0, 10.0]}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert main(["sff", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
-    gate = base_gate(ExperimentConfig(**cfg), 6, 0)
+    gate = base_gate(ExperimentConfig(**cfg), 0)
     fast, dense = parent_spectrum(gate), parent_hamiltonian(gate).eigenvalues
     _, rows = read_csv_rows(tmp_path / "sff.csv")
     assert len(rows) == 15

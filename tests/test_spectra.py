@@ -324,14 +324,16 @@ def _record_eigvalsh(monkeypatch) -> list:
 
 
 def test_level_stats_gate_splits_into_two_blocks(monkeypatch):
-    """The symmetric part of the random-sign Hadamard gate that `rsed
-    level-stats` builds at k = 10 splits exactly: two eigenproblems, each
-    smaller than K, that together cover all K eigenvalues."""
+    """The random-sign Hadamard gate that `rsed level-stats` builds at k = 10
+    splits into the blocks S = {b : u[0, b] > 0} and its complement, which
+    share every eigenvalue in (-1, 1): one eigenproblem, the smaller block,
+    of at most K/2."""
     cfg = ExperimentConfig("level-stats", n=13, k=10, u_spec={"type": "random_sign_hadamard", "seed": 1})
-    u = base_gate(cfg, 10, 0)
+    u = base_gate(cfg, 0)
     sizes = _record_eigvalsh(monkeypatch)
     parent_spectrum(u)
-    assert len(sizes) == 2 and max(sizes) < u.dim and sum(sizes) == u.dim
+    s = int(np.count_nonzero(u.matrix[0] > 0))
+    assert sizes == [min(s, u.dim - s)] and 1 < sizes[0] <= u.dim // 2
 
 
 def _random_orthogonal(k: int, seed: RngSeed) -> SubUnitary:
@@ -340,27 +342,44 @@ def _random_orthogonal(k: int, seed: RngSeed) -> SubUnitary:
     return SubUnitary(k, q * np.sign(np.diag(r))[None, :])
 
 
+def _two_rotations(phi: float, psi: float) -> SubUnitary:
+    """diag(R(phi), R(psi)) at k = 2: for phi != psi its symmetric part splits
+    along row 0 (S = {0}), but J u is not symmetric, so u is no product of
+    the two involutions J and J u."""
+    m = np.zeros((4, 4))
+    for lo, a in ((0, phi), (2, psi)):
+        m[lo : lo + 2, lo : lo + 2] = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
+    sym, j = m + m.T, np.where(m[0] > 0, 1.0, -1.0)[:, None]
+    assert not sym[0, 1:].any() and not np.array_equal(j * m, (j * m).T)
+    return SubUnitary(2, m)
+
+
 @pytest.mark.parametrize(
     "gate, blocks",
     [
-        (_random_orthogonal(4, RngSeed(21)), [16]),  # no exact split along row 0
-        (hadamard_layer(4), [16]),  # row 0 all positive: S^c is empty
-        (hadamard_layer(1), [2]),
-        (SubUnitary(4, np.eye(16)), [1, 15]),  # S = {0}
-        (SubUnitary(1, np.eye(2)), [1, 1]),
-        (random_sign_hadamard(1, RngSeed(0)), [2]),  # d = (-1, -1): S is empty
-        (random_sign_hadamard(1, RngSeed(2)), [1, 1]),  # d = (-1, +1)
+        (_random_orthogonal(4, RngSeed(21)), [16]),  # J u is not symmetric
+        (_two_rotations(0.3, 1.1), [4]),
+        (hadamard_layer(4), []),  # row 0 all positive: S^c is empty
+        (hadamard_layer(1), []),
+        (SubUnitary(4, np.eye(16)), []),  # S = {0}, a 1 x 1 block
+        (SubUnitary(1, np.eye(2)), []),
+        (random_sign_hadamard(1, RngSeed(0)), []),  # d = (-1, -1): S is empty
+        (random_sign_hadamard(1, RngSeed(2)), []),  # d = (-1, +1)
+        (random_sign_hadamard(3, RngSeed(3)), [3]),  # |S| = 5: the complement is solved
+        (random_sign_hadamard(3, RngSeed(7)), [3]),  # |S| = 3
+        (random_sign_hadamard(3, RngSeed(5)), [4]),  # |S| = 4
     ],
     ids=[
-        "orthogonal", "hadamard_k4", "hadamard_k1", "identity_k4", "identity_k1",
-        "sign_hadamard_k1_one_sign", "sign_hadamard_k1_mixed",
+        "orthogonal", "two_rotations", "hadamard_k4", "hadamard_k1", "identity_k4", "identity_k1",
+        "sign_hadamard_k1_one_sign", "sign_hadamard_k1_mixed", "sign_hadamard_k3_large_s",
+        "sign_hadamard_k3_small_s", "sign_hadamard_k3_even",
     ],
 )
 def test_real_gate_block_split(monkeypatch, gate, blocks):
-    """A random real orthogonal gate has no exact split, so it is solved as
-    one K x K block; gates whose row-0 split is empty on one side, a single
-    index, or at k = 1 take the blocks that split gives.  Each matches the
-    general eigensolver to 1e-12."""
+    """A real gate u with J u symmetric is solved as the smaller of its two
+    blocks S = {b : u[0, b] > 0} and S^c, and a block of size 0 or 1 needs no
+    solve; any other real gate is solved as one K x K block.  Each matches
+    the general eigensolver to 1e-12."""
     sizes = _record_eigvalsh(monkeypatch)
     spectrum = parent_spectrum(gate)
     assert np.max(np.abs(spectrum - _parent_spectrum_eigvals(gate))) < 1e-12
@@ -474,7 +493,7 @@ def test_histogram_bins_the_spacings_the_ks_distances_read(tmp_path):
            "u_spec": {"type": "random_sign_hadamard", "seed": 1}}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert main(["level-stats", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
-    gates = [base_gate(ExperimentConfig(**cfg), 10, r) for r in range(2)]
+    gates = [base_gate(ExperimentConfig(**cfg), r) for r in range(2)]
     spacings = []
     for gaps in (np.diff(parent_spectrum(u)) for u in gates):
         gaps = gaps[gaps >= 1e-12]

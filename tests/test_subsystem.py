@@ -37,6 +37,16 @@ def test_hadamard_entries():
         assert np.max(np.abs(h.matrix @ h.matrix - np.eye(h.dim))) < 1e-12
 
 
+def test_dense_h_equals_the_kron_chain_bit_for_bit():
+    """_dense_h scales a cached +-1 pattern by one magnitude rounded the way
+    k Kronecker products by the normalized 2 x 2 factor round it."""
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    m = np.ones((1, 1))
+    for k in range(1, 13):
+        m = np.kron(m, h1)
+        assert np.array_equal(subsystem._dense_h(k), m)
+
+
 def test_random_sign_diag():
     """P = diag((-1)**phi) from the seeded sign bits squares to I exactly and
     is reproduced by its seed."""
@@ -273,12 +283,14 @@ def test_library_builders_are_unitary(k):
     seed = RngSeed(48, k)
     u = random_sign_hadamard(k, seed)
     h = pauli_syk(k, seed) if k >= 2 else SubHamiltonian(1, X)
-    gates = [hadamard_layer(k), identity_gate(k), u, u.adjoint(), evolve(h, 0.9)]
-    gates += [unitary_power(u, 3), unitary_power(u, 0.75)]
-    gates += [hadamard_sign_power(k, seed, t) for t in range(4)]
-    for g in gates:
-        assert g.k == k and g.matrix.dtype == np.complex128
-        assert np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(g.dim))) <= 1e-10
+    real = [hadamard_layer(k), identity_gate(k), u, u.adjoint(), unitary_power(u, 3)]
+    real += [hadamard_sign_power(k, seed, t) for t in range(4)]
+    for gates, dtype in ((real, np.float64), ([evolve(h, 0.9), unitary_power(u, 0.75)], np.complex128)):
+        for g in gates:
+            assert g.k == k and g.matrix.dtype == dtype
+            assert np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(g.dim))) <= 1e-10
+    assert SubUnitary(k, u.matrix).matrix.dtype == np.float64
+    assert SubUnitary(k, u.matrix.astype(complex)).matrix.dtype == np.complex128
     assert (u.matrix == hadamard_layer(k).matrix @ np.diag(1.0 - 2.0 * sign_bits(k, seed))).all()
     assert (identity_gate(k).matrix == np.eye(1 << k)).all()
 
