@@ -27,6 +27,7 @@ from .subsystem import (
     SubUnitary,
     evolve,
     hadamard_layer,
+    hadamard_sign_columns,
     hadamard_sign_power,
     parent_hamiltonian,
     pauli_syk,

@@ -45,6 +45,9 @@ from .subsystem import (
     column_batches,
     evolve,
     hadamard_layer,
+    hadamard_sign_columns,
+    # not called here: perfbench/tracing.py wraps cli.hadamard_sign_power, and
+    # tests/test_perfbench_names.py expects all 16 of its names to resolve
     hadamard_sign_power,
     identity_gate,
     parent_spectrum,
@@ -276,14 +279,14 @@ def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
 def hadamard_sign_f_average(k: int, seed: RngSeed, t: int) -> float:
     """otoc_zz_f_average((H^{tensor k} P)^t) without the K x K gate.
 
-    The gate's column batches go one at a time from hadamard_sign_power into
-    otoc_zz_f_average, so at k = 12 no more than two 4096 x 512 arrays of
-    8-byte entries are alive (the batch with its scratch, or before that the
-    batch with its XOR index; 32 MiB traced, against 512 MiB for the dense
-    gate), and the value equals otoc_zz_f_average(hadamard_sign_power(k,
-    seed, t)) bit for bit.
+    hadamard_sign_columns streams the gate's column batches (column_batches:
+    32 columns at k = 12) through its reused buffers into
+    otoc_zz_f_average, so at k = 12 the arrays alive are the batch, its
+    scratch, the K x 32 XOR tile and the sum's buffer, 1 MiB each (4.2 MiB
+    traced, against 512 MiB for the dense gate), and the value equals
+    otoc_zz_f_average(hadamard_sign_power(k, seed, t)) bit for bit.
     """
-    return otoc_zz_f_average(hadamard_sign_power(k, seed, t, cols) for cols in column_batches(k))
+    return otoc_zz_f_average(hadamard_sign_columns(k, seed, t, column_batches(k)))
 
 
 @functools.cache

@@ -232,22 +232,31 @@ def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:
     This is the average over ideally-random subset isometries (independent
     fair sign bits); see the notes in otoc_zz_f_variance_hadamard.  u is a
     SubUnitary, or an iterable of the column blocks of one, left to right
-    (hadamard_sign_power(k, seed, t, cols) for cols in column_batches(k)
-    never forms the K x K matrix).  The sum runs block by block, a SubUnitary
-    in the blocks of column_batches(k), so a gate and its column batches give
-    the same float bit for bit; for k <= 10 that is one block.
+    (hadamard_sign_columns(k, seed, t, column_batches(k)) never forms the
+    K x K matrix); each block is read in full before the next is requested,
+    so an iterable may reuse one buffer.  The sum runs block by block, a
+    SubUnitary in the blocks of column_batches(k), so a gate and its column
+    batches give the same float bit for bit; for k <= 8 that is one block.
+    A real block is squared twice, a complex one takes abs first, into one
+    buffer reused across blocks.
     """
     blocks = u
     if isinstance(u, SubUnitary):
         blocks = (u.matrix[:, cols.start : cols.stop] for cols in column_batches(u.k))
     total, K = 0.0, 0
+    buf = np.empty(0)
     for block in blocks:
-        mags = np.abs(block)
-        np.square(mags, out=mags)
+        if buf.size < block.size:
+            buf = np.empty(block.size)
+        mags = buf[: block.size].reshape(block.shape)
+        if np.iscomplexobj(block):
+            np.abs(block, out=mags)
+            np.square(mags, out=mags)
+        else:
+            np.square(block, out=mags)  # x * x == |x| * |x| bit for bit
         np.square(mags, out=mags)
         total += float(np.sum(mags))
         K = block.shape[0]
-        del block, mags  # free this block before the iterable builds the next
     return total / K
 
 
