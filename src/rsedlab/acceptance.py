@@ -428,7 +428,7 @@ def criterion_14() -> CriterionResult:
     v = PauliString(((0, "X"), (3, "Z")))
     w = PauliString(((5, "Z"),))
     ex = otoc_pauli_dense(dense_matrix(op8), v, w)
-    st = otoc_pauli(op8, v, w, 512, RngSeed(0xE7))
+    st = otoc_pauli(op8, v, w, RngSeed(0xE7))
     z = abs(st.value - ex) / st.std_error
     ok = bitwise and z <= 4.0
     return CriterionResult(

@@ -232,9 +232,9 @@ def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:
     This is the average over ideally-random subset isometries (independent
     fair sign bits); see the notes in otoc_zz_f_variance_hadamard.  u is a
     SubUnitary, or an iterable of the column blocks of one, left to right
-    (hadamard_sign_columns(k, seed, t, column_batches(k)) never forms the
-    K x K matrix); each block is read in full before the next is requested,
-    so an iterable may reuse one buffer.  The sum runs block by block, a
+    (hadamard_sign_columns(k, seed, t) never forms the K x K matrix); each
+    block is read in full before the next is requested, so an iterable may
+    reuse one buffer.  The sum runs block by block, a
     SubUnitary in the blocks of column_batches(k), so a gate and its column
     batches give the same float bit for bit; for k <= 8 that is one block.
     A real block is squared twice, a complex one takes abs first, into one
@@ -293,12 +293,11 @@ def otoc_pauli_dense(u_dense: np.ndarray, v: PauliString, w: PauliString) -> com
     return complex(np.einsum("ij,ji->", g, g) / dim)
 
 
-def otoc_pauli(op: RsedOperator, v: PauliString, w: PauliString, samples: int, seed: RngSeed) -> OtocEstimate:
+def otoc_pauli(op: RsedOperator, v: PauliString, w: PauliString, seed: RngSeed) -> OtocEstimate:
     """Stochastic-trace Pauli-string OTOC: the mean of <z| V U W U^dag V U W
-    U^dag |z> / 2**n over `samples` random-phase probes z, blockwise at any n.
+    U^dag |z> / 2**n over 512 random-phase probes z, blockwise at any n.
     The dense value at n <= 10 is otoc_pauli_dense(dense_matrix(op), v, w)."""
-    if samples < 2:
-        raise ValueError("need at least 2 probes")
+    samples = 512
     adj = op.adjoint()
     stream = WordStream(seed)
     vals = np.empty(samples, dtype=np.complex128)

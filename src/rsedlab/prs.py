@@ -94,18 +94,15 @@ class DesignVariance(NamedTuple):
     degenerate: bool
 
 
-def design_variance_condition(u: SubUnitary, t: int, b_star: int) -> DesignVariance:
-    """Ybar = mean over distinct-index t-subsets of (X/Xbar - 1)**2, with
-    X_b = prod_i |u_{b_i, b_star}|**2; flags Xbar = 0 instead of dividing."""
+def design_variance_condition(u: SubUnitary) -> DesignVariance:
+    """Ybar = mean over distinct-index pairs {b_1, b_2} (t = 2 copies) of
+    (X/Xbar - 1)**2, with X_b = |u_{b_1, 0}|**2 |u_{b_2, 0}|**2 on the
+    reference column 0; flags Xbar = 0 instead of dividing."""
     K = u.dim
-    if K > 64 or t > 3:
-        raise ValueError("enumeration capped at K <= 64, t <= 3")
-    if t < 1:
-        raise ValueError(f"need t >= 1 copies, got {t}")
-    if not 0 <= b_star < K:
-        raise ValueError(f"b_star out of range [0, {K})")
-    col = np.abs(u.matrix[:, b_star]) ** 2
-    xs = np.array([np.prod(col[list(subset)]) for subset in combinations(range(K), t)])
+    if K > 64:
+        raise ValueError("enumeration capped at K <= 64")
+    col = np.abs(u.matrix[:, 0]) ** 2
+    xs = np.array([np.prod(col[list(subset)]) for subset in combinations(range(K), 2)])
     xbar = xs.mean()
     if xbar == 0.0:
         return DesignVariance(float("inf"), True)
@@ -117,14 +114,14 @@ class ElementCondition(NamedTuple):
     passed: bool
 
 
-def element_condition_check(u: SubUnitary, eps: float) -> ElementCondition:
-    """Exact scan of |u|**2 against the threshold K**-eps.
+def element_condition_check(u: SubUnitary) -> ElementCondition:
+    """Exact scan of |u|**2 against the threshold K**-0.3.
 
     Reports the worst per-column fraction of entries at or above threshold;
     passes only when no entry exceeds it.
     """
     mags = np.abs(u.matrix) ** 2
-    exceed = mags >= u.dim ** (-eps)
+    exceed = mags >= u.dim ** (-0.3)
     frac = exceed.mean(axis=0).max()
     return ElementCondition(float(frac), bool(not exceed.any()))
 

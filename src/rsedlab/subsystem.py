@@ -17,12 +17,14 @@ MAX_SUB_QUBITS = 12  # dense K x K with K = 2**k capped at 4096
 UNITARITY_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 PHASE_SNAP = 1e-6  # arccos eigenphases this close to 0 or pi are exactly 0 or pi
-# Cap on K * columns of one Hadamard-sign column batch: 1 MiB of float64, so
-# a batch, its transform scratch, the XOR tile and the f-average's buffer fit
-# in a few MiB of cache.  Timed in fresh processes over the scaling curve
-# k = 4, 7, 9, 12 at t = 4 (2 cores, 2 MiB L2 each): 2**17 beat 2**16 and
-# 2**18 by about 5% in the median and 2**15 and 2**19 by 10-20%.
-_F_BATCH_ENTRIES = 1 << 17
+# Cap on K * columns of one Hadamard-sign column batch, as a bit count so
+# that the batch width (column_batches) is a power of two: 2**17 entries, 1 MiB
+# of float64, so a batch, its transform scratch, the XOR tile and the
+# f-average's buffer fit in a few MiB of cache.  Timed in fresh processes
+# over the scaling curve k = 4, 7, 9, 12 at t = 4 (2 cores, 2 MiB L2 each):
+# 2**17 beat 2**16 and 2**18 by about 5% in the median and 2**15 and 2**19
+# by 10-20%.
+_F_BATCH_BITS = 17
 
 
 def _check_k(k: int) -> None:
@@ -376,103 +378,65 @@ def _walsh_hadamard_inplace(a: np.ndarray, scratch: np.ndarray) -> None:
     np.matmul(_hadamard_factor(k - k // 2), scratch.reshape(K1, K2, cols), out=a.reshape(K1, K2, cols))
 
 
-def column_batches(k: int):
-    """The column ranges, left to right, in which hadamard_sign_columns builds
-    a K x K gate (K = 2**k) and otoc_zz_f_average sums it: _F_BATCH_ENTRIES
-    // K columns each, a power of two, so every batch is an aligned range
-    (the XOR-tile path); K**2 <= _F_BATCH_ENTRIES (k <= 8) is one batch and
-    k = 12 is 128 batches of 32 columns."""
+def column_batches(k: int) -> list[range]:
+    """The column ranges, left to right, in which hadamard_sign_columns yields
+    a K x K gate (K = 2**k) and otoc_zz_f_average sums it: w =
+    2**min(k, _F_BATCH_BITS - k) columns each, a power of two that divides
+    K, so every batch is an aligned range(lo, lo + w), lo a multiple of w;
+    K**2 <= 2**_F_BATCH_BITS (k <= 8) is one batch and k = 12 is 128
+    batches of 32 columns."""
     _check_k(k)
-    K = 1 << k
-    width = max(1, _F_BATCH_ENTRIES // K)
-    for lo in range(0, K, width):
-        yield range(lo, min(lo + width, K))
+    w = 1 << min(k, _F_BATCH_BITS - k)
+    return [range(lo, lo + w) for lo in range(0, 1 << k, w)]
 
 
-def _column_index(columns, K: int) -> np.ndarray:
-    """Integer column indices in [0, K) as a flat intp array; floats and
-    bools are an error, not cast."""
-    cols = np.asarray(columns).reshape(-1)
-    if cols.size and cols.dtype.kind not in "iu":
-        raise ValueError(f"columns must be integers, got dtype {cols.dtype}")
-    if cols.size and not (0 <= cols.min() and cols.max() < K):
-        raise ValueError(f"columns must lie in [0, {K})")
-    return cols.astype(np.intp, copy=False)
-
-
-def _is_aligned(columns) -> bool:
-    """columns is range(lo, lo + w), w a power of two and lo a multiple of w."""
-    w = len(columns) if isinstance(columns, range) and columns.step == 1 else 0
-    return w > 0 and w & (w - 1) == 0 and columns.start % w == 0
-
-
-def hadamard_sign_columns(k: int, seed: RngSeed, t: int, batches):
+def hadamard_sign_columns(k: int, seed: RngSeed, t: int):
     """Yield the columns of (H^{tensor k} P)^t, P = diag(s), integer t >= 0,
-    one real (K, len(cols)) array per column list `cols` of `batches`.
+    one real (K, w) array per range of column_batches(k), left to right.
 
-    The signs are drawn once per gate, and the buffers of the batch, its
-    transform scratch and its index grow to the widest batch and are reused:
-    a yielded array is overwritten when the next one is requested, so copy
-    what must outlive that.  k and t are checked on the call, each column
-    list when its batch is built.
+    The signs are drawn once per gate, and the batch, its transform scratch
+    and the XOR tile are allocated once per gate and reused: a yielded array
+    is overwritten when the next one is requested, so copy what must
+    outlive that.  k and t are checked on the call.
 
     For t >= 2 a batch starts from the closed form of the first two factors:
     with g = H s / sqrt(K) (one length-K transform per gate), (H P H)[b, c]
-    = g[b ^ c], so (H P)^2 e_c = s_c g[b ^ c].  When cols is an aligned
-    range(lo, lo + w), w a power of two (every batch of column_batches), c =
-    lo ^ j and the batch is the tile g[b ^ j] (K x w, gathered once per
-    width) with its row blocks of w permuted by b -> b ^ lo; any other list
-    gathers g[b ^ c] entry by entry.  Both copy the same floats, so the two
-    paths give the same batch bit for bit.  The remaining t - 2 steps go
-    through signs * m -> _walsh_hadamard_inplace.  For t < 2 a batch starts
-    from identity columns and takes t steps, so t = 0 is exactly the
-    identity.
+    = g[b ^ c], so (H P)^2 e_c = s_c g[b ^ c].  The batch range(lo, lo + w)
+    has c = lo ^ j, so it is the tile g[b ^ j] (K x w, gathered once per
+    gate) with its row blocks of w permuted by b -> b ^ lo.  The remaining
+    t - 2 steps go through signs * m -> _walsh_hadamard_inplace.  For t < 2
+    a batch starts from identity columns and takes t steps, so t = 0 is
+    exactly the identity.
     """
     _check_k(k)
     if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
         raise ValueError(f"t must be an integer, got {t!r}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _hadamard_sign_batches(k, seed, t, batches)
+    return _hadamard_sign_batches(k, seed, t)
 
 
-def _hadamard_sign_batches(k: int, seed: RngSeed, t: int, batches):
-    K = 1 << k
+def _hadamard_sign_batches(k: int, seed: RngSeed, t: int):
+    batches = column_batches(k)
+    K, w = 1 << k, len(batches[0])
     signs = _signs(k, seed)
+    m, scratch = np.empty((K, w)), np.empty((K, w))
+    j = np.arange(w)
     if t >= 2:
         g = signs.reshape(K, 1).copy()
         _walsh_hadamard_inplace(g, np.empty_like(g))
-        g = g.reshape(K)
-    rows = np.arange(K)
-    buf = scratch = np.empty(0)
-    index = np.empty(0, dtype=np.intp)
-    tile = np.empty((K, 0))
-    for columns in batches:
-        cols = _column_index(columns, K)
-        w = cols.size
-        if buf.size < K * w:
-            buf, scratch = np.empty(K * w), np.empty(K * w)
-        m = buf[: K * w].reshape(K, w)
+        tile = g.reshape(K)[np.bitwise_xor.outer(np.arange(K), j)].reshape(K // w, w, w)
+    for cols in batches:
         if t < 2:
             m.fill(0.0)
-            m[cols, np.arange(w)] = 1.0
-        elif _is_aligned(columns):
-            if tile.shape[1] != w:
-                tile = np.take(g, np.bitwise_xor.outer(rows, np.arange(w)))
-            blocks = np.arange(K // w) ^ (columns.start // w)
-            np.take(tile.reshape(K // w, w, w), blocks, axis=0, out=m.reshape(K // w, w, w), mode="clip")
+            m[cols, j] = 1.0
         else:
-            if index.size < K * w:
-                index = np.empty(K * w, dtype=np.intp)
-            xor = index[: K * w].reshape(K, w)
-            np.bitwise_xor.outer(rows, cols, out=xor)
-            np.take(g, xor, out=m, mode="clip")
-        if t >= 2:
+            blocks = np.arange(K // w) ^ (cols.start // w)
+            np.take(tile, blocks, axis=0, out=m.reshape(K // w, w, w), mode="clip")
             m *= signs[cols] / np.sqrt(K)
-        s = scratch[: K * w].reshape(K, w)
         for _ in range(t if t < 2 else t - 2):
             np.multiply(m, signs[:, None], out=m)
-            _walsh_hadamard_inplace(m, s)
+            _walsh_hadamard_inplace(m, scratch)
         yield m
 
 
@@ -480,9 +444,8 @@ def hadamard_sign_power(k: int, seed: RngSeed, t: int) -> SubUnitary:
     """(H^{tensor k} P)^t for integer t >= 0 as a real gate, assembled from
     the batches of hadamard_sign_columns over column_batches(k), so each
     column is bit for bit the one the matrix-free f-average reads."""
-    batches = list(column_batches(k))
-    blocks = hadamard_sign_columns(k, seed, t, batches)  # checks t before the K x K allocation
+    blocks = hadamard_sign_columns(k, seed, t)  # checks t before the K x K allocation
     m = np.empty((1 << k, 1 << k))
-    for cols, block in zip(batches, blocks):
+    for cols, block in zip(column_batches(k), blocks):
         m[:, cols.start : cols.stop] = block
     return _trusted(k, m)

@@ -157,11 +157,11 @@ def test_matrix_free_f_average_is_the_dense_value_bitwise(t):
 @pytest.mark.parametrize("k", [3, 6, 8])
 @pytest.mark.parametrize("t", [0, 1, 2, 4])
 def test_matrix_free_f_average_over_narrow_batches(monkeypatch, k, t):
-    """Batches narrowed to K/4 - 1 columns (one column at k = 3): every case
-    spans at least 4 batches, the last one shorter, and is still bitwise."""
+    """Batches narrowed to K/8 columns (one column at k = 3): every case
+    spans 8 batches and is still bitwise."""
     K = 1 << k
-    monkeypatch.setattr(subsystem, "_F_BATCH_ENTRIES", K * max(1, K // 4 - 1))
-    assert len(list(column_batches(k))) >= 4
+    monkeypatch.setattr(subsystem, "_F_BATCH_BITS", 2 * k - 3)
+    assert len(column_batches(k)) == 8
     seed = RngSeed(52, k)
     u = hadamard_sign_power(k, seed, t)
     slow = unitary_power(random_sign_hadamard(k, seed), t)
@@ -461,10 +461,10 @@ def test_otoc_pauli_commuting_and_anticommuting():
     u = dense_matrix(opi)
     v, w = PauliString(((0, "Z"),)), PauliString(((1, "Z"),))
     assert otoc_pauli_dense(u, v, w) == pytest.approx(1.0)
-    assert otoc_pauli(opi, v, w, 2, RngSeed(1)).value == pytest.approx(1.0)
+    assert otoc_pauli(opi, v, w, RngSeed(1)).value == pytest.approx(1.0)
     x0, z0 = PauliString(((0, "X"),)), PauliString(((0, "Z"),))
     assert otoc_pauli_dense(u, x0, z0) == pytest.approx(-1.0)
-    assert otoc_pauli(opi, x0, z0, 2, RngSeed(1)).value == pytest.approx(-1.0)
+    assert otoc_pauli(opi, x0, z0, RngSeed(1)).value == pytest.approx(-1.0)
 
 
 def test_otoc_pauli_stochastic_consistency():
@@ -473,7 +473,7 @@ def test_otoc_pauli_stochastic_consistency():
     v = PauliString(((0, "X"), (3, "Z")))
     w = PauliString(((5, "Z"),))
     exact = otoc_pauli_dense(dense_matrix(op), v, w)
-    stoch = otoc_pauli(op, v, w, 512, RngSeed(22))
+    stoch = otoc_pauli(op, v, w, RngSeed(22))
     assert abs(stoch.value - exact) <= 4 * stoch.std_error
 
 

@@ -237,16 +237,9 @@ def test_walsh_hadamard_matches_dense():
         assert np.max(np.abs(m - dense)) < 1e-10
 
 
-def _columns(k, seed, t, cols):
-    """The one batch hadamard_sign_columns builds for the column list cols."""
-    return next(hadamard_sign_columns(k, seed, t, [cols]))
-
-
 def test_hadamard_sign_power_matches_unitary_power():
     """The closed-form start (t >= 2) and the identity start (t < 2) against
-    matrix_power of the dense gate, for the whole gate and for unsorted,
-    repeated and empty column lists (one generator, so its buffers grow and
-    shrink between them); t = 0 is exactly the identity."""
+    matrix_power of the dense gate; t = 0 is exactly the identity."""
     for k in range(1, 9):
         K = 1 << k
         seed = RngSeed(46, k)
@@ -255,10 +248,6 @@ def test_hadamard_sign_power_matches_unitary_power():
         for t in range(6):
             slow = unitary_power(u, t).matrix
             assert np.max(np.abs(hadamard_sign_power(k, seed, t).matrix - slow)) < 1e-12
-            lists = ([K - 1, 0, K // 2], [1, 1, 0, 1], [])
-            for cols, fast in zip(lists, hadamard_sign_columns(k, seed, t, lists)):
-                assert fast.shape == (K, len(cols))
-                assert np.max(np.abs(fast - slow[:, cols]), initial=0.0) < 1e-12
 
 
 @pytest.mark.parametrize("t", range(6))
@@ -272,8 +261,8 @@ def test_hadamard_sign_power_transform_count(monkeypatch, t):
         _walsh_hadamard_inplace(a, scratch)
 
     monkeypatch.setattr(subsystem, "_walsh_hadamard_inplace", counted)
-    list(hadamard_sign_columns(7, RngSeed(54), t, [range(5, 45)]))
-    assert shapes == ([(128, 40)] * t if t < 2 else [(128, 1)] + [(128, 40)] * (t - 2))
+    list(hadamard_sign_columns(7, RngSeed(54), t))
+    assert shapes == ([(128, 128)] * t if t < 2 else [(128, 1)] + [(128, 128)] * (t - 2))
 
 
 def test_subhamiltonian_invariants():
@@ -321,7 +310,7 @@ def test_hadamard_sign_power_needs_an_integer_t(t):
     with pytest.raises(ValueError, match="t must be an integer"):
         hadamard_sign_power(3, RngSeed(52), t)
     with pytest.raises(ValueError, match="t must be an integer"):
-        hadamard_sign_columns(3, RngSeed(52), t, [range(2)])
+        hadamard_sign_columns(3, RngSeed(52), t)
     with pytest.raises(ValueError, match="t must be an integer"):
         hadamard_sign_f_average(3, RngSeed(52), t)
 
@@ -329,58 +318,34 @@ def test_hadamard_sign_power_needs_an_integer_t(t):
 def test_hadamard_sign_power_columns():
     seed = RngSeed(53)
     u = hadamard_sign_power(6, seed, np.int64(3))
-    cols = _columns(6, seed, 3, [5, 0, 63])
-    assert cols.shape == (64, 3) and cols.dtype == np.float64
-    assert np.max(np.abs(cols - u.matrix[:, [5, 0, 63]].real)) < 1e-12
-    for bad in ([64], [-1]):
-        with pytest.raises(ValueError, match="columns must lie"):
-            _columns(6, seed, 3, bad)
-    # not cast: [0.7, 2.9] would read columns 0 and 2, [True, False] 1 and 0
-    for bad in ([0.7, 2.9], [True, False], np.array([1.0])):
-        with pytest.raises(ValueError, match="columns must be integers"):
-            _columns(6, seed, 3, bad)
-    unsigned = _columns(6, seed, 3, np.array([63, 5], dtype=np.uint8))
-    assert (unsigned == _columns(6, seed, 3, [63, 5])).all()
+    (batch,) = hadamard_sign_columns(6, seed, 3)
+    assert batch.shape == (64, 64) and batch.dtype == np.float64
+    assert np.array_equal(batch, u.matrix)
     with pytest.raises(ValueError, match=">= 0"):
         hadamard_sign_power(6, seed, -1)
 
 
-@pytest.mark.parametrize("t", [2, 3, 4])
-def test_xor_tile_equals_the_per_entry_gather(t):
-    """Every batch of column_batches(k), k = 1..12, comes from the XOR tile;
-    the same columns as a list, a reversed list and a reversed range, and
-    all but the first as an unaligned range (K = 2 has none), take the
-    per-entry gather, and all agree bit for bit."""
+def test_column_batches_against_the_per_entry_form():
+    """Every batch of column_batches(k), k = 1..12, at t = 2, 3, 4 against
+    the per-entry form: (H P)^2 e_c = s_c g[b ^ c] / sqrt(K) with
+    g = H s, then t - 2 steps of signs * m -> H m, bit for bit."""
     for k in range(1, 13):
         K, seed = 1 << k, RngSeed(55, k)
-        batches = list(column_batches(k))
-        assert all(subsystem._is_aligned(b) for b in batches)
-        unaligned = [range(b.start + 1, b.stop) for b in batches] if k > 1 else []
-        assert not any(subsystem._is_aligned(b) for b in unaligned)
-        variants = ([list(b) for b in batches], [list(b)[::-1] for b in batches], [b[::-1] for b in batches])
-        streams = [hadamard_sign_columns(k, seed, t, v) for v in (batches, *variants)]
-        for tile, listed, rev_list, rev_range in zip(*streams):
-            assert np.array_equal(listed, tile)
-            assert np.array_equal(rev_list, tile[:, ::-1])
-            assert np.array_equal(rev_range, tile[:, ::-1])
-        tiles = hadamard_sign_columns(k, seed, t, batches)
-        for tile, cut in zip(tiles, hadamard_sign_columns(k, seed, t, unaligned)):
-            assert np.array_equal(cut, tile[:, 1:])
-
-
-def test_xor_tile_of_several_widths_and_empty_batches():
-    """Aligned ranges of different widths in one stream rebuild the tile
-    per width; an empty column list, range or aligned-looking range(c, c)
-    is a (K, 0) batch at every t."""
-    k, K, seed = 6, 64, RngSeed(56)
-    mixed = [range(8, 16), range(0, 4), range(4, 8), range(32, 64), range(18, 20)]
-    for t in range(5):
-        u = hadamard_sign_power(k, seed, t).matrix
-        for cols, block in zip(mixed, hadamard_sign_columns(k, seed, t, mixed)):
-            assert np.array_equal(block, u[:, cols.start : cols.stop])
-        empties = [[], range(0), range(16, 16), np.array([], dtype=np.int64)]
-        for block in hadamard_sign_columns(k, seed, t, empties):
-            assert block.shape == (K, 0) and block.dtype == np.float64
+        signs = 1.0 - 2.0 * sign_bits(k, seed)
+        g = signs.reshape(K, 1).copy()
+        _walsh_hadamard_inplace(g, np.empty_like(g))
+        g = g.reshape(K)
+        batches = column_batches(k)
+        assert [c for b in batches for c in b] == list(range(K))
+        streams = [hadamard_sign_columns(k, seed, t) for t in (2, 3, 4)]
+        for cols, t2, *later in zip(batches, *streams, strict=True):
+            c = np.array(cols)
+            m = g[np.bitwise_xor.outer(np.arange(K), c)] * (signs[c] / np.sqrt(K))
+            assert np.array_equal(t2, m)
+            for power in later:
+                m *= signs[:, None]
+                _walsh_hadamard_inplace(m, np.empty_like(m))
+                assert np.array_equal(power, m)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 4])
@@ -388,7 +353,7 @@ def test_each_gate_draws_its_signs_and_transforms_them_once(monkeypatch, t):
     """A k = 7 f-average over 16 narrowed batches draws the signs once and
     runs the (K, 1) transform of g = H s / sqrt(K) once per gate; only the
     remaining steps run per batch."""
-    monkeypatch.setattr(subsystem, "_F_BATCH_ENTRIES", 128 * 8)
+    monkeypatch.setattr(subsystem, "_F_BATCH_BITS", 10)  # 8 columns of 128
     assert len(list(column_batches(7))) == 16
     draws, shapes, signs = [], [], subsystem._signs
 

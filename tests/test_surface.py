@@ -3,9 +3,9 @@
 Every name `rsedlab/__init__.py` exports must be used, as a name or an
 attribute, somewhere in the library modules, `scripts/` or `perfbench/`.  A
 name that only its own tests call belongs in those tests.  Likewise every
-defaulted parameter of a public function must be varied by those calls, and
-every defaulted config field by the configs the program builds; a value
-that only tests change belongs in the tests' own construction.
+parameter of a public function must be varied by those calls, and every
+defaulted config field by the configs the program builds; a value that only
+tests change belongs in the tests' own construction.
 """
 
 import ast
@@ -72,15 +72,17 @@ def _literal(node: ast.expr) -> str | None:
         return None
 
 
-def _unvaried() -> list[str]:
-    """Qualified names of the defaulted parameters that no call varies."""
+def _unvaried() -> tuple[list[str], list[str]]:
+    """Qualified names of the parameters that no call varies: the defaulted
+    ones that take one value, and the required ones that every call, of at
+    least one, fills with the same literal."""
     calls: dict[str, list[ast.Call]] = {}
     for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 calls.setdefault(name, []).append(node)
-    unvaried = []
+    defaulted, required = [], []
     for qualname, fn in _public_defs():
         a = fn.args
         positional = [p.arg for p in a.posonlyargs + a.args]
@@ -88,7 +90,8 @@ def _unvaried() -> list[str]:
         defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
         if positional[:1] in (["self"], ["cls"]):
             positional = positional[1:]
-        for param, default in defaults.items():
+        for param in positional + [p.arg for p in a.kwonlyargs]:
+            default = defaults.get(param)
             values = set()
             for call in calls.get(fn.name, []):
                 given = dict(zip(positional, call.args)) | {kw.arg: kw.value for kw in call.keywords}
@@ -96,10 +99,13 @@ def _unvaried() -> list[str]:
                     values.add(None)  # *args or **kwargs: anything may pass
                     continue
                 value = given.get(param, default)
+                if value is None:
+                    values.add(None)  # a required parameter this call does not fill
+                    continue
                 values.add(_literal(value) or (ast.dump(value) if value is default else None))
-            if None not in values and len(values) < 2:
-                unvaried.append(f"{qualname}.{param}")
-    return sorted(unvaried)
+            if None not in values and len(values) < 2 and (values or default is not None):
+                (required if default is None else defaulted).append(f"{qualname}.{param}")
+    return sorted(defaulted), sorted(required)
 
 
 def test_every_default_parameter_is_varied_by_the_program():
@@ -109,7 +115,14 @@ def test_every_default_parameter_is_varied_by_the_program():
     omits the parameter counts as its default.  A parameter that never
     varies is a constant in disguise.  parse has no caller in the program: it
     reads RSEDCIRC text at a trust boundary."""
-    assert _unvaried() == ["parse.registry"]
+    assert _unvaried()[0] == ["parse.registry"]
+
+
+def test_every_required_parameter_is_varied_by_the_program():
+    """A required parameter that every program call fills with one literal
+    is a constant in disguise too: the function should hold the value.  A
+    function the program never calls is not judged here."""
+    assert _unvaried()[1] == []
 
 
 # Config fields that may keep their default in every program config.
