@@ -325,10 +325,12 @@ def test_hadamard_sign_power_columns():
         hadamard_sign_power(6, seed, -1)
 
 
-def test_column_batches_against_the_per_entry_form():
-    """Every batch of column_batches(k), k = 1..12, at t = 2, 3, 4 against
-    the per-entry form: (H P)^2 e_c = s_c g[b ^ c] / sqrt(K) with
-    g = H s, then t - 2 steps of signs * m -> H m, bit for bit."""
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_xor_tile_equals_the_per_entry_gather(t):
+    """Every batch of column_batches(k), k = 1..12, which the generator
+    builds from one XOR tile, against the per-entry gather
+    (H P)^2 e_c = s_c g[b ^ c] / sqrt(K) with g = H s, then t - 2 steps of
+    signs * m -> H m, bit for bit."""
     for k in range(1, 13):
         K, seed = 1 << k, RngSeed(55, k)
         signs = 1.0 - 2.0 * sign_bits(k, seed)
@@ -337,15 +339,13 @@ def test_column_batches_against_the_per_entry_form():
         g = g.reshape(K)
         batches = column_batches(k)
         assert [c for b in batches for c in b] == list(range(K))
-        streams = [hadamard_sign_columns(k, seed, t) for t in (2, 3, 4)]
-        for cols, t2, *later in zip(batches, *streams, strict=True):
+        for cols, batch in zip(batches, hadamard_sign_columns(k, seed, t), strict=True):
             c = np.array(cols)
             m = g[np.bitwise_xor.outer(np.arange(K), c)] * (signs[c] / np.sqrt(K))
-            assert np.array_equal(t2, m)
-            for power in later:
+            for _ in range(t - 2):
                 m *= signs[:, None]
                 _walsh_hadamard_inplace(m, np.empty_like(m))
-                assert np.array_equal(power, m)
+            assert np.array_equal(batch, m)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 4])
