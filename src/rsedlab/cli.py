@@ -280,9 +280,10 @@ def hadamard_sign_f_average(k: int, seed: RngSeed, t: int) -> float:
 
     hadamard_sign_columns streams the gate in the batches of column_batches
     (32 columns at k = 12) through its reused buffers into
-    otoc_zz_f_average, so at k = 12 the arrays alive are the batch, its
-    scratch, the K x 32 XOR tile and the sum's buffer, 1 MiB each (4.2 MiB
-    traced, against 512 MiB for the dense gate), and the value equals
+    otoc_zz_f_average, so at k = 12 the arrays alive are the batch and its
+    scratch (which swap roles between the transform's factors), the K x 32
+    XOR tile and the sum's buffer, 1 MiB each (a 4.1 MiB traced peak,
+    against 512 MiB for the dense gate), and the value equals
     otoc_zz_f_average(hadamard_sign_power(k, seed, t)) bit for bit.
     """
     return otoc_zz_f_average(hadamard_sign_columns(k, seed, t))

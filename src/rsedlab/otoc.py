@@ -237,18 +237,20 @@ def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:
     reuse one buffer.  The sum runs block by block, a
     SubUnitary in the blocks of column_batches(k), so a gate and its column
     batches give the same float bit for bit; for k <= 8 that is one block.
-    A real block is squared twice, a complex one takes abs first, into one
-    buffer reused across blocks.
+    Every block must have the shape of the first (column_batches gives one
+    width per gate), so one buffer, allocated from the first block, holds
+    the fourth powers: a real block is squared twice, a complex one takes
+    abs first.
     """
     blocks = u
     if isinstance(u, SubUnitary):
         blocks = (u.matrix[:, cols.start : cols.stop] for cols in column_batches(u.k))
-    total, K = 0.0, 0
-    buf = np.empty(0)
+    total, mags = 0.0, None
     for block in blocks:
-        if buf.size < block.size:
-            buf = np.empty(block.size)
-        mags = buf[: block.size].reshape(block.shape)
+        if mags is None:
+            mags = np.empty(block.shape)
+        elif block.shape != mags.shape:  # a (K, 1) block would broadcast into the buffer
+            raise ValueError(f"column blocks must share one shape, got {block.shape} after {mags.shape}")
         if np.iscomplexobj(block):
             np.abs(block, out=mags)
             np.square(mags, out=mags)
@@ -256,8 +258,7 @@ def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:
             np.square(block, out=mags)  # x * x == |x| * |x| bit for bit
         np.square(mags, out=mags)
         total += float(np.sum(mags))
-        K = block.shape[0]
-    return total / K
+    return total / mags.shape[0]
 
 
 def otoc_zz_f_variance_hadamard(n: int, k: int) -> float:

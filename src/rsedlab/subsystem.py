@@ -21,9 +21,9 @@ PHASE_SNAP = 1e-6  # arccos eigenphases this close to 0 or pi are exactly 0 or p
 # that the batch width (column_batches) is a power of two: 2**17 entries, 1 MiB
 # of float64, so a batch, its transform scratch, the XOR tile and the
 # f-average's buffer fit in a few MiB of cache.  Timed in fresh processes
-# over the scaling curve k = 4, 7, 9, 12 at t = 4 (2 cores, 2 MiB L2 each):
-# 2**17 beat 2**16 and 2**18 by about 5% in the median and 2**15 and 2**19
-# by 10-20%.
+# over the scaling curve k = 4, 7, 9, 12 at t = 4 (2 cores, 2 MiB L2 each,
+# transform in factors of at most 4 bits), median of 10: 2**17 253 ms,
+# 2**16 262 ms, 2**18 280 ms, 2**15 and 2**19 296 ms.
 _F_BATCH_BITS = 17
 
 
@@ -137,9 +137,9 @@ def _dense_h(k: int) -> np.ndarray:
 
 @cache
 def _hadamard_factor(k: int) -> np.ndarray:
-    """_dense_h(k) as a shared read-only array, for the small factors (at
-    most 64 x 64 while k <= 12) of _walsh_hadamard_inplace; full gates call
-    _dense_h, so no K x K array outlives its gate."""
+    """_dense_h(k) as a shared read-only array, for the factors (at most
+    16 x 16) of _walsh_hadamard; full gates call _dense_h, so no K x K array
+    outlives its gate."""
     m = _dense_h(k)
     m.flags.writeable = False
     return m
@@ -360,22 +360,28 @@ def evolve(h: SubHamiltonian, t: float) -> SubUnitary:
     return _trusted(h.k, m)
 
 
-def _walsh_hadamard_inplace(a: np.ndarray, scratch: np.ndarray) -> None:
-    """a <- H^{tensor k} @ a for a C-contiguous (K, cols) array, with a
-    scratch array of the same shape and dtype, allocating nothing.
+def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """H^{tensor k} @ a for a C-contiguous (K, cols) array, with a scratch
+    array of the same shape and dtype, allocating nothing; returns whichever
+    of a and scratch holds the result, and the other holds garbage.
 
-    The row index splits into (high k1 bits, low k2 bits) and H^{tensor k}
-    factorizes accordingly, so the transform is two dense multiplications by
-    small Hadamard blocks instead of one K x K product: H_hi @ a viewed as
-    (K1, K2 * cols) into scratch, then one stacked product H_lo @ scratch
-    viewed as (K1, K2, cols) back into a, which reaches the low bits without
-    a transpose copy.
+    H^{tensor k} is a product of commuting factors, one per group of row
+    bits, so the transform is a chain of the fewest balanced groups of at
+    most 4 bits (k = 12 is 4 + 4 + 4, k = 9 is 3 + 3 + 3, k <= 4 one group):
+    the group of b bits with h bits above it is one np.matmul of the 2**b x
+    2**b Hadamard factor with the (2**h, 2**b, rest * cols) view, from one
+    buffer into the other, 3 * 16 = 48 multiply-adds per entry at k = 12.
     """
     K, cols = a.shape
     k = K.bit_length() - 1
-    K1, K2 = 1 << (k // 2), 1 << (k - k // 2)
-    np.matmul(_hadamard_factor(k // 2), a.reshape(K1, K2 * cols), out=scratch.reshape(K1, K2 * cols))
-    np.matmul(_hadamard_factor(k - k // 2), scratch.reshape(K1, K2, cols), out=a.reshape(K1, K2, cols))
+    n = -(-k // 4)
+    src, dst, h = a, scratch, 0
+    for i in range(n):
+        b = (k + i) // n  # the n group sizes differ by at most one and sum to k
+        view = (1 << h, 1 << b, (K >> (h + b)) * cols)
+        np.matmul(_hadamard_factor(b), src.reshape(view), out=dst.reshape(view))
+        src, dst, h = dst, src, h + b
+    return src
 
 
 def column_batches(k: int) -> list[range]:
@@ -404,9 +410,11 @@ def hadamard_sign_columns(k: int, seed: RngSeed, t: int):
     = g[b ^ c], so (H P)^2 e_c = s_c g[b ^ c].  The batch range(lo, lo + w)
     has c = lo ^ j, so it is the tile g[b ^ j] (K x w, gathered once per
     gate) with its row blocks of w permuted by b -> b ^ lo.  The remaining
-    t - 2 steps go through signs * m -> _walsh_hadamard_inplace.  For t < 2
-    a batch starts from identity columns and takes t steps, so t = 0 is
-    exactly the identity.
+    t - 2 steps go through signs * m -> _walsh_hadamard, which leaves its
+    result in the batch or in the scratch, so the two swap roles instead of
+    copying back; the batch yielded is whichever holds the last result.  For
+    t < 2 a batch starts from identity columns and takes t steps, so t = 0
+    is exactly the identity.
     """
     _check_k(k)
     if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
@@ -424,7 +432,7 @@ def _hadamard_sign_batches(k: int, seed: RngSeed, t: int):
     j = np.arange(w)
     if t >= 2:
         g = signs.reshape(K, 1).copy()
-        _walsh_hadamard_inplace(g, np.empty_like(g))
+        g = _walsh_hadamard(g, np.empty_like(g))
         tile = g.reshape(K)[np.bitwise_xor.outer(np.arange(K), j)].reshape(K // w, w, w)
     for cols in batches:
         if t < 2:
@@ -436,7 +444,8 @@ def _hadamard_sign_batches(k: int, seed: RngSeed, t: int):
             m *= signs[cols] / np.sqrt(K)
         for _ in range(t if t < 2 else t - 2):
             np.multiply(m, signs[:, None], out=m)
-            _walsh_hadamard_inplace(m, scratch)
+            if _walsh_hadamard(m, scratch) is scratch:
+                m, scratch = scratch, m
         yield m
 
 

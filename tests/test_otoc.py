@@ -140,6 +140,10 @@ def test_f_average_examples():
     for k in range(2, 9):
         assert abs(otoc_zz_f_average(hadamard_layer(k)) - 2.0**-k) < 1e-12
     assert otoc_zz_f_average(SubUnitary(3, np.eye(8, dtype=complex))) == pytest.approx(1.0)
+    eye = np.eye(8)
+    assert otoc_zz_f_average([eye[:, :4], eye[:, 4:]]) == 1.0
+    with pytest.raises(ValueError, match="one shape"):
+        otoc_zz_f_average([eye[:, :4], eye[:, 4:5]])
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 4])
@@ -465,6 +469,21 @@ def test_otoc_pauli_commuting_and_anticommuting():
     x0, z0 = PauliString(((0, "X"),)), PauliString(((0, "Z"),))
     assert otoc_pauli_dense(u, x0, z0) == pytest.approx(-1.0)
     assert otoc_pauli(opi, x0, z0, RngSeed(1)).value == pytest.approx(-1.0)
+
+
+def test_otoc_pauli_runs_512_probes(monkeypatch):
+    """Each probe applies U or U^dag four times, so one call applies the
+    operator 2048 times and reports 512 samples."""
+    applied, apply = [], otoc.apply
+
+    def counted(op, state):
+        applied.append(op)
+        return apply(op, state)
+
+    monkeypatch.setattr(otoc, "apply", counted)
+    op = make_op(6, 3, random_sign_hadamard(3, RngSeed(23)), 24)
+    est = otoc_pauli(op, PauliString(((0, "X"),)), PauliString(((4, "Z"),)), RngSeed(25))
+    assert len(applied) == 2048 and est.meta["samples"] == 512
 
 
 def test_otoc_pauli_stochastic_consistency():

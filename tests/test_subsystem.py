@@ -9,7 +9,7 @@ from rsedlab.rng import RngSeed, WordStream
 from rsedlab.subsystem import (
     SubHamiltonian,
     SubUnitary,
-    _walsh_hadamard_inplace,
+    _walsh_hadamard,
     column_batches,
     evolve,
     hadamard_layer,
@@ -227,14 +227,33 @@ def _hadamard_rows(k: int, rows: np.ndarray) -> np.ndarray:
 
 
 def test_walsh_hadamard_matches_dense():
-    """Every k up to 12: odd and even splits of the row bits, K1 = 1 at
-    k = 1, against H built from its definition 512 rows at a time."""
-    for k in range(1, 13):
+    """Every k up to 12, at width 1 and at the column_batches width: the
+    chain of Hadamard factors against H built from its definition 512 rows
+    at a time, and applied twice it gives back its input."""
+    for k in range(13):
         K = 1 << k
-        m = WordStream(RngSeed(45, k)).standard_normal(3 * K).reshape(K, 3)
-        dense = np.concatenate([_hadamard_rows(k, np.arange(lo, min(lo + 512, K))) @ m for lo in range(0, K, 512)])
-        _walsh_hadamard_inplace(m, np.empty_like(m))
-        assert np.max(np.abs(m - dense)) < 1e-10
+        for w in {1, len(column_batches(k)[0]) if k else 1}:
+            a = WordStream(RngSeed(45, k)).standard_normal(K * w).reshape(K, w)
+            dense = np.concatenate([_hadamard_rows(k, np.arange(lo, min(lo + 512, K))) @ a for lo in range(0, K, 512)])
+            out = _walsh_hadamard(a.copy(), np.empty_like(a))
+            assert np.max(np.abs(out - dense)) < 1e-13
+            back = _walsh_hadamard(out.copy(), np.empty_like(a))
+            assert np.max(np.abs(back - a)) < 1e-13
+
+
+def test_walsh_hadamard_factors_are_at_most_16_by_16(monkeypatch):
+    """A k = 12 f-average transforms in factors of at most 4 bits (4 + 4 +
+    4): no larger Hadamard factor is built."""
+    sizes, factor = [], subsystem._hadamard_factor
+
+    def counted(b):
+        m = factor(b)
+        sizes.append(m.shape)
+        return m
+
+    monkeypatch.setattr(subsystem, "_hadamard_factor", counted)
+    hadamard_sign_f_average(12, RngSeed(58), 4)
+    assert sizes and set(sizes) == {(16, 16)}
 
 
 def test_hadamard_sign_power_matches_unitary_power():
@@ -258,9 +277,9 @@ def test_hadamard_sign_power_transform_count(monkeypatch, t):
 
     def counted(a, scratch):
         shapes.append(a.shape)
-        _walsh_hadamard_inplace(a, scratch)
+        return _walsh_hadamard(a, scratch)
 
-    monkeypatch.setattr(subsystem, "_walsh_hadamard_inplace", counted)
+    monkeypatch.setattr(subsystem, "_walsh_hadamard", counted)
     list(hadamard_sign_columns(7, RngSeed(54), t))
     assert shapes == ([(128, 128)] * t if t < 2 else [(128, 1)] + [(128, 128)] * (t - 2))
 
@@ -334,17 +353,14 @@ def test_xor_tile_equals_the_per_entry_gather(t):
     for k in range(1, 13):
         K, seed = 1 << k, RngSeed(55, k)
         signs = 1.0 - 2.0 * sign_bits(k, seed)
-        g = signs.reshape(K, 1).copy()
-        _walsh_hadamard_inplace(g, np.empty_like(g))
-        g = g.reshape(K)
+        g = _walsh_hadamard(signs.reshape(K, 1).copy(), np.empty((K, 1))).reshape(K)
         batches = column_batches(k)
         assert [c for b in batches for c in b] == list(range(K))
         for cols, batch in zip(batches, hadamard_sign_columns(k, seed, t), strict=True):
             c = np.array(cols)
             m = g[np.bitwise_xor.outer(np.arange(K), c)] * (signs[c] / np.sqrt(K))
             for _ in range(t - 2):
-                m *= signs[:, None]
-                _walsh_hadamard_inplace(m, np.empty_like(m))
+                m = _walsh_hadamard(m * signs[:, None], np.empty_like(m))
             assert np.array_equal(batch, m)
 
 
@@ -363,10 +379,10 @@ def test_each_gate_draws_its_signs_and_transforms_them_once(monkeypatch, t):
 
     def counted(a, scratch):
         shapes.append(a.shape)
-        _walsh_hadamard_inplace(a, scratch)
+        return _walsh_hadamard(a, scratch)
 
     monkeypatch.setattr(subsystem, "_signs", counted_signs)
-    monkeypatch.setattr(subsystem, "_walsh_hadamard_inplace", counted)
+    monkeypatch.setattr(subsystem, "_walsh_hadamard", counted)
     hadamard_sign_f_average(7, RngSeed(57), t)
     assert draws == [7]
     assert shapes == ([(128, 8)] * 16 * t if t < 2 else [(128, 1)] + [(128, 8)] * 16 * (t - 2))
