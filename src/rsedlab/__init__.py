@@ -14,14 +14,7 @@ from .randomness import (
     save_permutation,
 )
 from .rng import RngSeed
-from .rsed import (
-    RsedOperator,
-    StateVector,
-    apply,
-    apply_pauli,
-    dense_matrix,
-    evolve_basis_state,
-)
+from .rsed import RsedOperator, apply, dense_matrix, evolve_basis_state
 from .subsystem import (
     SubHamiltonian,
     SubUnitary,

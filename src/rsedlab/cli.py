@@ -389,11 +389,12 @@ def run_design_check(cfg: ExperimentConfig, out: Path) -> dict:
     worst = 0.0
     for r in range(cfg.ensemble):
         ut = evolved(base_gate(cfg, r), cfg.t_fixed)
-        dv = design_variance_condition(ut)
-        ec = element_condition_check(ut)
-        rows.append([r, float(dv.value), int(dv.degenerate), float(ec.max_column_fraction), int(ec.passed)])
-        if not dv.degenerate:
-            worst = max(worst, dv.value)
+        ybar = design_variance_condition(ut)
+        frac = element_condition_check(ut)
+        degenerate = ybar == float("inf")
+        rows.append([r, ybar, int(degenerate), frac, int(frac == 0.0)])
+        if not degenerate:
+            worst = max(worst, ybar)
     write_csv(out / "design_check.csv", cfg, ["realization", "ybar", "degenerate", "exceed_fraction", "element_pass"], rows)
     summary = {"max_ybar": worst, "threshold": K**-0.5, "pass": bool(worst <= K**-0.5)}
     write_json(out / "design_check_summary.json", cfg, summary)

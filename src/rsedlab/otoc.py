@@ -41,15 +41,7 @@ import numpy as np
 from .bitcore import PauliString, SystemShape, pauli_action
 from .randomness import SignFunction, SubsetPermutation
 from .rng import RngSeed, WordStream
-from .rsed import (
-    DENSE_MAX_N,
-    RsedOperator,
-    StateVector,
-    apply,
-    apply_pauli,
-    dense_embedding,
-    dense_matrix,
-)
+from .rsed import DENSE_MAX_N, RsedOperator, apply, dense_embedding, dense_matrix
 from .subsystem import SubHamiltonian, SubUnitary, column_batches
 
 _CHUNK_ENTRIES = 1 << 18  # seeds per chunk and gates per group: max(1, this // K**2)
@@ -299,24 +291,28 @@ def otoc_pauli(op: RsedOperator, v: PauliString, w: PauliString, seed: RngSeed) 
     U^dag |z> / 2**n over 512 random-phase probes z, blockwise at any n.
     The dense value at n <= 10 is otoc_pauli_dense(dense_matrix(op), v, w)."""
     samples = 512
+    n, dim = op.shape.n, op.shape.dim
     adj = op.adjoint()
+    src_v, ph_v = pauli_action(v, n)
+    src_w, ph_w = pauli_action(w, n)
     stream = WordStream(seed)
     vals = np.empty(samples, dtype=np.complex128)
     for p_idx in range(samples):
-        z = np.exp(2j * np.pi * stream.uniform01(op.shape.dim))
-        probe = StateVector(op.shape, z)
-        y = apply_pauli(w, apply(adj, probe))
-        y = apply_pauli(v, apply(op, y))
-        y = apply_pauli(w, apply(adj, y))
-        y = apply_pauli(v, apply(op, y))
-        vals[p_idx] = np.vdot(z, y.amplitudes) / op.shape.dim
+        z = np.exp(2j * np.pi * stream.uniform01(dim))
+        y = ph_w * apply(adj, z)[src_w]
+        y = ph_v * apply(op, y)[src_v]
+        y = ph_w * apply(adj, y)[src_w]
+        y = ph_v * apply(op, y)[src_v]
+        # a pairwise sum, not np.vdot: OpenBLAS threads long dot products, so
+        # their rounding would follow OPENBLAS_NUM_THREADS
+        vals[p_idx] = np.sum(z.conj() * y) / dim
     mean = complex(vals.mean())
     se = np.sqrt(np.sum(np.abs(vals - mean) ** 2) / (samples * (samples - 1)))
     # probe noise can push the sample mean just outside the unit disk the
     # true value lives in; projecting back only moves it closer to truth
     value = mean / abs(mean) if abs(mean) > 1.0 else mean
     return OtocEstimate(value, float(se), {
-        "estimator": "pauli-stochastic", "n": op.shape.n, "k": op.shape.k,
+        "estimator": "pauli-stochastic", "n": n, "k": op.shape.k,
         "sites": (tuple(v.sites), tuple(w.sites)), "samples": samples,
         "raw_mean": mean,
     })

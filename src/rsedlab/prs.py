@@ -8,14 +8,12 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import NamedTuple
 
 import numpy as np
 
 from .bitcore import SystemShape, join
 from .circuits import GateCircuit, simulate_circuit
 from .randomness import SignFunction, SubsetPermutation
-from .rsed import StateVector
 from .subsystem import SubUnitary
 
 TCOPY_MAX_QUBITS = 16  # dense t-copy algebra capped at dimension 2**16
@@ -30,8 +28,8 @@ def mixture(states: np.ndarray) -> np.ndarray:
 
 def subset_phase_state(
     p: SubsetPermutation, f: SignFunction, a: int, shape: SystemShape
-) -> StateVector:
-    """psi = 2**(-k/2) sum_b (-1)^{f(join(b,a))} |p(join(b,a))>."""
+) -> np.ndarray:
+    """The 2**n amplitudes of psi = 2**(-k/2) sum_b (-1)^{f(join(b,a))} |p(join(b,a))>."""
     if not 0 <= a < shape.num_seeds:
         raise ValueError(f"seed {a} out of range [0, {shape.num_seeds})")
     xs = np.array([join(b, a, shape) for b in range(shape.subdim)], dtype=np.uint32)
@@ -39,7 +37,7 @@ def subset_phase_state(
     sg = 1.0 - 2.0 * f.sign_array(xs).astype(np.float64)
     amps = np.zeros(shape.dim, dtype=np.complex128)
     amps[pos] = sg / np.sqrt(shape.subdim)
-    return StateVector(shape, amps)
+    return amps
 
 
 def _shannon(probs: np.ndarray) -> float:
@@ -47,10 +45,10 @@ def _shannon(probs: np.ndarray) -> float:
     return float(-np.sum(probs * np.log(probs)))
 
 
-def coherence_rel_entropy(psi: StateVector) -> float:
+def coherence_rel_entropy(psi: np.ndarray) -> float:
     """Relative entropy of coherence S(diag rho) - S(rho) in nats, >= 0; for
     a pure state S(rho) = 0, leaving the Shannon entropy of |amplitude|**2."""
-    return _shannon(np.abs(psi.amplitudes) ** 2)
+    return _shannon(np.abs(psi) ** 2)
 
 
 def _type_state(subset: tuple[int, ...], dim: int) -> np.ndarray:
@@ -89,15 +87,10 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(eigs)))
 
 
-class DesignVariance(NamedTuple):
-    value: float
-    degenerate: bool
-
-
-def design_variance_condition(u: SubUnitary) -> DesignVariance:
+def design_variance_condition(u: SubUnitary) -> float:
     """Ybar = mean over distinct-index pairs {b_1, b_2} (t = 2 copies) of
     (X/Xbar - 1)**2, with X_b = |u_{b_1, 0}|**2 |u_{b_2, 0}|**2 on the
-    reference column 0; flags Xbar = 0 instead of dividing."""
+    reference column 0; inf (degenerate) when Xbar = 0 instead of dividing."""
     K = u.dim
     if K > 64:
         raise ValueError("enumeration capped at K <= 64")
@@ -105,25 +98,17 @@ def design_variance_condition(u: SubUnitary) -> DesignVariance:
     xs = np.array([np.prod(col[list(subset)]) for subset in combinations(range(K), 2)])
     xbar = xs.mean()
     if xbar == 0.0:
-        return DesignVariance(float("inf"), True)
-    return DesignVariance(float(np.mean((xs / xbar - 1.0) ** 2)), False)
+        return float("inf")
+    return float(np.mean((xs / xbar - 1.0) ** 2))
 
 
-class ElementCondition(NamedTuple):
-    max_column_fraction: float
-    passed: bool
-
-
-def element_condition_check(u: SubUnitary) -> ElementCondition:
-    """Exact scan of |u|**2 against the threshold K**-0.3.
-
-    Reports the worst per-column fraction of entries at or above threshold;
-    passes only when no entry exceeds it.
+def element_condition_check(u: SubUnitary) -> float:
+    """Exact scan of |u|**2 against the threshold K**-0.3: the worst
+    per-column fraction of entries at or above it.  The condition holds
+    exactly when this is 0, that is when no entry reaches the threshold.
     """
-    mags = np.abs(u.matrix) ** 2
-    exceed = mags >= u.dim ** (-0.3)
-    frac = exceed.mean(axis=0).max()
-    return ElementCondition(float(frac), bool(not exceed.any()))
+    exceed = np.abs(u.matrix) ** 2 >= u.dim ** (-0.3)
+    return float(exceed.mean(axis=0).max())
 
 
 def coherence_trial(p: SubsetPermutation, f: SignFunction, a: int, shape: SystemShape) -> tuple[float, float]:
@@ -131,28 +116,32 @@ def coherence_trial(p: SubsetPermutation, f: SignFunction, a: int, shape: System
     which is exactly k log 2, and that after a Hadamard on every qubit."""
     psi = subset_phase_state(p, f, a, shape)
     layer = GateCircuit(shape.n, tuple(("H", q) for q in range(shape.n)))
-    phi = StateVector(shape, simulate_circuit(layer, psi.amplitudes))
-    return coherence_rel_entropy(psi), coherence_rel_entropy(phi)
+    return coherence_rel_entropy(psi), coherence_rel_entropy(simulate_circuit(layer, psi))
 
 
-def entanglement_entropy(psi: StateVector, cut) -> float:
-    """Von Neumann entropy (nats) of the reduced state across the cut."""
-    n = psi.shape.n
+def entanglement_entropy(psi: np.ndarray, cut) -> float:
+    """Von Neumann entropy (nats) of the reduced state of 2**n amplitudes
+    across the cut."""
+    psi = np.asarray(psi)
+    n = max(psi.size.bit_length() - 1, 0)
+    dim = 1 << n
+    if psi.shape != (dim,):
+        raise ValueError(f"expected 2**n amplitudes, got shape {psi.shape}")
     side_a = sorted(set(int(q) for q in cut))
     if any(not 0 <= q < n for q in side_a):
         raise ValueError("cut sites out of range")
     if len(side_a) == 0 or len(side_a) == n:
         raise ValueError("cut must be a proper nonempty subset of sites")
     side_b = [q for q in range(n) if q not in side_a]
-    xs = np.arange(psi.shape.dim)
-    ia = np.zeros(psi.shape.dim, dtype=np.int64)
+    xs = np.arange(dim)
+    ia = np.zeros(dim, dtype=np.int64)
     for pos, q in enumerate(side_a):
         ia |= ((xs >> q) & 1) << pos
-    ib = np.zeros(psi.shape.dim, dtype=np.int64)
+    ib = np.zeros(dim, dtype=np.int64)
     for pos, q in enumerate(side_b):
         ib |= ((xs >> q) & 1) << pos
     m = np.zeros((1 << len(side_a), 1 << len(side_b)), dtype=np.complex128)
-    m[ia, ib] = psi.amplitudes
+    m[ia, ib] = psi
     svals = np.linalg.svd(m, compute_uv=False)
     probs = svals**2
     probs = probs / probs.sum()

@@ -8,42 +8,15 @@ O(2**(n-k) * K**2) with no materialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import PauliString, SystemShape, check_index, pauli_action, split
+from .bitcore import SystemShape, check_index, split
 from .randomness import SignFunction, SubsetPermutation
 from .subsystem import SubUnitary
 
 DENSE_MAX_N = 10
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitude array of dimension 2**n."""
-
-    shape: SystemShape
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.shape.dim,):
-            raise ValueError(f"expected {self.shape.dim} amplitudes, got {amps.shape}")
-
-    @classmethod
-    def basis(cls, shape: SystemShape, x: int) -> "StateVector":
-        check_index(x, shape)
-        amps = np.zeros(shape.dim, dtype=np.complex128)
-        amps[x] = 1.0
-        return cls(shape, amps)
-
-
-def apply_pauli(s: PauliString, psi: StateVector) -> StateVector:
-    """Signed basis permutation S psi."""
-    src, phase = pauli_action(s, psi.shape.n)
-    return StateVector(psi.shape, phase * psi.amplitudes[src])
 
 
 @dataclass(frozen=True)
@@ -80,18 +53,20 @@ class RsedOperator:
         return RsedOperator(self.shape, self.perm, self.sign, self.sub.adjoint())
 
 
-def apply(op: RsedOperator, psi: StateVector) -> StateVector:
-    """Gather each block, sign, act with u, sign, scatter back."""
-    if psi.shape != op.shape:
-        raise ValueError("state shape does not match operator shape")
+def apply(op: RsedOperator, amps: np.ndarray) -> np.ndarray:
+    """U amps for 2**n amplitudes: gather each block, sign, act with u, sign,
+    scatter back."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    if amps.shape != (op.shape.dim,):
+        raise ValueError(f"expected {op.shape.dim} amplitudes, got shape {amps.shape}")
     seeds = np.arange(op.shape.num_seeds)
     pos = op.block_positions(seeds)
     sg = op.block_signs(seeds)
-    c = psi.amplitudes[pos] * sg
+    c = amps[pos] * sg
     d = c @ op.sub.matrix.T  # d[a, b'] = sum_b u[b', b] c[a, b]
-    out = np.empty_like(psi.amplitudes)
+    out = np.empty_like(amps)
     out[pos] = d * sg
-    return StateVector(op.shape, out)
+    return out
 
 
 def evolve_basis_state(op: RsedOperator, x: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,13 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("default")
 
 
+def basis_state(dim, x):
+    """The one-hot amplitudes of |x> in dimension dim."""
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[x] = 1.0
+    return amps
+
+
 def identity_permutation(shape):
     """p(x) = x on [0, 2**n), as an explicit table."""
     return SubsetPermutation(shape, table=np.arange(shape.dim, dtype=np.uint32))

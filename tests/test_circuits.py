@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import backend_permutation, backend_sign_function
+from conftest import backend_permutation, backend_sign_function, basis_state
 from rsedlab.bitcore import SystemShape
 from rsedlab.circuits import (
     CircuitParseError,
@@ -20,7 +20,7 @@ from rsedlab.circuits import (
     synthesize_rsed_circuit,
 )
 from rsedlab.rng import RngSeed, WordStream
-from rsedlab.rsed import RsedOperator, StateVector, apply, dense_matrix
+from rsedlab.rsed import RsedOperator, apply, dense_matrix
 from rsedlab.subsystem import hadamard_layer, random_sign_hadamard, unitary_power
 
 
@@ -88,11 +88,11 @@ def test_reference_names_roundtrip():
 
 def test_empty_and_single_gate_simulation():
     shape = SystemShape(3, 1)
-    psi = StateVector.basis(shape, 0)
+    psi = basis_state(shape.dim, 0)
     empty = GateCircuit(3, ())
-    assert (simulate_circuit(empty, psi.amplitudes) == psi.amplitudes).all()
+    assert (simulate_circuit(empty, psi) == psi).all()
     h0 = GateCircuit(3, (("H", 0),))
-    out = simulate_circuit(h0, psi.amplitudes)
+    out = simulate_circuit(h0, psi)
     expect = np.zeros(8, dtype=complex)
     expect[0] = expect[1] = 1 / np.sqrt(2)
     assert np.allclose(out, expect)
@@ -104,7 +104,7 @@ def test_ccx_truth_table():
     for gate, controls in ((("X", 2), 0b00), (("CX", 1, 2), 0b10), (("CCX", 0, 1, 2), 0b11)):
         circ = GateCircuit(3, (gate,))
         for x in range(8):
-            out = simulate_circuit(circ, StateVector.basis(shape, x).amplitudes)
+            out = simulate_circuit(circ, basis_state(shape.dim, x))
             target = x ^ (1 << 2) if (x & controls) == controls else x
             assert out[target] == 1.0
             assert np.count_nonzero(out) == 1
@@ -140,7 +140,7 @@ def test_every_gate_at_every_placement_matches_kron_reference():
         dense = simulate_circuit(circ, np.eye(1 << n))
         assert np.max(np.abs(dense - want)) <= 1e-15, gate
         for x in range(1 << n):
-            assert np.array_equal(simulate_circuit(circ, StateVector.basis(shape, x).amplitudes), dense[:, x]), gate
+            assert np.array_equal(simulate_circuit(circ, basis_state(shape.dim, x)), dense[:, x]), gate
 
 
 def test_dense_simulation_peak_memory():
@@ -249,20 +249,20 @@ def test_apply_dense_and_circuit_agree(n, data, perm_backend, sign_backend, gate
     sign = backend_sign_function(shape, RngSeed(seed, 2), sign_backend)
     op = RsedOperator(shape, perm, sign, sub)
     stream = WordStream(RngSeed(seed, 4))
-    psi = StateVector(shape, stream.standard_normal(shape.dim) + 1j * stream.standard_normal(shape.dim))
-    blockwise = apply(op, psi).amplitudes
-    assert np.max(np.abs(dense_matrix(op) @ psi.amplitudes - blockwise)) < 1e-12
+    psi = stream.standard_normal(shape.dim) + 1j * stream.standard_normal(shape.dim)
+    blockwise = apply(op, psi)
+    assert np.max(np.abs(dense_matrix(op) @ psi - blockwise)) < 1e-12
     if u_spec is not None:
         circ = synthesize_rsed_circuit(shape, u_spec, 0, 0)
         circ = GateCircuit(n, circ.gates, {**circ.registry, "perm0": perm, "f0": sign})
-        assert np.max(np.abs(simulate_circuit(circ, psi.amplitudes) - blockwise)) < 1e-12
+        assert np.max(np.abs(simulate_circuit(circ, psi) - blockwise)) < 1e-12
 
 
 def test_unresolved_reference_error():
     circ = parse("RSEDCIRC 1 n=3\nPERM fwd nosuch\n")
     shape = SystemShape(3, 1)
     with pytest.raises(KeyError):
-        simulate_circuit(circ, StateVector.basis(shape, 0).amplitudes)
+        simulate_circuit(circ, basis_state(shape.dim, 0))
 
 
 def test_random_clifford_circuit_unitary():

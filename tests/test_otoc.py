@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,8 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rsedlab
 from rsedlab import otoc, subsystem
-from rsedlab.bitcore import SystemShape
+from rsedlab.bitcore import PauliString, SystemShape
 from rsedlab.cli import evolved, hadamard_sign_f_average
 from rsedlab.otoc import (
     OtocEstimate,
@@ -28,7 +33,7 @@ from rsedlab.otoc import (
 from conftest import backend_permutation, backend_sign_function, identity_permutation
 from rsedlab.randomness import SignFunction, sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
-from rsedlab.rsed import PauliString, RsedOperator, dense_matrix
+from rsedlab.rsed import RsedOperator, dense_matrix
 from rsedlab.subsystem import (
     SubHamiltonian,
     SubUnitary,
@@ -484,6 +489,43 @@ def test_otoc_pauli_runs_512_probes(monkeypatch):
     op = make_op(6, 3, random_sign_hadamard(3, RngSeed(23)), 24)
     est = otoc_pauli(op, PauliString(((0, "X"),)), PauliString(((4, "Z"),)), RngSeed(25))
     assert len(applied) == 2048 and est.meta["samples"] == 512
+
+
+_PAULI_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from rsedlab.bitcore import PauliString, SystemShape
+from rsedlab.otoc import otoc_pauli
+from rsedlab.randomness import sample_permutation, sample_sign_function
+from rsedlab.rng import RngSeed
+from rsedlab.rsed import RsedOperator
+from rsedlab.subsystem import random_sign_hadamard
+shape = SystemShape(14, 2)
+p, f = sample_permutation(shape, RngSeed(1)), sample_sign_function(shape, RngSeed(2))
+op = RsedOperator(shape, p, f, random_sign_hadamard(2, RngSeed(3)))
+est = otoc_pauli(op, PauliString(((0, "X"),)), PauliString(((5, "Z"),)), RngSeed(4))
+print(repr(est.value), repr(est.std_error))
+"""
+
+
+def test_otoc_pauli_is_independent_of_the_blas_thread_count():
+    """At n = 14 each probe's overlap sums 2**14 products, past the length at
+    which OpenBLAS splits a dot product across its threads; the estimate must
+    not move with OPENBLAS_NUM_THREADS.  One fresh process per thread count,
+    since OpenBLAS reads the variable when it loads."""
+    src = str(Path(rsedlab.__file__).resolve().parents[1])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _PAULI_PROBE, src],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for threads in (1, 2)
+    ]
+    outs = [run.communicate(timeout=120) for run in runs]
+    assert all(run.returncode == 0 for run in runs), [err for _, err in outs]
+    one, two = (out.strip() for out, _ in outs)
+    assert one == two
 
 
 def test_otoc_pauli_stochastic_consistency():

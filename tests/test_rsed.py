@@ -3,26 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import backend_permutation, identity_permutation, zero_sign_function
-from rsedlab.bitcore import SystemShape
+from conftest import backend_permutation, basis_state, identity_permutation, zero_sign_function
+from rsedlab.bitcore import PauliString, SystemShape, pauli_action
+from rsedlab.prs import subset_phase_state
 from rsedlab.randomness import sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
-from rsedlab.rsed import (
-    PauliString,
-    RsedOperator,
-    StateVector,
-    apply,
-    apply_pauli,
-    dense_matrix,
-    evolve_basis_state,
-)
+from rsedlab.rsed import RsedOperator, apply, dense_matrix, evolve_basis_state
 from rsedlab.subsystem import SubUnitary, hadamard_layer, random_sign_hadamard, unitary_power
 
 
 def random_state(shape, seed):
     g = WordStream(RngSeed(seed)).standard_normal(2 * shape.dim)
     amps = g[: shape.dim] + 1j * g[shape.dim :]
-    return StateVector(shape, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def pauli(s, amps):
+    """S amps as the signed basis permutation phase * amps[src]."""
+    src, phase = pauli_action(s, len(amps).bit_length() - 1)
+    return phase * amps[src]
 
 
 def random_operator(n, k, seed, sub=None):
@@ -38,7 +37,7 @@ def test_apply_identity_sub_is_identity():
     op = random_operator(6, 3, 11, sub=SubUnitary(3, np.eye(8, dtype=complex)))
     psi = random_state(shape, 12)
     out = apply(op, psi)
-    assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-14
+    assert np.max(np.abs(out - psi)) < 1e-14
 
 
 def test_apply_single_block_hadamard():
@@ -49,10 +48,10 @@ def test_apply_single_block_hadamard():
         zero_sign_function(shape),
         hadamard_layer(1),
     )
-    out = apply(op, StateVector.basis(shape, 0))
+    out = apply(op, basis_state(shape.dim, 0))
     expect = np.zeros(4, dtype=complex)
     expect[0] = expect[1] = 1 / np.sqrt(2)  # b is the low bit
-    assert np.allclose(out.amplitudes, expect)
+    assert np.allclose(out, expect)
 
 
 def test_apply_adjoint_roundtrip():
@@ -60,8 +59,8 @@ def test_apply_adjoint_roundtrip():
     op = random_operator(10, 5, 13)
     psi = random_state(shape, 14)
     back = apply(op.adjoint(), apply(op, psi))
-    assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-10
-    assert abs(np.linalg.norm(apply(op, psi).amplitudes) - 1.0) < 1e-10
+    assert np.max(np.abs(back - psi)) < 1e-10
+    assert abs(np.linalg.norm(apply(op, psi)) - 1.0) < 1e-10
 
 
 def power(op: RsedOperator, t) -> RsedOperator:
@@ -73,10 +72,10 @@ def test_apply_power_semantics():
     shape = SystemShape(8, 4)
     op = random_operator(8, 4, 15)
     psi = random_state(shape, 16)
-    assert np.allclose(apply(power(op, 0), psi).amplitudes, psi.amplitudes)
-    assert np.allclose(apply(power(op, 1), psi).amplitudes, apply(op, psi).amplitudes)
+    assert np.allclose(apply(power(op, 0), psi), psi)
+    assert np.allclose(apply(power(op, 1), psi), apply(op, psi))
     twice = apply(op, apply(op, psi))
-    assert np.max(np.abs(apply(power(op, 2), psi).amplitudes - twice.amplitudes)) < 1e-9
+    assert np.max(np.abs(apply(power(op, 2), psi) - twice)) < 1e-9
 
 
 def test_evolve_basis_state_matches_dense():
@@ -136,21 +135,21 @@ def test_blockwise_apply_matches_dense_many_configs():
         k = max(1, min(k, n))
         op = random_operator(n, k, 100 + idx, sub=random_sign_hadamard(k, RngSeed(200 + idx)))
         psi = random_state(op.shape, 300 + idx)
-        dense_out = dense_matrix(op) @ psi.amplitudes
-        block_out = apply(op, psi).amplitudes
+        dense_out = dense_matrix(op) @ psi
+        block_out = apply(op, psi)
         assert np.max(np.abs(dense_out - block_out)) < 1e-10
 
 
 def test_apply_pauli_examples():
     shape = SystemShape(1, 1)
     z = PauliString(((0, "Z"),))
-    assert apply_pauli(z, StateVector.basis(shape, 0)).amplitudes[0] == 1.0
-    assert apply_pauli(z, StateVector.basis(shape, 1)).amplitudes[1] == -1.0
+    assert pauli(z, basis_state(shape.dim, 0))[0] == 1.0
+    assert pauli(z, basis_state(shape.dim, 1))[1] == -1.0
     x = PauliString(((0, "X"),))
-    assert apply_pauli(x, StateVector.basis(shape, 0)).amplitudes[1] == 1.0
+    assert pauli(x, basis_state(shape.dim, 0))[1] == 1.0
     y = PauliString(((0, "Y"),))
-    out = apply_pauli(y, StateVector.basis(shape, 0))
-    assert out.amplitudes[1] == 1j
+    out = pauli(y, basis_state(shape.dim, 0))
+    assert out[1] == 1j
 
 
 def test_apply_pauli_dense_consistency():
@@ -165,7 +164,7 @@ def test_apply_pauli_dense_consistency():
     for m in mats[1:]:
         dense = np.kron(dense, m)
     psi = random_state(shape, 31)
-    assert np.max(np.abs(apply_pauli(s, psi).amplitudes - dense @ psi.amplitudes)) < 1e-14
+    assert np.max(np.abs(pauli(s, psi) - dense @ psi)) < 1e-14
 
 
 @given(st.integers(0, 10**6))
@@ -177,8 +176,8 @@ def test_pauli_strings_are_involutions(seed):
     axes = stream.integers(3, len(sites))
     s = PauliString(tuple((int(q), "XYZ"[int(a)]) for q, a in zip(sites, axes)))
     psi = random_state(shape, seed + 1)
-    out = apply_pauli(s, apply_pauli(s, psi))
-    assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-14
+    out = pauli(s, pauli(s, psi))
+    assert np.max(np.abs(out - psi)) < 1e-14
 
 
 def test_norm_preserved_through_mixed_sequence():
@@ -186,10 +185,10 @@ def test_norm_preserved_through_mixed_sequence():
     op = random_operator(8, 4, 32)
     psi = random_state(shape, 33)
     psi = apply(op, psi)
-    psi = apply_pauli(PauliString(((2, "X"), (5, "Z"))), psi)
+    psi = pauli(PauliString(((2, "X"), (5, "Z"))), psi)
     psi = apply(power(op, 3), psi)
-    psi = apply_pauli(PauliString(((1, "Y"),)), psi)
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-10
+    psi = pauli(PauliString(((1, "Y"),)), psi)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
 def test_shape_mismatch_errors():
@@ -203,3 +202,16 @@ def test_shape_mismatch_errors():
         PauliString(((0, "Q"),))
     with pytest.raises(ValueError):
         dense_matrix(random_operator(11, 3, 36))
+    psi = random_state(op.shape, 38)
+    for bad in (psi[:-1], np.append(psi, 0.0), psi.reshape(8, 8)):
+        with pytest.raises(ValueError, match="expected 64 amplitudes"):
+            apply(op, bad)
+
+
+def test_apply_takes_a_state_built_at_another_k():
+    """A state is 2**n amplitudes, whatever subsystem size made it: a k = 5
+    subset-phase state goes through a k = 4 operator on the same 10 qubits."""
+    shape = SystemShape(10, 5)
+    psi = subset_phase_state(sample_permutation(shape, RngSeed(39, 1)), sample_sign_function(shape, RngSeed(39, 2)), 3, shape)
+    op = random_operator(10, 4, 40)
+    assert np.max(np.abs(apply(op, psi) - dense_matrix(op) @ psi)) < 1e-12
