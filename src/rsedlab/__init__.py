@@ -14,7 +14,7 @@ from .randomness import (
     save_permutation,
 )
 from .rng import RngSeed
-from .rsed import RsedOperator, apply, dense_matrix, evolve_basis_state
+from .rsed import RsedOperator, dense_matrix, evolve_basis_state
 from .subsystem import (
     SubHamiltonian,
     SubUnitary,
@@ -35,7 +35,6 @@ from .otoc import (
     otoc_zz_exact,
     otoc_zz_f_average,
     otoc_zz_f_variance_hadamard,
-    otoc_zz_grid,
     otoc_zz_sampled,
     poisson_bracket,
 )

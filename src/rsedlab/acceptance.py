@@ -28,7 +28,6 @@ from .otoc import (
     otoc_zz_exact,
     otoc_zz_f_average,
     otoc_zz_f_variance_hadamard,
-    otoc_zz_grid,
     otoc_zz_sampled,
     poisson_bracket,
 )
@@ -109,8 +108,7 @@ def criterion_1b() -> CriterionResult:
     vals = []
     for bits in product((0, 1), repeat=4):
         f = SignFunction(shape, bits=np.array(bits, dtype=np.uint8))
-        op = RsedOperator(shape, p, f, u)
-        vals.append(otoc_zz_exact(op, 0, 1).value)
+        vals.append(otoc_zz_exact(p, f, 0, 1, [u])[0].value)
     measured = abs(np.mean(vals) - otoc_zz_f_average(u))
     return CriterionResult(
         "1b", "16-sign-function brute force matches closed form (n=k=2)",
@@ -137,8 +135,7 @@ def criterion_2() -> CriterionResult:
     vals = np.empty(num_realizations)
     for r in range(num_realizations):
         p = sample_permutation(shape, RngSeed(0x5EED, r))
-        op = RsedOperator(shape, p, f, u)
-        vals[r] = otoc_zz_exact(op, 1, 5).value.real
+        vals[r] = otoc_zz_exact(p, f, 1, 5, [u])[0].value.real
     var = vals.var(ddof=1)
     m4 = float(np.mean((vals - vals.mean()) ** 4))
     se = float(np.sqrt((m4 - var**2) / num_realizations))
@@ -200,7 +197,7 @@ def criterion_4() -> CriterionResult:
     """|1 - C_VW| <= 2**-4 for u = (H^{x8}P)^t, t = 1..4, n=12, k=8."""
     shape = SystemShape(12, 8)
     p, f = sample_permutation(shape, RngSeed(0x41)), sample_sign_function(shape, RngSeed(0x42))
-    ests = otoc_zz_grid(p, f, 0, 9, (1, 2, 3, 4), lambda t: hadamard_sign_power(shape.k, RngSeed(0x44), t))
+    ests = otoc_zz_exact(p, f, 0, 9, (hadamard_sign_power(shape.k, RngSeed(0x44), t) for t in (1, 2, 3, 4)))
     worst = max(abs(1.0 - poisson_bracket(est)) for est in ests)
     return CriterionResult("4", "single-realization saturation (n=12, k=8)", worst, "<= 2^-4", worst <= 2.0**-4)
 
@@ -251,7 +248,7 @@ def criterion_6() -> CriterionResult:
     p = sample_permutation(shape, RngSeed(0x61))
     f = sample_sign_function(shape, RngSeed(0x62))
     ts = (0.25, 1.25, 0.5, 1.5, 0.75, 1.75)
-    c = [poisson_bracket(est) for est in otoc_zz_grid(p, f, 0, 7, ts, lambda t: unitary_power(u, t))]
+    c = [poisson_bracket(est) for est in otoc_zz_exact(p, f, 0, 7, (unitary_power(u, t) for t in ts))]
     diffs = {t: abs(c1 - c2) for t, c1, c2 in zip(ts[::2], c[::2], c[1::2])}
     worst = max(diffs.values())
     return CriterionResult(
@@ -420,8 +417,8 @@ def criterion_14() -> CriterionResult:
     n, k = 10, 4
     u = random_sign_hadamard(k, RngSeed(0xE1))
     op = _operator(n, k, unitary_power(u, 2), 0xE2, 0xE3)
-    exact = otoc_zz_exact(op, 1, 8)
-    sampled = otoc_zz_sampled(op, 1, 8, num_seeds=op.shape.num_seeds, seed=RngSeed(0xE4))
+    exact = otoc_zz_exact(op.perm, op.sign, 1, 8, [op.sub])[0]
+    sampled = otoc_zz_sampled(op.perm, op.sign, 1, 8, [op.sub], num_seeds=op.shape.num_seeds, seed=RngSeed(0xE4))[0]
     bitwise = (exact.value == sampled.value) and sampled.std_error == 0.0
     # stochastic Pauli estimator at n=8
     op8 = _operator(8, 4, unitary_power(u, 2), 0xE5, 0xE6)

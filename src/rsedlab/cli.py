@@ -253,15 +253,12 @@ def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
     def one(r: int) -> list[float]:
         gate = base_gate(cfg, r)
         p, f = _realization(cfg, shape, r)
-        col = []
-        for t in cfg.t_grid:
-            op = RsedOperator(shape, p, f, evolved(gate, float(t)))
-            if cfg.estimator.get("mode") == "sampled":
-                est = otoc_zz_sampled(op, i, j, cfg.estimator.get("num_seeds", 64), RngSeed(cfg.seed, 10_000 + r))
-            else:
-                est = otoc_zz_exact(op, i, j)
-            col.append(poisson_bracket(est))
-        return col
+        gates = (evolved(gate, float(t)) for t in cfg.t_grid)
+        if cfg.estimator.get("mode") == "sampled":
+            ests = otoc_zz_sampled(p, f, i, j, gates, cfg.estimator.get("num_seeds", 64), RngSeed(cfg.seed, 10_000 + r))
+        else:
+            ests = otoc_zz_exact(p, f, i, j, gates)
+        return [poisson_bracket(est) for est in ests]
 
     cols = _parallel(cfg, one, range(cfg.ensemble))
     rows = []

@@ -33,15 +33,16 @@ u~^dag u~ - I by UNITARITY_TOL, which bounds eps only by K UNITARITY_TOL.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .bitcore import PauliString, SystemShape, pauli_action
 from .randomness import SignFunction, SubsetPermutation
 from .rng import RngSeed, WordStream
-from .rsed import DENSE_MAX_N, RsedOperator, apply, dense_embedding, dense_matrix
+from .rsed import DENSE_MAX_N, RsedOperator, _apply_blocks, dense_embedding, dense_matrix
 from .subsystem import SubHamiltonian, SubUnitary, column_batches
 
 _CHUNK_ENTRIES = 1 << 18  # seeds per chunk and gates per group: max(1, this // K**2)
@@ -111,20 +112,31 @@ def _zz_chunk_traces(op: RsedOperator, gates: list[np.ndarray], i: int, j: int, 
     neither norm.  The Gram matrix W_a^dag W_a costs at most (K/2)**3
     multiply-adds per seed; with ||W_a||^2 its trace,
     T_a = K - 4m + 16 ||W_a^dag W_a - I_m / 2||^2.
+
+    The gather index, and per gate dtype W, W^dag and the Gram matrix, live
+    in buffers of chunk * (K/2)**2 entries allocated once per pass; a chunk
+    of c seeds and padding m works in their (c, m, m) views.
     """
     K = op.shape.subdim
     padded = [_zero_padded(u) for u in gates]
     del gates  # the padded copies are all the pass needs
     chunk = max(1, _CHUNK_ENTRIES // (K * K))
+    size = min(chunk, len(seeds)) * (K // 2) ** 2
+    index = np.empty(size, dtype=np.intp)
+    work = {dt: [np.empty(size, dtype=dt) for _ in range(3)] for dt in {u.dtype for u in padded}}
     for lo in range(0, len(seeds), chunk):
         sets = _minor_sets(op.block_positions(seeds[lo : lo + chunk]), i, j)
-        m = sets.shape[2]
-        idx = sets[:, 0, :, None] * np.intp(K + 1) + sets[:, 1, None, :]  # into the padded gates
-        traces = np.empty((len(padded), len(sets)))
+        c, m = len(sets), sets.shape[2]
+        idx = index[: c * m * m].reshape(c, m, m)
+        np.multiply(sets[:, 0, :, None], np.intp(K + 1), out=idx)  # into the padded gates
+        idx += sets[:, 1, None, :]
+        traces = np.empty((len(padded), c))
         for g, u in enumerate(padded):
-            w = u[idx]
-            gram = np.conjugate(w.transpose(0, 2, 1), order="C") @ w
-            gram.reshape(len(gram), -1)[:, :: m + 1] -= 0.5
+            w, wh, gram = (buf[: c * m * m].reshape(c, m, m) for buf in work[u.dtype])
+            np.take(u, idx, out=w, mode="clip")  # every index is in range; mode "raise" buffers out
+            np.conjugate(w.transpose(0, 2, 1), out=wh)
+            np.matmul(wh, w, out=gram)
+            gram.reshape(c, -1)[:, :: m + 1] -= 0.5
             traces[g] = (K - 4 * m) + 16.0 * _sq_norms(gram)
         yield traces
 
@@ -139,30 +151,21 @@ def _check_zz_sites(shape: SystemShape, i: int, j: int) -> None:
             raise ValueError(f"site {s} out of range [0, {shape.n})")
 
 
-def otoc_zz_grid(
-    p: SubsetPermutation,
-    f: SignFunction,
-    i: int,
-    j: int,
-    ts: Sequence[float],
-    gate_at: Callable[[float], SubUnitary],
-    num_seeds: int | None = None,
-    seed: RngSeed | None = None,
+def _otoc_zz(
+    p: SubsetPermutation, f: SignFunction, i: int, j: int, gates: Iterable[SubUnitary], num_seeds: int | None, seed: RngSeed | None
 ) -> list[OtocEstimate]:
-    """ZZ OTOCs of one realization (p, f) at every t of ts, gate_at(t) being
-    the evolved gate at t.
+    """ZZ OTOCs of one realization (p, f) under each gate of gates: exact
+    over every seed block, or with num_seeds the seed-sampling estimator,
+    its draws taken from seed once for all the gates.
 
-    Exact over every seed block, or with num_seeds the seed-sampling
-    estimator of otoc_zz_sampled, its draws taken from seed once for the
-    whole grid.  Gates are built lazily, max(1, _CHUNK_ENTRIES // K**2) at a
-    time (one gate for K >= 512), so the grid's gates are never all held at
-    once, and each such group shares one pass over the seed chunks: the
-    positions and minority sets of a chunk are computed once per group, not
-    once per t.  Sites, the sample size and exact mode's n - k <= 20 cap are
-    checked before any gate is built.  Each value equals the one-gate call's
-    (otoc_zz_exact, otoc_zz_sampled) bit for bit.  The gates are taken to be
-    unitary: one unitary only to eps = ||u^dag u - I||_2 moves its value by
-    at most 16 eps + 19 eps**2 from the dense trace (module docstring).
+    gates is read lazily, max(1, _CHUNK_ENTRIES // K**2) at a time (one gate
+    for K >= 512), so its gates are never all held at once, and each such
+    group shares one pass over the seed chunks: the positions and minority
+    sets of a chunk are computed once per group, not once per gate.  Sites,
+    the sample size and exact mode's n - k <= 20 cap are checked before any
+    gate is drawn, and each group's gates before its pass: a gate on another
+    k is a ValueError.  A gate's value does not depend on the others in
+    gates, bit for bit.
     """
     shape = p.shape
     _check_zz_sites(shape, i, j)
@@ -180,11 +183,12 @@ def otoc_zz_grid(
         seeds = WordStream(seed).integers(A, num_seeds).astype(np.uint32)
     else:
         seeds = np.arange(A, dtype=np.uint32)
+    gates = iter(gates)
     group = max(1, _CHUNK_ENTRIES // (shape.subdim**2))
     out = []
-    for lo in range(0, len(ts), group):
-        group_ts = ts[lo : lo + group]
-        subs = [gate_at(t) for t in group_ts]
+    while subs := list(islice(gates, group)):
+        if any(s.k != shape.k for s in subs):  # the kernel's gather would read a wrong-size gate silently
+            raise ValueError(f"every gate must act on k={shape.k}, got k={[s.k for s in subs]}")
         chunks = _zz_chunk_traces(RsedOperator(shape, p, f, subs[0]), [s.matrix for s in subs], i, j, seeds)
         del subs  # only the chunk pass holds the gates now, so they go when it ends
         if sampled:
@@ -199,23 +203,30 @@ def otoc_zz_grid(
     return out
 
 
-def otoc_zz_exact(op: RsedOperator, i: int, j: int) -> OtocEstimate:
-    """Exhaustive-seed ZZ OTOC, otoc_zz_grid at one t; op.sub must already
-    be the evolved gate, and is taken to be unitary: a deviation
-    eps = ||u^dag u - I||_2 moves the value by at most 16 eps + 19 eps**2."""
-    return otoc_zz_grid(op.perm, op.sign, i, j, [0.0], lambda _: op.sub)[0]
-
-
-def otoc_zz_sampled(op: RsedOperator, i: int, j: int, num_seeds: int, seed: RngSeed) -> OtocEstimate:
-    """Uniform seed-sampling estimator: 2**-k times the sample mean of the
-    per-seed traces of num_seeds seeds drawn with replacement.
-
-    num_seeds >= 2**(n-k) clamps to exhaustive: the result is otoc_zz_exact's
-    value, bit for bit, with std_error 0 and meta "exhaustive": True, and
-    exact mode's n - k <= 20 cap applies.  op.sub is taken to be unitary, as
-    in otoc_zz_exact.
+def otoc_zz_exact(p: SubsetPermutation, f: SignFunction, i: int, j: int, gates: Iterable[SubUnitary]) -> list[OtocEstimate]:
+    """Exhaustive-seed ZZ OTOC of the realization (p, f) under each evolved
+    gate of gates, one estimate per gate, in order.  gates is read lazily
+    (see _otoc_zz), so a generator of gates evolved at each t gives a
+    realization's whole t grid from one pass per gate group.  Each gate is
+    taken to be unitary: a deviation eps = ||u^dag u - I||_2 moves its value
+    by at most 16 eps + 19 eps**2 from the dense trace (module docstring).
     """
-    return otoc_zz_grid(op.perm, op.sign, i, j, [0.0], lambda _: op.sub, num_seeds, seed)[0]
+    return _otoc_zz(p, f, i, j, gates, None, None)
+
+
+def otoc_zz_sampled(
+    p: SubsetPermutation, f: SignFunction, i: int, j: int, gates: Iterable[SubUnitary], num_seeds: int, seed: RngSeed
+) -> list[OtocEstimate]:
+    """Uniform seed-sampling estimator under each gate of gates: 2**-k times
+    the sample mean of the per-seed traces of num_seeds seeds drawn with
+    replacement, the same draws for every gate.
+
+    num_seeds >= 2**(n-k) clamps to exhaustive: each result is
+    otoc_zz_exact's value, bit for bit, with std_error 0 and meta
+    "exhaustive": True, and exact mode's n - k <= 20 cap applies.  The gates
+    are taken to be unitary, as in otoc_zz_exact.
+    """
+    return _otoc_zz(p, f, i, j, gates, num_seeds, seed)
 
 
 def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:
@@ -292,17 +303,19 @@ def otoc_pauli(op: RsedOperator, v: PauliString, w: PauliString, seed: RngSeed) 
     The dense value at n <= 10 is otoc_pauli_dense(dense_matrix(op), v, w)."""
     samples = 512
     n, dim = op.shape.n, op.shape.dim
-    adj = op.adjoint()
+    u, u_adj = op.sub.matrix, op.sub.adjoint().matrix
+    seeds = np.arange(op.shape.num_seeds)
+    pos, sg = op.block_positions(seeds), op.block_signs(seeds)  # shared by U and U^dag
     src_v, ph_v = pauli_action(v, n)
     src_w, ph_w = pauli_action(w, n)
     stream = WordStream(seed)
     vals = np.empty(samples, dtype=np.complex128)
     for p_idx in range(samples):
         z = np.exp(2j * np.pi * stream.uniform01(dim))
-        y = ph_w * apply(adj, z)[src_w]
-        y = ph_v * apply(op, y)[src_v]
-        y = ph_w * apply(adj, y)[src_w]
-        y = ph_v * apply(op, y)[src_v]
+        y = ph_w * _apply_blocks(u_adj, pos, sg, z)[src_w]
+        y = ph_v * _apply_blocks(u, pos, sg, y)[src_v]
+        y = ph_w * _apply_blocks(u_adj, pos, sg, y)[src_w]
+        y = ph_v * _apply_blocks(u, pos, sg, y)[src_v]
         # a pairwise sum, not np.vdot: OpenBLAS threads long dot products, so
         # their rounding would follow OPENBLAS_NUM_THREADS
         vals[p_idx] = np.sum(z.conj() * y) / dim

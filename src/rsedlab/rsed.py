@@ -60,10 +60,14 @@ def apply(op: RsedOperator, amps: np.ndarray) -> np.ndarray:
     if amps.shape != (op.shape.dim,):
         raise ValueError(f"expected {op.shape.dim} amplitudes, got shape {amps.shape}")
     seeds = np.arange(op.shape.num_seeds)
-    pos = op.block_positions(seeds)
-    sg = op.block_signs(seeds)
+    return _apply_blocks(op.sub.matrix, op.block_positions(seeds), op.block_signs(seeds), amps)
+
+
+def _apply_blocks(u: np.ndarray, pos: np.ndarray, sg: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """apply's blockwise step for every block's positions pos and signs sg,
+    so callers that apply one (p, f) many times gather them once."""
     c = amps[pos] * sg
-    d = c @ op.sub.matrix.T  # d[a, b'] = sum_b u[b', b] c[a, b]
+    d = c @ u.T  # d[a, b'] = sum_b u[b', b] c[a, b]
     out = np.empty_like(amps)
     out[pos] = d * sg
     return out

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -563,6 +564,70 @@ def test_otoc_trace_holds_one_gate_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 16 * (1 << 20)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_otoc_trace_maps_positions_once_per_chunk_and_gate_group(tmp_path, monkeypatch, mode):
+    """The driver makes one ZZ call per realization for its whole t grid:
+    with chunks and gate groups of 3 (K = 16), 7 t values are 3 groups and
+    64 seeds (or 40 draws) are 22 (14) chunks, so each realization maps its
+    block positions 66 (42) times, not once per chunk and t (154 (98))."""
+    from rsedlab import cli, otoc
+    from rsedlab.rsed import RsedOperator
+
+    monkeypatch.setattr(otoc, "_CHUNK_ENTRIES", 3 * 16 * 16)
+    calls, mapped = [], []
+    name = "otoc_zz_exact" if mode == "exact" else "otoc_zz_sampled"
+    zz = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(a[0]) or zz(*a))
+    block_positions = RsedOperator.block_positions
+    monkeypatch.setattr(RsedOperator, "block_positions", lambda *a: mapped.append(1) or block_positions(*a))
+    cfg = {
+        "experiment": "otoc-trace", "n": 10, "k": 4, "sites": [1, 8], "ensemble": 2,
+        "t_grid": [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0], "estimator": {"mode": mode, "num_seeds": 40},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["otoc-trace", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == cfg["ensemble"]
+    assert len(mapped) == cfg["ensemble"] * 3 * (22 if mode == "exact" else 14)
+
+
+_TRACE_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from rsedlab.cli import main
+sys.exit(main(["otoc-trace", "--config", sys.argv[2], "--out", sys.argv[3], "--threads", sys.argv[4]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [{"n": 12, "k": 8, "sites": [0, 9]}, {"n": 17, "k": 6, "sites": [0, 16]}],
+    ids=["table", "feistel"],
+)
+def test_otoc_trace_csv_is_independent_of_blas_and_driver_threads(tmp_path, shape):
+    """Integer t only: otoc_trace.csv is the same bytes under
+    OPENBLAS_NUM_THREADS 1 and 2 crossed with --threads 1 and 2, at a table
+    shape whose K = 256 Gram products OpenBLAS threads and at a Feistel one.
+    One fresh process per run, since OpenBLAS reads the variable when it
+    loads."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "otoc-trace", "ensemble": 2, "t_grid": [0, 1, 2, 3, 4], **shape}))
+    src = str(Path(rsedlab.__file__).resolve().parents[1])
+    outs = {(blas, threads): tmp_path / f"blas{blas}-threads{threads}" for blas in (1, 2) for threads in (1, 2)}
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _TRACE_RUN, src, str(cfg_path), str(out), str(threads)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(blas)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for (blas, threads), out in outs.items()
+    ]
+    errs = [run.communicate(timeout=120)[1] for run in runs]
+    assert all(run.returncode == 0 for run in runs), errs
+    csvs = {(out / "otoc_trace.csv").read_bytes() for out in outs.values()}
+    assert len(csvs) == 1
 
 
 _SCIPY_PROBE = """

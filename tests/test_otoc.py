@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from functools import partial
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -25,7 +24,6 @@ from rsedlab.otoc import (
     otoc_zz_exact,
     otoc_zz_f_average,
     otoc_zz_f_variance_hadamard,
-    otoc_zz_grid,
     otoc_zz_sampled,
     poisson_bracket,
     zz_f_variance_hadamard_exact,
@@ -63,29 +61,30 @@ def make_op(n, k, u, seed):
 
 def test_zz_identity_and_diagonal_sub():
     op = make_op(8, 3, SubUnitary(3, np.eye(8, dtype=complex)), 1)
-    assert otoc_zz_exact(op, 0, 5).value == pytest.approx(1.0)
+    assert otoc_zz_exact(op.perm, op.sign, 0, 5, [op.sub])[0].value == pytest.approx(1.0)
     opd = make_op(8, 3, SubUnitary(3, np.diag(1.0 - 2.0 * sign_bits(3, RngSeed(2)))), 1)
-    assert otoc_zz_exact(opd, 0, 5).value == pytest.approx(1.0)
+    assert otoc_zz_exact(opd.perm, opd.sign, 0, 5, [opd.sub])[0].value == pytest.approx(1.0)
 
 
 def test_zz_requires_distinct_sites():
     op = make_op(6, 3, hadamard_layer(3), 3)
     with pytest.raises(ValueError):
-        otoc_zz_exact(op, 2, 2)
+        otoc_zz_exact(op.perm, op.sign, 2, 2, [op.sub])
 
 
 def test_zz_rejects_non_integer_sites():
     """A fractional or bool site is an error, not the site it truncates to;
     numpy integer sites give the same value as Python ints."""
     op = make_op(8, 3, hadamard_layer(3), 3)
+    p, f, u = op.perm, op.sign, op.sub
     seed = RngSeed(3, 9)
     for bad in ((0.5, 5), (5, 2.0), (True, 5), (0, np.float64(5.0))):
         with pytest.raises(ValueError, match="not an integer"):
-            otoc_zz_exact(op, *bad)
+            otoc_zz_exact(p, f, *bad, [u])
         with pytest.raises(ValueError, match="not an integer"):
-            otoc_zz_sampled(op, *bad, 4, seed)
-    assert otoc_zz_exact(op, np.int64(0), np.uint8(5)).value == otoc_zz_exact(op, 0, 5).value
-    assert otoc_zz_sampled(op, np.int32(0), 5, 4, seed).value == otoc_zz_sampled(op, 0, 5, 4, seed).value
+            otoc_zz_sampled(p, f, *bad, [u], 4, seed)
+    assert otoc_zz_exact(p, f, np.int64(0), np.uint8(5), [u])[0].value == otoc_zz_exact(p, f, 0, 5, [u])[0].value
+    assert otoc_zz_sampled(p, f, np.int32(0), 5, [u], 4, seed)[0].value == otoc_zz_sampled(p, f, 0, 5, [u], 4, seed)[0].value
 
 
 def test_zz_exact_matches_dense_definition():
@@ -93,7 +92,7 @@ def test_zz_exact_matches_dense_definition():
     u = unitary_power(random_sign_hadamard(4, RngSeed(4)), 2)
     for r in range(10):
         op = make_op(8, 4, u, 100 + r)
-        fast = otoc_zz_exact(op, 1, 6).value
+        fast = otoc_zz_exact(op.perm, op.sign, 1, 6, [op.sub])[0].value
         dense = otoc_pauli_dense(dense_matrix(op), PauliString(((1, "Z"),)), PauliString(((6, "Z"),)))
         assert abs(fast - dense) < 1e-10
 
@@ -106,7 +105,7 @@ def test_zz_is_sign_function_independent():
     vals = set()
     for bits in product((0, 1), repeat=4):
         f = SignFunction(shape, bits=np.array(bits, dtype=np.uint8))
-        vals.add(complex(otoc_zz_exact(RsedOperator(shape, p, f, u), 0, 1).value))
+        vals.add(complex(otoc_zz_exact(p, f, 0, 1, [u])[0].value))
     assert len(vals) == 1
 
 
@@ -216,7 +215,7 @@ def test_variance_matches_exact_contraction():
     vals = np.empty(m)
     for r in range(m):
         p = sample_permutation(shape, RngSeed(9, r))
-        vals[r] = otoc_zz_exact(RsedOperator(shape, p, f, u), 1, 5).value.real
+        vals[r] = otoc_zz_exact(p, f, 1, 5, [u])[0].value.real
     var = vals.var(ddof=1)
     m4 = np.mean((vals - vals.mean()) ** 4)
     se = np.sqrt((m4 - var**2) / m)
@@ -230,11 +229,11 @@ def test_variance_matches_exact_contraction():
 def test_sampled_exhaustive_bitwise_and_identity_case():
     u = unitary_power(random_sign_hadamard(4, RngSeed(10)), 2)
     op = make_op(10, 4, u, 11)
-    exact = otoc_zz_exact(op, 0, 7)
-    clamped = otoc_zz_sampled(op, 0, 7, num_seeds=10**6, seed=RngSeed(12))
+    exact = otoc_zz_exact(op.perm, op.sign, 0, 7, [op.sub])[0]
+    clamped = otoc_zz_sampled(op.perm, op.sign, 0, 7, [op.sub], num_seeds=10**6, seed=RngSeed(12))[0]
     assert clamped.value == exact.value and clamped.std_error == 0.0
     opi = make_op(8, 4, SubUnitary(4, np.eye(16, dtype=complex)), 13)
-    est = otoc_zz_sampled(opi, 0, 7, num_seeds=8, seed=RngSeed(14))
+    est = otoc_zz_sampled(opi.perm, opi.sign, 0, 7, [opi.sub], num_seeds=8, seed=RngSeed(14))[0]
     assert est.value == pytest.approx(1.0) and est.std_error < 1e-12
 
 
@@ -246,8 +245,8 @@ def test_sampled_exhaustive_clamp_keeps_the_exact_cap():
         shape, sample_permutation(shape, RngSeed(1)), sample_sign_function(shape, RngSeed(2)), hadamard_layer(2)
     )
     with pytest.raises(ValueError, match="n - k <= 20"):
-        otoc_zz_sampled(op, 0, 5, num_seeds=shape.num_seeds, seed=RngSeed(3))
-    assert otoc_zz_sampled(op, 0, 5, num_seeds=4, seed=RngSeed(3)).meta["exhaustive"] is False
+        otoc_zz_sampled(op.perm, op.sign, 0, 5, [op.sub], num_seeds=shape.num_seeds, seed=RngSeed(3))
+    assert otoc_zz_sampled(op.perm, op.sign, 0, 5, [op.sub], num_seeds=4, seed=RngSeed(3))[0].meta["exhaustive"] is False
 
 
 @given(
@@ -280,7 +279,7 @@ def test_zz_kernel_matches_generic_pauli_otoc(n, data, perm_backend, sign_backen
         backend_sign_function(shape, RngSeed(seed, 2), sign_backend),
         u,
     )
-    zz = otoc_zz_exact(op, i, j).value
+    zz = otoc_zz_exact(op.perm, op.sign, i, j, [op.sub])[0].value
     generic = otoc_pauli_dense(dense_matrix(op), PauliString(((i, "Z"),)), PauliString(((j, "Z"),)))
     assert abs(zz - generic) <= 1e-10
 
@@ -291,17 +290,17 @@ def test_zz_kernel_chunk_boundaries(monkeypatch, t):
     keeps the exact value, the exhaustive clamp and the per-seed traces."""
     u = unitary_power(random_sign_hadamard(4, RngSeed(20)), t)
     op = make_op(10, 4, u, 21)
-    single = otoc_zz_exact(op, 2, 7).value
+    single = otoc_zz_exact(op.perm, op.sign, 2, 7, [op.sub])[0].value
     monkeypatch.setattr(otoc, "_CHUNK_ENTRIES", 25 * 16 * 16)
-    exact = otoc_zz_exact(op, 2, 7)
+    exact = otoc_zz_exact(op.perm, op.sign, 2, 7, [op.sub])[0]
     assert abs(exact.value - single) <= 1e-13
-    assert otoc_zz_sampled(op, 2, 7, num_seeds=64, seed=RngSeed(22)).value == exact.value
+    assert otoc_zz_sampled(op.perm, op.sign, 2, 7, [op.sub], num_seeds=64, seed=RngSeed(22))[0].value == exact.value
     draws = WordStream(RngSeed(23)).integers(op.shape.num_seeds, 60).astype(np.uint32)
     assert len(np.unique(draws)) < len(draws)
     traces = np.concatenate(list(otoc._zz_chunk_traces(op, [u.matrix], 2, 7, draws)), axis=1)[0]
     oracle = [_zz_block_trace(row, u.matrix, 2, 7) for row in op.block_positions(draws)]
     assert np.max(np.abs(traces - oracle)) <= 1e-12
-    sampled = otoc_zz_sampled(op, 2, 7, num_seeds=60, seed=RngSeed(23))
+    sampled = otoc_zz_sampled(op.perm, op.sign, 2, 7, [op.sub], num_seeds=60, seed=RngSeed(23))[0]
     assert abs(sampled.value - np.mean(oracle) / 16) <= 1e-12
 
 
@@ -384,28 +383,34 @@ def test_near_unitary_gate_moves_the_value_by_at_most_16_eps(k, kind):
     moves = []
     for i, j in ((0, k + 3), (0, 1), (k + 2, k + 3)):
         dense = _zz_trace_from_positions(op.block_positions(np.arange(shape.num_seeds)), u.matrix, i, j)
-        moves.append(abs(otoc_zz_exact(op, i, j).value - dense))
+        moves.append(abs(otoc_zz_exact(op.perm, op.sign, i, j, [op.sub])[0].value - dense))
     assert max(moves) <= 16 * eps + 19 * eps**2
     assert max(moves) > 1e-3 * eps
+
+
+def zz_estimates(p, f, i, j, gates, num_seeds=None, seed=None):
+    """otoc_zz_exact, or with num_seeds otoc_zz_sampled drawing from seed."""
+    if num_seeds is None:
+        return otoc_zz_exact(p, f, i, j, gates)
+    return otoc_zz_sampled(p, f, i, j, gates, num_seeds, seed)
 
 
 @pytest.mark.parametrize("group_entries", [None, 2 * 16 * 16], ids=["one-group", "groups-of-2"])
 @pytest.mark.parametrize("num_seeds", [None, 40, 64], ids=["exact", "sampled", "clamped"])
 def test_grid_equals_one_gate_calls_bitwise(monkeypatch, group_entries, num_seeds):
-    """otoc_zz_grid over integer and fractional t equals otoc_zz_exact /
-    otoc_zz_sampled at each t bit for bit, whether the grid is one gate group
-    or groups of 2 + 2 + 1 gates (then with chunks of two seeds)."""
+    """One call over the gates of integer and fractional t equals the
+    one-gate calls at each t bit for bit, whether the gates are one group or
+    groups of 2 + 2 + 1 (then with chunks of two seeds)."""
     if group_entries is not None:
         monkeypatch.setattr(otoc, "_CHUNK_ENTRIES", group_entries)
     base = random_sign_hadamard(4, RngSeed(42))
     shape = SystemShape(10, 4)
     p, f = sample_permutation(shape, RngSeed(43)), sample_sign_function(shape, RngSeed(44))
     ts = [0.0, 0.5, 1.0, 2.0, 2.75]
-    gate_at = partial(evolved, base)
-    grid = otoc_zz_grid(p, f, 2, 7, ts, gate_at, num_seeds, None if num_seeds is None else RngSeed(45))
+    grid = zz_estimates(p, f, 2, 7, (evolved(base, t) for t in ts), num_seeds, RngSeed(45))
+    assert len(grid) == len(ts)
     for t, est in zip(ts, grid):
-        op = RsedOperator(shape, p, f, gate_at(t))
-        one = otoc_zz_exact(op, 2, 7) if num_seeds is None else otoc_zz_sampled(op, 2, 7, num_seeds, RngSeed(45))
+        one = zz_estimates(p, f, 2, 7, [evolved(base, t)], num_seeds, RngSeed(45))[0]
         assert (est.value, est.std_error, est.meta) == (one.value, one.std_error, one.meta)
     if num_seeds is not None:
         assert grid[-1].meta["exhaustive"] == (num_seeds >= shape.num_seeds)
@@ -414,40 +419,68 @@ def test_grid_equals_one_gate_calls_bitwise(monkeypatch, group_entries, num_seed
 @pytest.mark.parametrize("num_seeds", [None, 40], ids=["exact", "sampled"])
 def test_grid_maps_positions_once_per_chunk_and_gate_group(monkeypatch, num_seeds):
     """Block positions are computed once per seed chunk per gate group, not
-    once per t, and each group's gates are built just before its pass: with
-    chunks and groups of 3 (K = 16), 7 t values are groups of 3 + 3 + 1 and
-    64 seeds (or 40 draws) are 22 (14) chunks."""
+    once per t, and each group's gates are drawn from gates just before its
+    pass: with chunks and groups of 3 (K = 16), 7 t values are groups of
+    3 + 3 + 1 and 64 seeds (or 40 draws) are 22 (14) chunks."""
     monkeypatch.setattr(otoc, "_CHUNK_ENTRIES", 3 * 16 * 16)
     events = []
     block_positions = RsedOperator.block_positions
     monkeypatch.setattr(RsedOperator, "block_positions", lambda *a: events.append("pos") or block_positions(*a))
     base = random_sign_hadamard(4, RngSeed(53))
-    gate_at = lambda t: events.append(t) or evolved(base, t)  # noqa: E731
     shape = SystemShape(10, 4)
     p, f = sample_permutation(shape, RngSeed(54)), sample_sign_function(shape, RngSeed(55))
     ts = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
-    otoc_zz_grid(p, f, 1, 8, ts, gate_at, num_seeds, None if num_seeds is None else RngSeed(56))
+    zz_estimates(p, f, 1, 8, (events.append(t) or evolved(base, t) for t in ts), num_seeds, RngSeed(56))
     chunks = ["pos"] * (22 if num_seeds is None else 14)
     assert events == [*ts[:3], *chunks, *ts[3:6], *chunks, ts[6], *chunks]
 
 
 def test_grid_checks_before_building_a_gate():
     """Bad sites, too few samples and the n - k <= 20 cap are refused before
-    gate_at is called."""
+    a gate is drawn from gates."""
     built = []
-    gate_at = lambda t: built.append(t) or hadamard_layer(2)  # noqa: E731
+    gates = (built.append(t) or hadamard_layer(2) for t in [1.0])
     shape = SystemShape(23, 2)
     p, f = sample_permutation(shape, RngSeed(46)), sample_sign_function(shape, RngSeed(47))
     for args, match in (
-        ((0, 0, [1.0], gate_at), "distinct"),
-        ((0, 23, [1.0], gate_at), "out of range"),
-        ((0, 5, [1.0], gate_at, 1, RngSeed(48)), "at least 2"),
-        ((0, 5, [1.0], gate_at), "n - k <= 20"),
-        ((0, 5, [1.0], gate_at, shape.num_seeds, RngSeed(48)), "n - k <= 20"),
+        ((0, 0, gates), "distinct"),
+        ((0, 23, gates), "out of range"),
+        ((0, 5, gates, 1, RngSeed(48)), "at least 2"),
+        ((0, 5, gates), "n - k <= 20"),
+        ((0, 5, gates, shape.num_seeds, RngSeed(48)), "n - k <= 20"),
     ):
         with pytest.raises(ValueError, match=match):
-            otoc_zz_grid(p, f, *args)
+            zz_estimates(p, f, *args)
     assert built == []
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_every_gate_must_act_on_the_shape_k(k):
+    """A gate on another k after a right one in the same group is refused,
+    not gathered out of its wrong-size matrix."""
+    shape = SystemShape(8, 4)
+    p, f = sample_permutation(shape, RngSeed(57)), sample_sign_function(shape, RngSeed(58))
+    with pytest.raises(ValueError, match="every gate must act on k=4"):
+        otoc_zz_exact(p, f, 0, 5, [hadamard_layer(4), hadamard_layer(k)])
+
+
+def test_zz_kernel_views_its_buffers_at_each_chunk_shape(monkeypatch):
+    """Chunks of 3 + 3 + 1 draws whose minority sets pad to m = 7, 8, 7: the
+    pass's buffers are viewed at (3, 7, 7), (3, 8, 8) and (1, 7, 7), for a
+    real and a complex gate in one pass, and every trace matches the dense
+    per-seed trace."""
+    monkeypatch.setattr(otoc, "_CHUNK_ENTRIES", 3 * 16 * 16)
+    shape = SystemShape(9, 4)
+    base = random_sign_hadamard(4, RngSeed(60))
+    gates = [unitary_power(base, 2).matrix, unitary_power(base, 0.5).matrix]
+    assert [u.dtype for u in gates] == [np.float64, np.complex128]
+    op = make_op(9, 4, base, 66)
+    draws = WordStream(RngSeed(66, 3)).integers(shape.num_seeds, 7).astype(np.uint32)
+    assert [otoc._minor_sets(op.block_positions(draws[lo : lo + 3]), 0, 6).shape[2] for lo in (0, 3, 6)] == [7, 8, 7]
+    traces = np.concatenate(list(otoc._zz_chunk_traces(op, gates, 0, 6, draws)), axis=1)
+    for u, tr in zip(gates, traces):
+        oracle = [_zz_block_trace(row, u, 0, 6) for row in op.block_positions(draws)]
+        assert np.max(np.abs(tr - oracle)) <= 1e-12
 
 
 def test_sampled_subsample_consistency():
@@ -456,11 +489,11 @@ def test_sampled_subsample_consistency():
     realization widths from the exact variance contraction."""
     u = unitary_power(random_sign_hadamard(8, RngSeed(15)), 4)
     op16 = make_op(16, 8, u, 16)
-    sampled = otoc_zz_sampled(op16, 0, 9, num_seeds=64, seed=RngSeed(17))
-    exact16 = otoc_zz_exact(op16, 0, 9)
+    sampled = otoc_zz_sampled(op16.perm, op16.sign, 0, 9, [op16.sub], num_seeds=64, seed=RngSeed(17))[0]
+    exact16 = otoc_zz_exact(op16.perm, op16.sign, 0, 9, [op16.sub])[0]
     assert abs(sampled.value - exact16.value) <= 4 * sampled.std_error
     op12 = make_op(12, 8, u, 18)
-    exact12 = otoc_zz_exact(op12, 0, 9)
+    exact12 = otoc_zz_exact(op12.perm, op12.sign, 0, 9, [op12.sub])[0]
     width = np.sqrt(zz_f_variance_hadamard_exact(12, 8) + zz_f_variance_hadamard_exact(16, 8))
     assert abs(exact16.value - exact12.value) <= 5 * width
 
@@ -478,14 +511,14 @@ def test_otoc_pauli_commuting_and_anticommuting():
 
 def test_otoc_pauli_runs_512_probes(monkeypatch):
     """Each probe applies U or U^dag four times, so one call applies the
-    operator 2048 times and reports 512 samples."""
-    applied, apply = [], otoc.apply
+    operator 2048 times, blockwise, and reports 512 samples."""
+    applied, apply_blocks = [], otoc._apply_blocks
 
-    def counted(op, state):
-        applied.append(op)
-        return apply(op, state)
+    def counted(u, pos, sg, state):
+        applied.append(u)
+        return apply_blocks(u, pos, sg, state)
 
-    monkeypatch.setattr(otoc, "apply", counted)
+    monkeypatch.setattr(otoc, "_apply_blocks", counted)
     op = make_op(6, 3, random_sign_hadamard(3, RngSeed(23)), 24)
     est = otoc_pauli(op, PauliString(((0, "X"),)), PauliString(((4, "Z"),)), RngSeed(25))
     assert len(applied) == 2048 and est.meta["samples"] == 512
@@ -622,11 +655,11 @@ def test_hadamard_power_true_period_two():
     p = sample_permutation(shape, RngSeed(32))
     f = sample_sign_function(shape, RngSeed(33))
     for t in (0.25, 0.5, 0.75):
-        c_t = poisson_bracket(otoc_zz_exact(RsedOperator(shape, p, f, unitary_power(u, t)), 0, 7))
-        c_t2 = poisson_bracket(otoc_zz_exact(RsedOperator(shape, p, f, unitary_power(u, t + 2.0)), 0, 7))
+        c_t = poisson_bracket(otoc_zz_exact(p, f, 0, 7, [unitary_power(u, t)])[0])
+        c_t2 = poisson_bracket(otoc_zz_exact(p, f, 0, 7, [unitary_power(u, t + 2.0)])[0])
         assert abs(c_t - c_t2) < 1e-12
-    c_half = poisson_bracket(otoc_zz_exact(RsedOperator(shape, p, f, unitary_power(u, 0.5)), 0, 7))
-    c_three_half = poisson_bracket(otoc_zz_exact(RsedOperator(shape, p, f, unitary_power(u, 1.5)), 0, 7))
+    c_half = poisson_bracket(otoc_zz_exact(p, f, 0, 7, [unitary_power(u, 0.5)])[0])
+    c_three_half = poisson_bracket(otoc_zz_exact(p, f, 0, 7, [unitary_power(u, 1.5)])[0])
     assert abs(c_half - c_three_half) < 1e-12
 
 
@@ -637,5 +670,5 @@ def test_saturation_single_realizations():
     for t in (1, 2, 3, 4):
         u = hadamard_sign_power(8, RngSeed(34), t)
         op = make_op(12, 8, u, 35)
-        c = poisson_bracket(otoc_zz_exact(op, 0, 9))
+        c = poisson_bracket(otoc_zz_exact(op.perm, op.sign, 0, 9, [op.sub])[0])
         assert abs(1.0 - c) <= 2.0**-4
