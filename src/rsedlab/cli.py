@@ -28,11 +28,13 @@ from . import __version__
 from .bitcore import SystemShape
 from .circuits import DEFAULT_GATE_SEED, build_manifest, serialize, simulate_circuit, synthesize_rsed_circuit
 from .otoc import (
+    _fourth_power_sum,
     otoc_zz_exact,
     otoc_zz_f_average,
     otoc_zz_sampled,
     poisson_bracket,
 )
+from .pool import _ordered_map
 from .prs import coherence_trial, design_variance_condition, element_condition_check
 from .randomness import sample_permutation, sample_sign_function, save_permutation
 from .rng import RngSeed
@@ -42,9 +44,10 @@ from .subsystem import (
     MAX_SUB_QUBITS,
     SubHamiltonian,
     SubUnitary,
+    _hadamard_sign_builder,
+    column_batches,
     evolve,
     hadamard_layer,
-    hadamard_sign_columns,
     # not called here: perfbench/tracing.py wraps cli.hadamard_sign_power, and
     # tests/test_perfbench_names.py expects all 16 of its names to resolve
     hadamard_sign_power,
@@ -275,15 +278,27 @@ def run_otoc_trace(cfg: ExperimentConfig, out: Path) -> dict:
 def hadamard_sign_f_average(k: int, seed: RngSeed, t: int) -> float:
     """otoc_zz_f_average((H^{tensor k} P)^t) without the K x K gate.
 
-    hadamard_sign_columns streams the gate in the batches of column_batches
-    (32 columns at k = 12) through its reused buffers into
-    otoc_zz_f_average, so at k = 12 the arrays alive are the batch and its
-    scratch (which swap roles between the transform's factors), the K x 32
-    XOR tile and the sum's buffer, 1 MiB each (a 4.1 MiB traced peak,
-    against 512 MiB for the dense gate), and the value equals
-    otoc_zz_f_average(hadamard_sign_power(k, seed, t)) bit for bit.
+    Each batch of column_batches (32 columns at k = 12) is built and reduced
+    to its sum of |u|**4 by one call on pool._ordered_map's workers, in that
+    worker's own batch and scratch buffers (the batch is squared in place),
+    and the sums are added in batch order from 0.0 and divided by K, as
+    otoc_zz_f_average adds them: the value equals
+    otoc_zz_f_average(hadamard_sign_power(k, seed, t)) bit for bit at any
+    worker count.  At k = 12 the arrays alive are the K x 32 XOR tile and
+    two 1 MiB buffers per worker (against 512 MiB for the dense gate).
     """
-    return otoc_zz_f_average(hadamard_sign_columns(k, seed, t))
+    build = _hadamard_sign_builder(k, seed, t)
+    batches = column_batches(k)
+    shape = (1 << k, len(batches[0]))
+
+    def fourth_power_sum(cols: range, bufs) -> float:
+        batch = build(cols, *bufs)
+        return _fourth_power_sum(batch, batch)
+
+    total = 0.0
+    for s in _ordered_map(fourth_power_sum, batches, lambda: (np.empty(shape), np.empty(shape))):
+        total += s
+    return total / shape[0]
 
 
 @functools.cache

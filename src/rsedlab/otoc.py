@@ -40,6 +40,7 @@ from itertools import islice
 import numpy as np
 
 from .bitcore import PauliString, SystemShape, pauli_action
+from .pool import BLAS_SERIAL_SIZE, _ordered_map
 from .randomness import SignFunction, SubsetPermutation
 from .rng import RngSeed, WordStream
 from .rsed import DENSE_MAX_N, RsedOperator, _apply_blocks, dense_embedding, dense_matrix
@@ -114,18 +115,27 @@ def _zz_chunk_traces(op: RsedOperator, gates: list[np.ndarray], i: int, j: int, 
     T_a = K - 4m + 16 ||W_a^dag W_a - I_m / 2||^2.
 
     The gather index, and per gate dtype W, W^dag and the Gram matrix, live
-    in buffers of chunk * (K/2)**2 entries allocated once per pass; a chunk
-    of c seeds and padding m works in their (c, m, m) views.
+    in buffers of chunk * (K/2)**2 entries made once per pass (and per
+    worker); a chunk of c seeds and padding m works in their (c, m, m)
+    views.  Where one Gram product, (K/2)**3 multiply-adds, is under
+    pool.BLAS_SERIAL_SIZE (K <= 64), so that OpenBLAS runs it on one thread,
+    the chunks go to pool._ordered_map's workers; the block positions are
+    computed on the calling thread either way, and the chunks come back in
+    order, so no value depends on the worker count.
     """
     K = op.shape.subdim
     padded = [_zero_padded(u) for u in gates]
     del gates  # the padded copies are all the pass needs
     chunk = max(1, _CHUNK_ENTRIES // (K * K))
     size = min(chunk, len(seeds)) * (K // 2) ** 2
-    index = np.empty(size, dtype=np.intp)
-    work = {dt: [np.empty(size, dtype=dt) for _ in range(3)] for dt in {u.dtype for u in padded}}
-    for lo in range(0, len(seeds), chunk):
-        sets = _minor_sets(op.block_positions(seeds[lo : lo + chunk]), i, j)
+    dtypes = {u.dtype for u in padded}
+
+    def scratch():
+        return np.empty(size, dtype=np.intp), {dt: [np.empty(size, dtype=dt) for _ in range(3)] for dt in dtypes}
+
+    def chunk_traces(pos: np.ndarray, bufs) -> np.ndarray:
+        index, work = bufs
+        sets = _minor_sets(pos, i, j)
         c, m = len(sets), sets.shape[2]
         idx = index[: c * m * m].reshape(c, m, m)
         np.multiply(sets[:, 0, :, None], np.intp(K + 1), out=idx)  # into the padded gates
@@ -138,7 +148,10 @@ def _zz_chunk_traces(op: RsedOperator, gates: list[np.ndarray], i: int, j: int, 
             np.matmul(wh, w, out=gram)
             gram.reshape(c, -1)[:, :: m + 1] -= 0.5
             traces[g] = (K - 4 * m) + 16.0 * _sq_norms(gram)
-        yield traces
+        return traces
+
+    positions = (op.block_positions(seeds[lo : lo + chunk]) for lo in range(0, len(seeds), chunk))
+    return _ordered_map(chunk_traces, positions, scratch, threaded=(K // 2) ** 3 < BLAS_SERIAL_SIZE)
 
 
 def _check_zz_sites(shape: SystemShape, i: int, j: int) -> None:
@@ -242,8 +255,7 @@ def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:
     batches give the same float bit for bit; for k <= 8 that is one block.
     Every block must have the shape of the first (column_batches gives one
     width per gate), so one buffer, allocated from the first block, holds
-    the fourth powers: a real block is squared twice, a complex one takes
-    abs first.
+    the fourth powers (_fourth_power_sum).
     """
     blocks = u
     if isinstance(u, SubUnitary):
@@ -254,14 +266,21 @@ def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:
             mags = np.empty(block.shape)
         elif block.shape != mags.shape:  # a (K, 1) block would broadcast into the buffer
             raise ValueError(f"column blocks must share one shape, got {block.shape} after {mags.shape}")
-        if np.iscomplexobj(block):
-            np.abs(block, out=mags)
-            np.square(mags, out=mags)
-        else:
-            np.square(block, out=mags)  # x * x == |x| * |x| bit for bit
-        np.square(mags, out=mags)
-        total += float(np.sum(mags))
+        total += _fourth_power_sum(block, mags)
     return total / mags.shape[0]
+
+
+def _fourth_power_sum(block: np.ndarray, out: np.ndarray) -> float:
+    """sum |block|**4 through out, a float64 array of block's shape (block
+    itself, for a real block that may be overwritten): a real block is
+    squared twice, a complex one takes abs first."""
+    if np.iscomplexobj(block):
+        np.abs(block, out=out)
+        np.square(out, out=out)
+    else:
+        np.square(block, out=out)  # x * x == |x| * |x| bit for bit
+    np.square(out, out=out)
+    return float(np.sum(out))
 
 
 def otoc_zz_f_variance_hadamard(n: int, k: int) -> float:

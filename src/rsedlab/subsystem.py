@@ -19,12 +19,16 @@ HERMITICITY_TOL = 1e-10
 PHASE_SNAP = 1e-6  # arccos eigenphases this close to 0 or pi are exactly 0 or pi
 # Cap on K * columns of one Hadamard-sign column batch, as a bit count so
 # that the batch width (column_batches) is a power of two: 2**17 entries, 1 MiB
-# of float64, so a batch, its transform scratch, the XOR tile and the
-# f-average's buffer fit in a few MiB of cache.  Timed in fresh processes
-# over the scaling curve k = 4, 7, 9, 12 at t = 4 (2 cores, 2 MiB L2 each,
-# transform in factors of at most 4 bits), median of 10: 2**17 253 ms,
-# 2**16 262 ms, 2**18 280 ms, 2**15 and 2**19 296 ms.
+# of float64, so the XOR tile and each worker's batch and transform scratch
+# fit in a few MiB of cache.  Timed in fresh processes over the scaling
+# curve k = 4, 7, 9, 12 at t = 4 (2 cores, 2 MiB L2 each, transform in
+# factors of at most 4 bits, batches on 2 pool workers), median of 10:
+# 2**17 122 ms, 2**18 135 ms, 2**16 139 ms.  Another width would also move
+# the f-average's last bits, which are summed batch by batch.
 _F_BATCH_BITS = 17
+# Columns per stacked slice of a Walsh-Hadamard factor: a 16 x 16 factor
+# times 512 columns is 2**17 multiply-adds, under pool.BLAS_SERIAL_SIZE.
+_WH_SLICE = 512
 
 
 def _check_k(k: int) -> None:
@@ -371,6 +375,11 @@ def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     the group of b bits with h bits above it is one np.matmul of the 2**b x
     2**b Hadamard factor with the (2**h, 2**b, rest * cols) view, from one
     buffer into the other, 3 * 16 = 48 multiply-adds per entry at k = 12.
+    A last axis that is a multiple of _WH_SLICE (every one longer than that
+    for a power-of-two cols) goes in stacked slices of _WH_SLICE columns, so
+    no product exceeds pool.BLAS_SERIAL_SIZE and OpenBLAS runs each on the
+    calling thread; every entry sums the same 2**b terms in the same order
+    as one product over the whole axis.
     """
     K, cols = a.shape
     k = K.bit_length() - 1
@@ -378,8 +387,10 @@ def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     src, dst, h = a, scratch, 0
     for i in range(n):
         b = (k + i) // n  # the n group sizes differ by at most one and sum to k
-        view = (1 << h, 1 << b, (K >> (h + b)) * cols)
-        np.matmul(_hadamard_factor(b), src.reshape(view), out=dst.reshape(view))
+        rest = (K >> (h + b)) * cols
+        s = _WH_SLICE if rest % _WH_SLICE == 0 else rest
+        view = (1 << h, 1 << b, rest // s, s)
+        np.matmul(_hadamard_factor(b), src.reshape(view).transpose(0, 2, 1, 3), out=dst.reshape(view).transpose(0, 2, 1, 3))
         src, dst, h = dst, src, h + b
     return src
 
@@ -400,10 +411,23 @@ def hadamard_sign_columns(k: int, seed: RngSeed, t: int):
     """Yield the columns of (H^{tensor k} P)^t, P = diag(s), integer t >= 0,
     one real (K, w) array per range of column_batches(k), left to right.
 
-    The signs are drawn once per gate, and the batch, its transform scratch
-    and the XOR tile are allocated once per gate and reused: a yielded array
-    is overwritten when the next one is requested, so copy what must
-    outlive that.  k and t are checked on the call.
+    The signs are drawn once per gate, and the batch and its transform
+    scratch are allocated once per gate and reused: a yielded array is
+    overwritten when the next one is requested, so copy what must outlive
+    that.  k and t are checked, and the signs drawn, on the call.
+    """
+    build = _hadamard_sign_builder(k, seed, t)
+    batches = column_batches(k)
+    bufs = [np.empty((1 << k, len(batches[0]))) for _ in range(2)]
+    return (build(cols, *bufs) for cols in batches)
+
+
+def _hadamard_sign_builder(k: int, seed: RngSeed, t: int):
+    """build(cols, m, scratch) for (H^{tensor k} P)^t: it writes the batch
+    cols of column_batches(k) into m or scratch, two (K, w) float64 arrays,
+    and returns the one that holds it.  The signs and the XOR tile are made
+    here, once per gate, and build only reads them, so concurrent calls on
+    buffers of their own are safe.  k and t are checked here.
 
     For t >= 2 a batch starts from the closed form of the first two factors:
     with g = H s / sqrt(K) (one length-K transform per gate), (H P H)[b, c]
@@ -411,30 +435,24 @@ def hadamard_sign_columns(k: int, seed: RngSeed, t: int):
     has c = lo ^ j, so it is the tile g[b ^ j] (K x w, gathered once per
     gate) with its row blocks of w permuted by b -> b ^ lo.  The remaining
     t - 2 steps go through signs * m -> _walsh_hadamard, which leaves its
-    result in the batch or in the scratch, so the two swap roles instead of
-    copying back; the batch yielded is whichever holds the last result.  For
-    t < 2 a batch starts from identity columns and takes t steps, so t = 0
-    is exactly the identity.
+    result in m or in the scratch, so the two swap roles instead of copying
+    back.  For t < 2 a batch starts from identity columns and takes t steps,
+    so t = 0 is exactly the identity.
     """
     _check_k(k)
     if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
         raise ValueError(f"t must be an integer, got {t!r}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    return _hadamard_sign_batches(k, seed, t)
-
-
-def _hadamard_sign_batches(k: int, seed: RngSeed, t: int):
-    batches = column_batches(k)
-    K, w = 1 << k, len(batches[0])
+    K, w = 1 << k, len(column_batches(k)[0])
     signs = _signs(k, seed)
-    m, scratch = np.empty((K, w)), np.empty((K, w))
     j = np.arange(w)
     if t >= 2:
         g = signs.reshape(K, 1).copy()
         g = _walsh_hadamard(g, np.empty_like(g))
         tile = g.reshape(K)[np.bitwise_xor.outer(np.arange(K), j)].reshape(K // w, w, w)
-    for cols in batches:
+
+    def build(cols: range, m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         if t < 2:
             m.fill(0.0)
             m[cols, j] = 1.0
@@ -446,7 +464,9 @@ def _hadamard_sign_batches(k: int, seed: RngSeed, t: int):
             np.multiply(m, signs[:, None], out=m)
             if _walsh_hadamard(m, scratch) is scratch:
                 m, scratch = scratch, m
-        yield m
+        return m
+
+    return build
 
 
 def hadamard_sign_power(k: int, seed: RngSeed, t: int) -> SubUnitary:

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rsedlab import subsystem
+from rsedlab import pool, subsystem
 from rsedlab.cli import hadamard_sign_f_average
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.subsystem import (
@@ -391,3 +391,22 @@ def test_each_gate_draws_its_signs_and_transforms_them_once(monkeypatch, t):
 def test_hadamard_sign_power_checks_k_first():
     with pytest.raises(ValueError, match="k must be"):
         hadamard_sign_power(13, RngSeed(50), 1)
+
+
+def test_walsh_hadamard_products_stay_on_one_blas_thread(monkeypatch):
+    """A k = 12 f-average multiplies in products of at most 16 x 16 x 512
+    (2**17 multiply-adds), under the size at which OpenBLAS threads a GEMM,
+    so BLAS starts no threads beside the pool's."""
+    sizes = []
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b, out):
+            sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+            return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(subsystem, "np", CountedNumpy())
+    hadamard_sign_f_average(12, RngSeed(59), 4)
+    assert max(sizes) == 16 * 16 * 512 < pool.BLAS_SERIAL_SIZE
