@@ -40,7 +40,7 @@ from itertools import islice
 import numpy as np
 
 from .bitcore import PauliString, SystemShape, pauli_action
-from .pool import BLAS_SERIAL_SIZE, _ordered_map
+from .pool import _ordered_map, zz_chunks_pooled
 from .randomness import SignFunction, SubsetPermutation
 from .rng import RngSeed, WordStream
 from .rsed import DENSE_MAX_N, RsedOperator, _apply_blocks, dense_embedding, dense_matrix
@@ -117,9 +117,10 @@ def _zz_chunk_traces(op: RsedOperator, gates: list[np.ndarray], i: int, j: int, 
     The gather index, and per gate dtype W, W^dag and the Gram matrix, live
     in buffers of chunk * (K/2)**2 entries made once per pass (and per
     worker); a chunk of c seeds and padding m works in their (c, m, m)
-    views.  Where one Gram product, (K/2)**3 multiply-adds, is under
-    pool.BLAS_SERIAL_SIZE (K <= 64), so that OpenBLAS runs it on one thread,
-    the chunks go to pool._ordered_map's workers; the block positions are
+    views.  Where one Gram product, (K/2)**3 multiply-adds, is at most
+    pool.COMPLEX_BLAS_SERIAL_SIZE (pool.zz_chunks_pooled, K <= 64), so that
+    OpenBLAS runs it on one thread for a real or a complex gate, the chunks
+    go to pool._ordered_map's workers; the block positions are
     computed on the calling thread either way, and the chunks come back in
     order, so no value depends on the worker count.
     """
@@ -151,7 +152,7 @@ def _zz_chunk_traces(op: RsedOperator, gates: list[np.ndarray], i: int, j: int, 
         return traces
 
     positions = (op.block_positions(seeds[lo : lo + chunk]) for lo in range(0, len(seeds), chunk))
-    return _ordered_map(chunk_traces, positions, scratch, threaded=(K // 2) ** 3 < BLAS_SERIAL_SIZE)
+    return _ordered_map(chunk_traces, positions, scratch, threaded=zz_chunks_pooled(K))
 
 
 def _check_zz_sites(shape: SystemShape, i: int, j: int) -> None:

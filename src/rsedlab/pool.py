@@ -5,8 +5,12 @@ to _ordered_map, which runs them on WORKERS threads and yields the results
 in item order, so every ordered reduction over them adds the same floats in
 the same order as a serial loop: the outputs do not depend on WORKERS.
 Each item's own arithmetic must stay on one thread too, so its BLAS
-products are kept at most BLAS_SERIAL_SIZE multiply-adds, which OpenBLAS
-runs on the calling thread, and the pool's threads and BLAS's never stack.
+products are kept at most BLAS_SERIAL_SIZE multiply-adds if real and
+COMPLEX_BLAS_SERIAL_SIZE if complex, which OpenBLAS runs on the calling
+thread.  A larger product wakes OpenBLAS's threads, and they spin for a
+while after it returns, so a product made just before a pool call is kept
+to these sizes as well (subsystem._eigenpath's gates at K <= 64):
+then the pool's threads and BLAS's never stack.
 """
 
 from __future__ import annotations
@@ -18,9 +22,20 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, islice
 
 WORKERS = len(os.sched_getaffinity(0))
-# OpenBLAS runs a GEMM of M * N * K <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
-# multiply-adds on one thread, whatever OPENBLAS_NUM_THREADS says.
+# OpenBLAS runs a real GEMM of M * N * K <= 65536 * GEMM_MULTITHREAD_THRESHOLD
+# (4) multiply-adds on one thread, whatever OPENBLAS_NUM_THREADS says (OpenBLAS
+# 0.3.31 on 2 cores: serial up to 2**19, threaded from 2**20).
 BLAS_SERIAL_SIZE = 1 << 18
+# A complex GEMM is threaded from a far smaller size: on the same host 64 x 64
+# x 8 = 2**15 complex multiply-adds run on one thread, 64 x 64 x 16 on two.
+COMPLEX_BLAS_SERIAL_SIZE = 1 << 15
+
+
+def zz_chunks_pooled(K: int) -> bool:
+    """Whether the ZZ trace kernel at subsystem dimension K maps its seed
+    chunks over the pool: where one Gram product, (K/2)**3 multiply-adds,
+    runs on the calling thread for a real or a complex gate (K <= 64)."""
+    return (K // 2) ** 3 <= COMPLEX_BLAS_SERIAL_SIZE
 
 
 def _ordered_map(fn: Callable, items: Iterable, scratch: Callable[[], object], threaded: bool = True) -> Iterator:

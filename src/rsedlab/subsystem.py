@@ -10,6 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitcore import PauliString, pauli_action
+from .pool import COMPLEX_BLAS_SERIAL_SIZE, zz_chunks_pooled
 from .rng import RngSeed, WordStream
 
 MAX_SUB_QUBITS = 12  # dense K x K with K = 2**k capped at 4096
@@ -346,22 +347,40 @@ def unitary_power(u: SubUnitary, t) -> SubUnitary:
 
     theta is np.angle of the Schur diagonal, so for an eigenvalue -1 the
     rounding of that factorization picks +pi or -pi: unlike
-    parent_hamiltonian, this path has no fixed branch.
+    parent_hamiltonian, this path has no fixed branch.  The product is
+    _eigenpath's, in serial-size slices at K <= 64.
     """
     if isinstance(t, (int, np.integer)):
         if t < 0:
             raise ValueError("integer powers must be >= 0")
         return _trusted(u.k, np.linalg.matrix_power(u.matrix, int(t)))
     theta, z = _unitary_eigh(u)
-    m = (z * np.exp(1j * theta * float(t))[None, :]) @ z.conj().T
-    return _trusted(u.k, m)
+    return _eigenpath(u.k, z, np.exp(1j * theta * float(t)))
 
 
 def evolve(h: SubHamiltonian, t: float) -> SubUnitary:
     """e^{-i h t} via the cached eigendecomposition."""
-    phases = np.exp(-1j * h.eigenvalues * float(t))
-    m = (h.eigenvectors * phases[None, :]) @ h.eigenvectors.conj().T
-    return _trusted(h.k, m)
+    return _eigenpath(h.k, h.eigenvectors, np.exp(-1j * h.eigenvalues * float(t)))
+
+
+def _eigenpath(k: int, v: np.ndarray, phases: np.ndarray) -> SubUnitary:
+    """The gate v diag(phases) v^dagger, for an orthonormal basis v.
+
+    The product is one np.matmul over stacked slices of w rows of the
+    result.  Where the ZZ trace kernel runs its seed chunks on the pool
+    (pool.zz_chunks_pooled, K <= 64), w is pool.COMPLEX_BLAS_SERIAL_SIZE //
+    K**2, at most K: 8 rows at K = 64, so each product runs on the calling
+    thread and leaves no OpenBLAS thread spinning into the pool's pass that
+    follows.  From K = 128 the kernel runs inline and threads its own
+    complex products, so w = K, one product (2-row slices at K = 128 took
+    four times as long).  Every entry sums the same K terms in the same
+    order as one product, so the gate is the same bit for bit.
+    """
+    K = 1 << k
+    w = min(K, COMPLEX_BLAS_SERIAL_SIZE // (K * K)) if zz_chunks_pooled(K) else K
+    m = np.empty((K // w, w, K), dtype=np.complex128)
+    np.matmul((v * phases[None, :]).reshape(K // w, w, K), v.conj().T, out=m)
+    return _trusted(k, m.reshape(K, K))
 
 
 def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -630,6 +630,31 @@ def test_otoc_trace_csv_is_independent_of_blas_and_driver_threads(tmp_path, shap
     assert len(csvs) == 1
 
 
+@pytest.mark.parametrize("u_spec", [{"type": "random_sign_hadamard", "seed": 3}, {"type": "hadamard"}], ids=["random_sign_hadamard", "hadamard"])
+def test_fractional_otoc_trace_csv_is_independent_of_blas_threads(tmp_path, u_spec):
+    """Fractional t at the Feistel shape n = 17, k = 6 (K = 64): the Schur
+    forms, and so the powers and otoc_trace.csv, are the same bytes under
+    OPENBLAS_NUM_THREADS 1 and 2, for random-sign gates and for the Hadamard
+    layer, whose -1 eigenspace is degenerate.  One fresh process per run."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {"experiment": "otoc-trace", "n": 17, "k": 6, "sites": [0, 16], "ensemble": 2, "t_grid": [0.25, 0.5, 1.5, 3.5]}
+    cfg_path.write_text(json.dumps({**cfg, "u_spec": u_spec}))
+    src = str(Path(rsedlab.__file__).resolve().parents[1])
+    outs = {blas: tmp_path / f"blas{blas}" for blas in (1, 2)}
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _TRACE_RUN, src, str(cfg_path), str(out), "1"],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(blas)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for blas, out in outs.items()
+    ]
+    errs = [run.communicate(timeout=120)[1] for run in runs]
+    assert all(run.returncode == 0 for run in runs), errs
+    csvs = {(out / "otoc_trace.csv").read_bytes() for out in outs.values()}
+    assert len(csvs) == 1
+
+
 _SCIPY_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

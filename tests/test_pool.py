@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from rsedlab import cli, otoc, pool
+from rsedlab import cli, otoc, pool, subsystem
 from rsedlab.bitcore import SystemShape
 from rsedlab.cli import hadamard_sign_f_average, main, scaling_curve
 from rsedlab.otoc import otoc_zz_exact, otoc_zz_f_average, otoc_zz_sampled
@@ -170,3 +170,33 @@ def test_traced_layers_run_on_the_calling_thread(tmp_path, monkeypatch):
         assert started and set(started) == {2}
     assert len(threads["block_positions"]) == 2 * 8 and threads["forward_array"]
     assert {t for ts in threads.values() for t in ts} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("u_spec", [{"type": "random_sign_hadamard"}, {"type": "pauli_syk"}], ids=["power", "evolve"])
+def test_fractional_powers_and_zz_products_stay_on_one_blas_thread(tmp_path, monkeypatch, u_spec):
+    """otoc-trace at the Feistel shape n = 17, k = 6 with fractional t: every
+    complex product that unitary_power (or evolve, for spin-SYK) and the ZZ
+    kernel make is at most pool.COMPLEX_BLAS_SERIAL_SIZE multiply-adds and
+    every real one at most pool.BLAS_SERIAL_SIZE, so no OpenBLAS thread
+    wakes beside the pool's."""
+    shapes = {np.dtype(np.float64): [], np.dtype(np.complex128): []}
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b, out):
+            shapes[out.dtype].append((a.shape[-2], a.shape[-1], b.shape[-1]))
+            return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(subsystem, "np", CountedNumpy())
+    monkeypatch.setattr(otoc, "np", CountedNumpy())
+    cfg = {"experiment": "otoc-trace", "n": 17, "k": 6, "sites": [0, 16], "ensemble": 1, "t_grid": [0.5, 1.0, 1.5], "u_spec": u_spec}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["otoc-trace", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    real, complex_ = shapes.values()
+    assert max(map(np.prod, real), default=0) <= pool.BLAS_SERIAL_SIZE
+    assert max(map(np.prod, complex_)) == pool.COMPLEX_BLAS_SERIAL_SIZE
+    assert (8, 64, 64) in complex_ and (32, 32, 32) in complex_  # a gate's row slice and a Gram product
+    assert bool(real) == (u_spec["type"] == "random_sign_hadamard")  # its t = 1 gate is real

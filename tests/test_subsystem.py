@@ -177,6 +177,24 @@ def test_unitary_power_paths_agree_random_sign_hadamard():
             assert np.max(np.abs(a - b)) < 1e-8
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_sliced_fractional_power_equals_one_product(k):
+    """The fractional power, in row slices at K <= 64, equals the one
+    product (z e^{i theta t}) z^dagger bit for bit, for random-sign gates
+    and for the Hadamard layer, whose -1 eigenspace is degenerate; so does
+    the evolution e^{-iht} of a spin-SYK Hamiltonian, the same product."""
+    for u in (hadamard_layer(k), random_sign_hadamard(k, RngSeed(44, k)), random_sign_hadamard(k, RngSeed(45, k))):
+        theta, z = subsystem._unitary_eigh(u)
+        for t in (0.25, 0.5, 1.5, 3.5):
+            one = (z * np.exp(1j * theta * t)[None, :]) @ z.conj().T
+            assert unitary_power(u, t).matrix.tobytes() == one.tobytes()
+    if k >= 2:
+        h = pauli_syk(k, RngSeed(46, k))
+        for t in (0.25, 0.5, 1.5, 3.5):
+            one = (h.eigenvectors * np.exp(-1j * h.eigenvalues * t)[None, :]) @ h.eigenvectors.conj().T
+            assert evolve(h, t).matrix.tobytes() == one.tobytes()
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: random_sign_hadamard(6, RngSeed(43)), lambda: hadamard_layer(6)],
