@@ -20,7 +20,6 @@ from .subsystem import (
     SubUnitary,
     evolve,
     hadamard_layer,
-    hadamard_sign_columns,
     hadamard_sign_power,
     parent_hamiltonian,
     pauli_syk,
@@ -50,7 +49,6 @@ from .prs import (
     entanglement_entropy,
     hybrid3_state,
     mixture,
-    subset_phase_state,
     trace_distance,
 )
 from .circuits import (

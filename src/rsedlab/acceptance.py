@@ -365,13 +365,14 @@ def criterion_11() -> CriterionResult:
 def criterion_12() -> CriterionResult:
     n, k = 10, 5
     shape = SystemShape(n, k)
+    u = hadamard_layer(k)
     worst_exact = 0.0
     passes = 0
     trials = 100
     for s in range(trials):
         p = sample_permutation(shape, RngSeed(0xC1, s))
-        f = sample_sign_function(shape, RngSeed(0xC2, s))
-        c0, c1 = coherence_trial(p, f, s % shape.num_seeds, shape)
+        op = RsedOperator(shape, p, sample_sign_function(shape, RngSeed(0xC2, s)), u)
+        c0, c1 = coherence_trial(*evolve_basis_state(op, p.permute(join(0, s % shape.num_seeds, shape))), n)
         worst_exact = max(worst_exact, abs(c0 - k * np.log(2.0)))
         passes += int(c1 >= (n / 4.0) * np.log(2.0))
     ok = worst_exact <= 1e-9 and passes >= 95

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bitcore import SystemShape
+from .bitcore import SystemShape, join
 from .circuits import DEFAULT_GATE_SEED, build_manifest, serialize, simulate_circuit, synthesize_rsed_circuit
 from .otoc import (
     _fourth_power_sum,
@@ -38,7 +38,7 @@ from .pool import _ordered_map
 from .prs import coherence_trial, design_variance_condition, element_condition_check
 from .randomness import sample_permutation, sample_sign_function, save_permutation
 from .rng import RngSeed
-from .rsed import RsedOperator, dense_matrix
+from .rsed import RsedOperator, dense_matrix, evolve_basis_state
 from .spectra import ks_distance, level_spacing_stats, spectral_form_factor
 from .subsystem import (
     MAX_SUB_QUBITS,
@@ -131,6 +131,9 @@ class ExperimentConfig:
                 raise ConfigError(f"n_list {self.n_list} needs at least 3 strictly increasing entries")
         if not scaling and self.u_spec.get("type") not in ("hadamard", "random_sign_hadamard", "pauli_syk", "identity"):
             raise ConfigError(f"unknown u_spec type {self.u_spec.get('type')!r}")
+        # both embed a Hadamard-sign gate: the circuit synthesizes one, and coherence's k log 2 needs flat columns
+        if self.experiment in ("circuit-emit", "coherence") and self.u_spec["type"] not in ("hadamard", "random_sign_hadamard"):
+            raise ConfigError(f"{self.experiment} supports hadamard / random_sign_hadamard u_specs")
         if self.estimator.get("mode", "exact") not in ("exact", "sampled"):
             raise ConfigError(f"unknown estimator mode {self.estimator.get('mode')!r}")
         if self.experiment == "otoc-trace" and self.estimator.get("mode") == "sampled" and self.ensemble > 5000:
@@ -418,7 +421,8 @@ def run_coherence(cfg: ExperimentConfig, out: Path) -> dict:
 
     def one(r: int) -> tuple[float, float]:
         p, f = _realization(cfg, shape, r)
-        return coherence_trial(p, f, r % shape.num_seeds, shape)
+        op = RsedOperator(shape, p, f, base_gate(cfg, r))
+        return coherence_trial(*evolve_basis_state(op, p.permute(join(0, r % shape.num_seeds, shape))), shape.n)
 
     rows = []
     passes = 0
@@ -439,8 +443,6 @@ def run_coherence(cfg: ExperimentConfig, out: Path) -> dict:
 
 def run_circuit_emit(cfg: ExperimentConfig, out: Path) -> dict:
     shape = SystemShape(cfg.n, cfg.k)
-    if cfg.u_spec["type"] not in ("hadamard", "random_sign_hadamard"):
-        raise ConfigError("circuit-emit supports hadamard / random_sign_hadamard u_specs")
     circuit = synthesize_rsed_circuit(shape, cfg.u_spec, cfg.seed, cfg.seed + 1)
     (out / "circuit.txt").write_text(serialize(circuit))
     manifest = build_manifest(circuit, cfg.u_spec, cfg.seed, cfg.seed + 1)

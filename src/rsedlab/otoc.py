@@ -243,32 +243,22 @@ def otoc_zz_sampled(
     return _otoc_zz(p, f, i, j, gates, num_seeds, seed)
 
 
-def otoc_zz_f_average(u: SubUnitary | Iterable[np.ndarray]) -> float:
+def otoc_zz_f_average(u: SubUnitary) -> float:
     """Ensemble-averaged ZZ OTOC closed form 2**-k sum_{b,b'} |u_{b,b'}|**4.
 
     This is the average over ideally-random subset isometries (independent
-    fair sign bits); see the notes in otoc_zz_f_variance_hadamard.  u is a
-    SubUnitary, or an iterable of the column blocks of one, left to right
-    (hadamard_sign_columns(k, seed, t) never forms the K x K matrix); each
-    block is read in full before the next is requested, so an iterable may
-    reuse one buffer.  The sum runs block by block, a
-    SubUnitary in the blocks of column_batches(k), so a gate and its column
-    batches give the same float bit for bit; for k <= 8 that is one block.
-    Every block must have the shape of the first (column_batches gives one
-    width per gate), so one buffer, allocated from the first block, holds
-    the fourth powers (_fourth_power_sum).
+    fair sign bits); see the notes in otoc_zz_f_variance_hadamard.  The sum
+    runs block by block over column_batches(k), left to right, with the
+    fourth powers of each block in one reused buffer (_fourth_power_sum);
+    for k <= 8 that is one block.  cli.hadamard_sign_f_average sums the
+    same blocks without forming the gate, so the two agree bit for bit.
     """
-    blocks = u
-    if isinstance(u, SubUnitary):
-        blocks = (u.matrix[:, cols.start : cols.stop] for cols in column_batches(u.k))
-    total, mags = 0.0, None
-    for block in blocks:
-        if mags is None:
-            mags = np.empty(block.shape)
-        elif block.shape != mags.shape:  # a (K, 1) block would broadcast into the buffer
-            raise ValueError(f"column blocks must share one shape, got {block.shape} after {mags.shape}")
-        total += _fourth_power_sum(block, mags)
-    return total / mags.shape[0]
+    batches = column_batches(u.k)
+    mags = np.empty((u.dim, len(batches[0])))
+    total = 0.0
+    for cols in batches:
+        total += _fourth_power_sum(u.matrix[:, cols.start : cols.stop], mags)
+    return total / u.dim
 
 
 def _fourth_power_sum(block: np.ndarray, out: np.ndarray) -> float:

@@ -1,8 +1,11 @@
-"""Pseudorandom-state diagnostics: coherence, subset-phase states, type-state
+"""Pseudorandom-state diagnostics: coherence of RSED states, type-state
 mixtures on K**t dimensions, trace distance and design-condition checks.
 
-Density matrices are plain complex arrays: mixture and hybrid3_state make
-them, and trace_distance compares two of them."""
+The states are RSED states U|x> as rsed.evolve_basis_state returns them.
+With u = H^{tensor k}, U|p(join(0, a))> is, up to a global sign, the
+binary-phase subset state 2**(-k/2) sum_b (-1)^{f(join(b, a))}
+|p(join(b, a))>.  Density matrices are plain complex arrays: mixture and
+hybrid3_state make them, and trace_distance compares two of them."""
 
 from __future__ import annotations
 
@@ -11,10 +14,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .bitcore import SystemShape, join
-from .circuits import GateCircuit, simulate_circuit
-from .randomness import SignFunction, SubsetPermutation
-from .subsystem import SubUnitary
+from .subsystem import SubUnitary, _walsh_hadamard
 
 TCOPY_MAX_QUBITS = 16  # dense t-copy algebra capped at dimension 2**16
 
@@ -24,20 +24,6 @@ def mixture(states: np.ndarray) -> np.ndarray:
     states = np.asarray(states, dtype=np.complex128)
     weights = np.full(states.shape[0], 1.0 / states.shape[0])
     return (states.T * weights[None, :]) @ states.conj()
-
-
-def subset_phase_state(
-    p: SubsetPermutation, f: SignFunction, a: int, shape: SystemShape
-) -> np.ndarray:
-    """The 2**n amplitudes of psi = 2**(-k/2) sum_b (-1)^{f(join(b,a))} |p(join(b,a))>."""
-    if not 0 <= a < shape.num_seeds:
-        raise ValueError(f"seed {a} out of range [0, {shape.num_seeds})")
-    xs = np.array([join(b, a, shape) for b in range(shape.subdim)], dtype=np.uint32)
-    pos = p.forward_array(xs)
-    sg = 1.0 - 2.0 * f.sign_array(xs).astype(np.float64)
-    amps = np.zeros(shape.dim, dtype=np.complex128)
-    amps[pos] = sg / np.sqrt(shape.subdim)
-    return amps
 
 
 def _shannon(probs: np.ndarray) -> float:
@@ -111,12 +97,15 @@ def element_condition_check(u: SubUnitary) -> float:
     return float(exceed.mean(axis=0).max())
 
 
-def coherence_trial(p: SubsetPermutation, f: SignFunction, a: int, shape: SystemShape) -> tuple[float, float]:
-    """(c0, c1) in nats: the coherence of the subset-phase state of seed a,
-    which is exactly k log 2, and that after a Hadamard on every qubit."""
-    psi = subset_phase_state(p, f, a, shape)
-    layer = GateCircuit(shape.n, tuple(("H", q) for q in range(shape.n)))
-    return coherence_rel_entropy(psi), coherence_rel_entropy(simulate_circuit(layer, psi))
+def coherence_trial(pos: np.ndarray, amps: np.ndarray, n: int) -> tuple[float, float]:
+    """(c0, c1) in nats for a state on n qubits given as the sparse pairs
+    (pos, amps) of rsed.evolve_basis_state: its coherence, exactly k log 2
+    for U|x> of a gate with flat columns such as H^{tensor k} P, and that
+    after a Hadamard on every qubit, one Walsh-Hadamard transform of the
+    dense (2**n, 1) amplitudes."""
+    psi = np.zeros((1 << n, 1), dtype=amps.dtype)
+    psi[pos, 0] = amps
+    return coherence_rel_entropy(amps), coherence_rel_entropy(_walsh_hadamard(psi, np.empty_like(psi)))
 
 
 def entanglement_entropy(psi: np.ndarray, cut) -> float:

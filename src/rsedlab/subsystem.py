@@ -415,8 +415,8 @@ def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def column_batches(k: int) -> list[range]:
-    """The column ranges, left to right, in which hadamard_sign_columns yields
-    a K x K gate (K = 2**k) and otoc_zz_f_average sums it: w =
+    """The column ranges, left to right, in which _hadamard_sign_builder
+    builds a K x K gate (K = 2**k) and otoc_zz_f_average sums it: w =
     2**min(k, _F_BATCH_BITS - k) columns each, a power of two that divides
     K, so every batch is an aligned range(lo, lo + w), lo a multiple of w;
     K**2 <= 2**_F_BATCH_BITS (k <= 8) is one batch and k = 12 is 128
@@ -424,21 +424,6 @@ def column_batches(k: int) -> list[range]:
     _check_k(k)
     w = 1 << min(k, _F_BATCH_BITS - k)
     return [range(lo, lo + w) for lo in range(0, 1 << k, w)]
-
-
-def hadamard_sign_columns(k: int, seed: RngSeed, t: int):
-    """Yield the columns of (H^{tensor k} P)^t, P = diag(s), integer t >= 0,
-    one real (K, w) array per range of column_batches(k), left to right.
-
-    The signs are drawn once per gate, and the batch and its transform
-    scratch are allocated once per gate and reused: a yielded array is
-    overwritten when the next one is requested, so copy what must outlive
-    that.  k and t are checked, and the signs drawn, on the call.
-    """
-    build = _hadamard_sign_builder(k, seed, t)
-    batches = column_batches(k)
-    bufs = [np.empty((1 << k, len(batches[0]))) for _ in range(2)]
-    return (build(cols, *bufs) for cols in batches)
 
 
 def _hadamard_sign_builder(k: int, seed: RngSeed, t: int):
@@ -490,10 +475,12 @@ def _hadamard_sign_builder(k: int, seed: RngSeed, t: int):
 
 def hadamard_sign_power(k: int, seed: RngSeed, t: int) -> SubUnitary:
     """(H^{tensor k} P)^t for integer t >= 0 as a real gate, assembled from
-    the batches of hadamard_sign_columns over column_batches(k), so each
-    column is bit for bit the one the matrix-free f-average reads."""
-    blocks = hadamard_sign_columns(k, seed, t)  # checks t before the K x K allocation
+    the batches _hadamard_sign_builder writes over column_batches(k), so
+    each column is bit for bit the one the matrix-free f-average reads."""
+    build = _hadamard_sign_builder(k, seed, t)  # checks k and t before the K x K allocation
+    batches = column_batches(k)
+    bufs = [np.empty((1 << k, len(batches[0]))) for _ in range(2)]
     m = np.empty((1 << k, 1 << k))
-    for cols, block in zip(column_batches(k), blocks):
-        m[:, cols.start : cols.stop] = block
+    for cols in batches:
+        m[:, cols.start : cols.stop] = build(cols, *bufs)
     return _trusted(k, m)

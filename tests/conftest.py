@@ -1,6 +1,7 @@
 import hypothesis
 import numpy as np
 
+from rsedlab.bitcore import join
 from rsedlab.randomness import FeistelSpec, SignFunction, SubsetPermutation
 from rsedlab.rng import WordStream, fisher_yates
 
@@ -14,6 +15,15 @@ def basis_state(dim, x):
     """The one-hot amplitudes of |x> in dimension dim."""
     amps = np.zeros(dim, dtype=np.complex128)
     amps[x] = 1.0
+    return amps
+
+
+def subset_phase_state(p, f, a, shape) -> np.ndarray:
+    """Oracle: the binary-phase subset state 2**(-k/2) sum_b
+    (-1)^{f(join(b, a))} |p(join(b, a))>, built from its formula."""
+    xs = np.array([join(b, a, shape) for b in range(shape.subdim)], dtype=np.uint32)
+    amps = np.zeros(shape.dim)
+    amps[p.forward_array(xs)] = (1.0 - 2.0 * f.sign_array(xs)) / np.sqrt(shape.subdim)
     return amps
 
 

@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 
 import rsedlab
+from conftest import subset_phase_state
 from rsedlab import __version__, subsystem
-from rsedlab.cli import ConfigError, ExperimentConfig, base_gate, load_config, main
+from rsedlab.bitcore import SystemShape
+from rsedlab.circuits import GateCircuit, simulate_circuit
+from rsedlab.cli import ConfigError, ExperimentConfig, _realization, base_gate, load_config, main
+from rsedlab.prs import coherence_rel_entropy
 from rsedlab.spectra import spectral_form_factor
 from rsedlab.subsystem import parent_hamiltonian, parent_spectrum
 
@@ -285,8 +289,12 @@ def test_coherence_driver(tmp_path):
     assert summary["max_dev"] <= 1e-9
     assert summary["expected_nats"] == pytest.approx(4 * np.log(2))
     _, rows = read_csv_rows(tmp_path / "coherence.csv")
-    for row in rows:
+    # row r reads U|p(join(0, r))>, the subset-phase state of seed r up to sign
+    shape, layer = SystemShape(8, 4), GateCircuit(8, tuple(("H", q) for q in range(8)))
+    for r, row in enumerate(rows):
         assert float(row[1]) == pytest.approx(4 * np.log(2), abs=1e-9)
+        psi = subset_phase_state(*_realization(ExperimentConfig(**cfg), shape, r), r, shape)
+        assert float(row[2]) == pytest.approx(coherence_rel_entropy(simulate_circuit(layer, psi)), abs=1e-12)
 
 
 def test_circuit_emit_driver(tmp_path):
@@ -320,6 +328,20 @@ def test_circuit_emit_names_only_a_written_sidecar(tmp_path, n, sidecar):
     assert main(["circuit-emit", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert json.loads((out / "circuit_summary.json").read_text())["sidecar"] == sidecar
     assert (out / "perm0.rsedperm").exists() == (sidecar is not None)
+
+
+@pytest.mark.parametrize("experiment", ["circuit-emit", "coherence"])
+@pytest.mark.parametrize("kind", ["identity", "pauli_syk"])
+def test_drivers_of_hadamard_sign_gates_reject_other_gates(tmp_path, capsys, experiment, kind):
+    """circuit-emit synthesizes only Hadamard-sign gates, and coherence's
+    k log 2 holds for their flat columns: another u_spec is one config error
+    line and exit 2, before the output directory is made."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "n": 6, "k": 3, "u_spec": {"type": kind, "seed": 2}}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {experiment} supports hadamard / random_sign_hadamard u_specs\n"
+    assert not out.exists()
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -593,12 +615,37 @@ def test_otoc_trace_maps_positions_once_per_chunk_and_gate_group(tmp_path, monke
     assert len(mapped) == cfg["ensemble"] * 3 * (22 if mode == "exact" else 14)
 
 
-_TRACE_RUN = """
-import sys
+_DRIVER_RUN = """
+import json, sys
 sys.path.insert(0, sys.argv[1])
 from rsedlab.cli import main
-sys.exit(main(["otoc-trace", "--config", sys.argv[2], "--out", sys.argv[3], "--threads", sys.argv[4]]))
+experiment = json.load(open(sys.argv[2]))["experiment"]
+sys.exit(main([experiment, "--config", sys.argv[2], "--out", sys.argv[3], "--threads", sys.argv[4]]))
 """
+
+
+def _csvs_across_threads(tmp_path, cfg: dict, csv_name: str, settings) -> set[bytes]:
+    """The bytes of csv_name from cfg's driver run under each
+    (OPENBLAS_NUM_THREADS, --threads) pair of settings, one fresh process
+    per run, since OpenBLAS reads the variable when it loads."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(rsedlab.__file__).resolve().parents[1])
+    outs = {(blas, threads): tmp_path / f"blas{blas}-threads{threads}" for blas, threads in settings}
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _DRIVER_RUN, src, str(cfg_path), str(out), str(threads)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": str(blas)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for (blas, threads), out in outs.items()
+    ]
+    errs = [run.communicate(timeout=120)[1] for run in runs]
+    assert all(run.returncode == 0 for run in runs), errs
+    return {(out / csv_name).read_bytes() for out in outs.values()}
+
+
+_BLAS_AND_DRIVER_THREADS = [(blas, threads) for blas in (1, 2) for threads in (1, 2)]
 
 
 @pytest.mark.parametrize(
@@ -609,25 +656,9 @@ sys.exit(main(["otoc-trace", "--config", sys.argv[2], "--out", sys.argv[3], "--t
 def test_otoc_trace_csv_is_independent_of_blas_and_driver_threads(tmp_path, shape):
     """Integer t only: otoc_trace.csv is the same bytes under
     OPENBLAS_NUM_THREADS 1 and 2 crossed with --threads 1 and 2, at a table
-    shape whose K = 256 Gram products OpenBLAS threads and at a Feistel one.
-    One fresh process per run, since OpenBLAS reads the variable when it
-    loads."""
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"experiment": "otoc-trace", "ensemble": 2, "t_grid": [0, 1, 2, 3, 4], **shape}))
-    src = str(Path(rsedlab.__file__).resolve().parents[1])
-    outs = {(blas, threads): tmp_path / f"blas{blas}-threads{threads}" for blas in (1, 2) for threads in (1, 2)}
-    runs = [
-        subprocess.Popen(
-            [sys.executable, "-c", _TRACE_RUN, src, str(cfg_path), str(out), str(threads)],
-            env={**os.environ, "OPENBLAS_NUM_THREADS": str(blas)},
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        for (blas, threads), out in outs.items()
-    ]
-    errs = [run.communicate(timeout=120)[1] for run in runs]
-    assert all(run.returncode == 0 for run in runs), errs
-    csvs = {(out / "otoc_trace.csv").read_bytes() for out in outs.values()}
-    assert len(csvs) == 1
+    shape whose K = 256 Gram products OpenBLAS threads and at a Feistel one."""
+    cfg = {"experiment": "otoc-trace", "ensemble": 2, "t_grid": [0, 1, 2, 3, 4], **shape}
+    assert len(_csvs_across_threads(tmp_path, cfg, "otoc_trace.csv", _BLAS_AND_DRIVER_THREADS)) == 1
 
 
 @pytest.mark.parametrize("u_spec", [{"type": "random_sign_hadamard", "seed": 3}, {"type": "hadamard"}], ids=["random_sign_hadamard", "hadamard"])
@@ -635,24 +666,18 @@ def test_fractional_otoc_trace_csv_is_independent_of_blas_threads(tmp_path, u_sp
     """Fractional t at the Feistel shape n = 17, k = 6 (K = 64): the Schur
     forms, and so the powers and otoc_trace.csv, are the same bytes under
     OPENBLAS_NUM_THREADS 1 and 2, for random-sign gates and for the Hadamard
-    layer, whose -1 eigenspace is degenerate.  One fresh process per run."""
-    cfg_path = tmp_path / "cfg.json"
-    cfg = {"experiment": "otoc-trace", "n": 17, "k": 6, "sites": [0, 16], "ensemble": 2, "t_grid": [0.25, 0.5, 1.5, 3.5]}
-    cfg_path.write_text(json.dumps({**cfg, "u_spec": u_spec}))
-    src = str(Path(rsedlab.__file__).resolve().parents[1])
-    outs = {blas: tmp_path / f"blas{blas}" for blas in (1, 2)}
-    runs = [
-        subprocess.Popen(
-            [sys.executable, "-c", _TRACE_RUN, src, str(cfg_path), str(out), "1"],
-            env={**os.environ, "OPENBLAS_NUM_THREADS": str(blas)},
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        )
-        for blas, out in outs.items()
-    ]
-    errs = [run.communicate(timeout=120)[1] for run in runs]
-    assert all(run.returncode == 0 for run in runs), errs
-    csvs = {(out / "otoc_trace.csv").read_bytes() for out in outs.values()}
-    assert len(csvs) == 1
+    layer, whose -1 eigenspace is degenerate."""
+    cfg = {"experiment": "otoc-trace", "n": 17, "k": 6, "sites": [0, 16], "ensemble": 2, "t_grid": [0.25, 0.5, 1.5, 3.5], "u_spec": u_spec}
+    assert len(_csvs_across_threads(tmp_path, cfg, "otoc_trace.csv", [(1, 1), (2, 1)])) == 1
+
+
+def test_coherence_csv_is_independent_of_blas_and_driver_threads(tmp_path):
+    """coherence.csv at n = 16, k = 6 is the same bytes under
+    OPENBLAS_NUM_THREADS 1 and 2 crossed with --threads 1 and 2: the
+    Hadamard layer is _walsh_hadamard, whose products all stay under
+    pool.BLAS_SERIAL_SIZE."""
+    cfg = {"experiment": "coherence", "n": 16, "k": 6, "ensemble": 4}
+    assert len(_csvs_across_threads(tmp_path, cfg, "coherence.csv", _BLAS_AND_DRIVER_THREADS)) == 1
 
 
 _SCIPY_PROBE = """

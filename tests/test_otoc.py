@@ -144,10 +144,6 @@ def test_f_average_examples():
     for k in range(2, 9):
         assert abs(otoc_zz_f_average(hadamard_layer(k)) - 2.0**-k) < 1e-12
     assert otoc_zz_f_average(SubUnitary(3, np.eye(8, dtype=complex))) == pytest.approx(1.0)
-    eye = np.eye(8)
-    assert otoc_zz_f_average([eye[:, :4], eye[:, 4:]]) == 1.0
-    with pytest.raises(ValueError, match="one shape"):
-        otoc_zz_f_average([eye[:, :4], eye[:, 4:5]])
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 4])

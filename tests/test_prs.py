@@ -4,8 +4,9 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from conftest import identity_permutation, zero_sign_function
-from rsedlab.bitcore import SystemShape
+from conftest import identity_permutation, subset_phase_state, zero_sign_function
+from rsedlab.bitcore import SystemShape, join
+from rsedlab.circuits import GateCircuit, simulate_circuit
 from rsedlab.otoc import otoc_pauli_dense
 from rsedlab.prs import (
     coherence_rel_entropy,
@@ -15,14 +16,13 @@ from rsedlab.prs import (
     entanglement_entropy,
     hybrid3_state,
     mixture,
-    subset_phase_state,
     trace_distance,
 )
 from rsedlab.randomness import sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.bitcore import PauliString, pauli_action
-from rsedlab.rsed import dense_matrix
-from rsedlab.subsystem import hadamard_layer, hadamard_sign_power, random_sign_hadamard
+from rsedlab.rsed import RsedOperator, dense_matrix, evolve_basis_state
+from rsedlab.subsystem import _walsh_hadamard, hadamard_layer, hadamard_sign_power, random_sign_hadamard, unitary_power
 
 LN2 = np.log(2.0)
 
@@ -52,6 +52,21 @@ def sym_projector_state(d: int, t: int) -> np.ndarray:
     return proj / np.trace(proj)
 
 
+def seed_state(p, f, u, a, shape):
+    """The sparse pairs of U|p(join(0, a))>, as the coherence driver reads them."""
+    return evolve_basis_state(RsedOperator(shape, p, f, u), p.permute(join(0, a, shape)))
+
+
+def dense(pos, amps, shape) -> np.ndarray:
+    psi = np.zeros(shape.dim, dtype=amps.dtype)
+    psi[pos] = amps
+    return psi
+
+
+def hadamard_circuit(n: int) -> GateCircuit:
+    return GateCircuit(n, tuple(("H", q) for q in range(n)))
+
+
 def test_subset_phase_state_basics():
     shape = SystemShape(6, 4)
     p = sample_permutation(shape, RngSeed(1))
@@ -61,12 +76,54 @@ def test_subset_phase_state_basics():
     support = np.abs(psi) > 1e-14
     assert support.sum() == shape.subdim
     assert coherence_rel_entropy(psi) == pytest.approx(shape.k * LN2, abs=1e-9)
+    c0, _ = coherence_trial(*seed_state(p, f, hadamard_layer(shape.k), 2, shape), shape.n)
+    assert c0 == pytest.approx(shape.k * LN2, abs=1e-9)
 
 
 def test_subset_phase_state_full_k_uniform():
     shape = SystemShape(3, 3)
-    psi = subset_phase_state(identity_permutation(shape), zero_sign_function(shape), 0, shape)
-    assert np.allclose(psi, 1 / np.sqrt(8))
+    p, f = identity_permutation(shape), zero_sign_function(shape)
+    assert np.allclose(subset_phase_state(p, f, 0, shape), 1 / np.sqrt(8))
+    assert np.allclose(dense(*seed_state(p, f, hadamard_layer(3), 0, shape), shape), 1 / np.sqrt(8))
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (10, 4), (10, 5), (12, 6)])
+def test_subset_phase_state_is_the_rsed_state_of_a_hadamard_sign_gate(n, k):
+    """With u = H^{tensor k} or H^{tensor k} P, U|p(join(0, a))> is the
+    subset-phase state of seed a up to a global sign, so the coherence
+    driver reads it from evolve_basis_state."""
+    shape = SystemShape(n, k)
+    for s in range(8):
+        p = sample_permutation(shape, RngSeed(41, s))
+        f = sample_sign_function(shape, RngSeed(42, s))
+        a = (7 * s) % shape.num_seeds
+        want = subset_phase_state(p, f, a, shape)
+        for u in (hadamard_layer(k), random_sign_hadamard(k, RngSeed(43, s))):
+            psi = dense(*seed_state(p, f, u, a, shape), shape)
+            assert np.max(np.abs(psi - np.sign(psi @ want) * want)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [4, 10, 16])
+def test_walsh_hadamard_matches_the_circuit_h_layer(n):
+    """coherence_trial's Hadamard layer, one _walsh_hadamard of the dense
+    (2**n, 1) amplitudes, against simulate_circuit of one H per qubit."""
+    psi = WordStream(RngSeed(44, n)).standard_normal(1 << n).reshape(-1, 1)
+    want = simulate_circuit(hadamard_circuit(n), psi[:, 0])
+    got = _walsh_hadamard(psi.copy(), np.empty_like(psi))[:, 0]
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_coherence_trial_matches_the_circuit_layer_for_real_and_complex_gates():
+    shape = SystemShape(8, 4)
+    p = sample_permutation(shape, RngSeed(45, 1))
+    f = sample_sign_function(shape, RngSeed(45, 2))
+    u = random_sign_hadamard(4, RngSeed(45, 3))
+    for gate in (u, unitary_power(u, 0.5)):
+        pos, amps = seed_state(p, f, gate, 5, shape)
+        psi = dense(pos, amps, shape)
+        c0, c1 = coherence_trial(pos, amps, shape.n)
+        assert c0 == pytest.approx(coherence_rel_entropy(psi), abs=1e-12)
+        assert c1 == pytest.approx(coherence_rel_entropy(simulate_circuit(hadamard_circuit(shape.n), psi)), abs=1e-12)
 
 
 def test_coherence_examples():
@@ -180,7 +237,7 @@ def test_coherence_enhancement_after_hadamard_layer():
     for s in range(20):
         p = sample_permutation(shape, RngSeed(10, s))
         f = sample_sign_function(shape, RngSeed(11, s))
-        _, c1 = coherence_trial(p, f, 0, shape)
+        _, c1 = coherence_trial(*seed_state(p, f, hadamard_layer(k), 0, shape), n)
         if c1 >= 0.25 * n * LN2:
             passes += 1
     assert passes >= 19
@@ -189,10 +246,7 @@ def test_coherence_enhancement_after_hadamard_layer():
 def test_otoc_invariant_under_onsite_layer():
     """For U' = L U with L a tensor product of single-site gates,
     O(U', V, W) = O(U, L^dag V L, W); checked dense with L a T layer."""
-    from rsedlab.circuits import GateCircuit, simulate_circuit
     from rsedlab.randomness import sample_permutation as sp, sample_sign_function as sf
-    from rsedlab.rsed import RsedOperator
-
     n, k = 6, 3
     shape = SystemShape(n, k)
     op = RsedOperator(shape, sp(shape, RngSeed(12)), sf(shape, RngSeed(13)), random_sign_hadamard(k, RngSeed(14)))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import backend_permutation, basis_state, identity_permutation, zero_sign_function
 from rsedlab.bitcore import PauliString, SystemShape, pauli_action
-from rsedlab.prs import subset_phase_state
 from rsedlab.randomness import sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import RsedOperator, apply, dense_matrix, evolve_basis_state
@@ -210,8 +209,9 @@ def test_shape_mismatch_errors():
 
 def test_apply_takes_a_state_built_at_another_k():
     """A state is 2**n amplitudes, whatever subsystem size made it: a k = 5
-    subset-phase state goes through a k = 4 operator on the same 10 qubits."""
-    shape = SystemShape(10, 5)
-    psi = subset_phase_state(sample_permutation(shape, RngSeed(39, 1)), sample_sign_function(shape, RngSeed(39, 2)), 3, shape)
+    RSED state U|x> goes through a k = 4 operator on the same 10 qubits."""
+    pos, amps = evolve_basis_state(random_operator(10, 5, 39), 3)
+    psi = np.zeros(1 << 10, dtype=np.complex128)
+    psi[pos] = amps
     op = random_operator(10, 4, 40)
     assert np.max(np.abs(apply(op, psi) - dense_matrix(op) @ psi)) < 1e-12

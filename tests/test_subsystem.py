@@ -9,11 +9,11 @@ from rsedlab.rng import RngSeed, WordStream
 from rsedlab.subsystem import (
     SubHamiltonian,
     SubUnitary,
+    _hadamard_sign_builder,
     _walsh_hadamard,
     column_batches,
     evolve,
     hadamard_layer,
-    hadamard_sign_columns,
     hadamard_sign_power,
     identity_gate,
     parent_hamiltonian,
@@ -298,7 +298,7 @@ def test_hadamard_sign_power_transform_count(monkeypatch, t):
         return _walsh_hadamard(a, scratch)
 
     monkeypatch.setattr(subsystem, "_walsh_hadamard", counted)
-    list(hadamard_sign_columns(7, RngSeed(54), t))
+    hadamard_sign_power(7, RngSeed(54), t)
     assert shapes == ([(128, 128)] * t if t < 2 else [(128, 1)] + [(128, 128)] * (t - 2))
 
 
@@ -347,7 +347,7 @@ def test_hadamard_sign_power_needs_an_integer_t(t):
     with pytest.raises(ValueError, match="t must be an integer"):
         hadamard_sign_power(3, RngSeed(52), t)
     with pytest.raises(ValueError, match="t must be an integer"):
-        hadamard_sign_columns(3, RngSeed(52), t)
+        _hadamard_sign_builder(3, RngSeed(52), t)
     with pytest.raises(ValueError, match="t must be an integer"):
         hadamard_sign_f_average(3, RngSeed(52), t)
 
@@ -355,7 +355,8 @@ def test_hadamard_sign_power_needs_an_integer_t(t):
 def test_hadamard_sign_power_columns():
     seed = RngSeed(53)
     u = hadamard_sign_power(6, seed, np.int64(3))
-    (batch,) = hadamard_sign_columns(6, seed, 3)
+    (cols,) = column_batches(6)
+    batch = _hadamard_sign_builder(6, seed, 3)(cols, np.empty((64, 64)), np.empty((64, 64)))
     assert batch.shape == (64, 64) and batch.dtype == np.float64
     assert np.array_equal(batch, u.matrix)
     with pytest.raises(ValueError, match=">= 0"):
@@ -364,8 +365,8 @@ def test_hadamard_sign_power_columns():
 
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_xor_tile_equals_the_per_entry_gather(t):
-    """Every batch of column_batches(k), k = 1..12, which the generator
-    builds from one XOR tile, against the per-entry gather
+    """Every batch of column_batches(k), k = 1..12, which the builder
+    makes from one XOR tile, against the per-entry gather
     (H P)^2 e_c = s_c g[b ^ c] / sqrt(K) with g = H s, then t - 2 steps of
     signs * m -> H m, bit for bit."""
     for k in range(1, 13):
@@ -374,7 +375,10 @@ def test_xor_tile_equals_the_per_entry_gather(t):
         g = _walsh_hadamard(signs.reshape(K, 1).copy(), np.empty((K, 1))).reshape(K)
         batches = column_batches(k)
         assert [c for b in batches for c in b] == list(range(K))
-        for cols, batch in zip(batches, hadamard_sign_columns(k, seed, t), strict=True):
+        build = _hadamard_sign_builder(k, seed, t)
+        bufs = [np.empty((K, len(batches[0]))) for _ in range(2)]
+        for cols in batches:
+            batch = build(cols, *bufs)
             c = np.array(cols)
             m = g[np.bitwise_xor.outer(np.arange(K), c)] * (signs[c] / np.sqrt(K))
             for _ in range(t - 2):
