@@ -34,7 +34,7 @@ from .otoc import (
     otoc_zz_sampled,
     poisson_bracket,
 )
-from .pool import _ordered_map
+from .pool import _ordered_map, one_blas_thread
 from .prs import coherence_trial, design_variance_condition, element_condition_check
 from .randomness import sample_permutation, sample_sign_function, save_permutation
 from .rng import RngSeed
@@ -524,24 +524,25 @@ def main(argv=None) -> int:
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.command, args)
-        out = Path(cfg.out)
+    with one_blas_thread():  # the pool owns the cores; numpy's BLAS never threads
         try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # a file where the directory or one of its parents should be
-            print(f"error: cannot make output directory: {exc}", file=sys.stderr)
+            cfg = load_config(args.command, args)
+            out = Path(cfg.out)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # a file where the directory or one of its parents should be
+                print(f"error: cannot make output directory: {exc}", file=sys.stderr)
+                return 2
+            if args.command == "verify":
+                return run_verify(cfg, out)
+            _DRIVERS[args.command](cfg, out)
+            return 0
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
             return 2
-        if args.command == "verify":
-            return run_verify(cfg, out)
-        _DRIVERS[args.command](cfg, out)
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # input the library rejects, found inside a driver
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except ValueError as exc:  # input the library rejects, found inside a driver
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

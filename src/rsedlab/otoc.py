@@ -117,12 +117,10 @@ def _zz_chunk_traces(op: RsedOperator, gates: list[np.ndarray], i: int, j: int, 
     The gather index, and per gate dtype W, W^dag and the Gram matrix, live
     in buffers of chunk * (K/2)**2 entries made once per pass (and per
     worker); a chunk of c seeds and padding m works in their (c, m, m)
-    views.  Where one Gram product, (K/2)**3 multiply-adds, is at most
-    pool.COMPLEX_BLAS_SERIAL_SIZE (pool.zz_chunks_pooled, K <= 64), so that
-    OpenBLAS runs it on one thread for a real or a complex gate, the chunks
-    go to pool._ordered_map's workers; the block positions are
-    computed on the calling thread either way, and the chunks come back in
-    order, so no value depends on the worker count.
+    views.  Where pool.zz_chunks_pooled(K) (K <= 64) the chunks go to
+    pool._ordered_map's workers; the block positions are computed on the
+    calling thread either way, and the chunks come back in order, so no
+    value depends on the worker count.
     """
     K = op.shape.subdim
     padded = [_zero_padded(u) for u in gates]

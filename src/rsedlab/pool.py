@@ -1,41 +1,86 @@
-"""An ordered thread pool for the independent work items of one kernel call.
+"""An ordered thread pool for the independent work items of one kernel
+call, and the one BLAS policy: BLAS never threads, this module owns the
+cores.
 
 The column-batch f-average and the small-K ZZ trace kernel hand their items
 to _ordered_map, which runs them on WORKERS threads and yields the results
 in item order, so every ordered reduction over them adds the same floats in
 the same order as a serial loop: the outputs do not depend on WORKERS.
-Each item's own arithmetic must stay on one thread too, so its BLAS
-products are kept at most BLAS_SERIAL_SIZE multiply-adds if real and
-COMPLEX_BLAS_SERIAL_SIZE if complex, which OpenBLAS runs on the calling
-thread.  A larger product wakes OpenBLAS's threads, and they spin for a
-while after it returns, so a product made just before a pool call is kept
-to these sizes as well (subsystem._eigenpath's gates at K <= 64):
-then the pool's threads and BLAS's never stack.
+
+cli.main runs every driver and verify inside one_blas_thread(), which sets
+numpy's OpenBLAS to one thread, so no numpy product or eigensolver threads,
+whatever its size or OPENBLAS_NUM_THREADS, and their outputs do not depend
+on that variable either.  A threaded OpenBLAS call leaves one of its
+threads spinning a full core for about 0.13 s after it returns (2 cores,
+OpenBLAS 0.3.31: 23-28 ms of CPU in each of five successive 25 ms idle
+windows), which a pool pass or the next product would otherwise share its
+cores with.  scipy's separate OpenBLAS copy, which computes the Schur form,
+keeps the environment's thread count.  Library calls made outside cli.main
+run at whatever thread count numpy's BLAS has; wrap them in
+one_blas_thread() for the same policy.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from functools import cache
 from itertools import chain, islice
+from pathlib import Path
+
+import numpy as np
 
 WORKERS = len(os.sched_getaffinity(0))
-# OpenBLAS runs a real GEMM of M * N * K <= 65536 * GEMM_MULTITHREAD_THRESHOLD
-# (4) multiply-adds on one thread, whatever OPENBLAS_NUM_THREADS says (OpenBLAS
-# 0.3.31 on 2 cores: serial up to 2**19, threaded from 2**20).
-BLAS_SERIAL_SIZE = 1 << 18
-# A complex GEMM is threaded from a far smaller size: on the same host 64 x 64
-# x 8 = 2**15 complex multiply-adds run on one thread, 64 x 64 x 16 on two.
-COMPLEX_BLAS_SERIAL_SIZE = 1 << 15
+
+
+@cache
+def _numpy_blas_threads():
+    """(get, set) for the thread count of the OpenBLAS that numpy's wheel
+    bundles in numpy.libs, or None where numpy has no such library (conda,
+    MKL or a system BLAS).  scipy's own OpenBLAS copy, in scipy.libs, is a
+    separate library with its own count and is never matched."""
+    path = next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"), None)
+    if path is None:
+        return None
+    try:
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run numpy's OpenBLAS on one thread inside the block and restore its
+    previous thread count on exit; where that library cannot be found this
+    does nothing."""
+    blas = _numpy_blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def zz_chunks_pooled(K: int) -> bool:
     """Whether the ZZ trace kernel at subsystem dimension K maps its seed
-    chunks over the pool: where one Gram product, (K/2)**3 multiply-adds,
-    runs on the calling thread for a real or a complex gate (K <= 64)."""
-    return (K // 2) ** 3 <= COMPLEX_BLAS_SERIAL_SIZE
+    chunks over the pool: K <= 64.  At K = 256 pooling the chunks gained
+    nothing (trace-deep on 2 cores, one BLAS thread: 0.329 s pooled
+    against 0.315 s inline, medians of 14 fresh processes), and each
+    worker's buffers grow as chunk * (K/2)**2."""
+    return K <= 64
 
 
 def _ordered_map(fn: Callable, items: Iterable, scratch: Callable[[], object], threaded: bool = True) -> Iterator:

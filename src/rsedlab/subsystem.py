@@ -10,7 +10,6 @@ from itertools import combinations
 import numpy as np
 
 from .bitcore import PauliString, pauli_action
-from .pool import COMPLEX_BLAS_SERIAL_SIZE, zz_chunks_pooled
 from .rng import RngSeed, WordStream
 
 MAX_SUB_QUBITS = 12  # dense K x K with K = 2**k capped at 4096
@@ -27,8 +26,11 @@ PHASE_SNAP = 1e-6  # arccos eigenphases this close to 0 or pi are exactly 0 or p
 # 2**17 122 ms, 2**18 135 ms, 2**16 139 ms.  Another width would also move
 # the f-average's last bits, which are summed batch by batch.
 _F_BATCH_BITS = 17
-# Columns per stacked slice of a Walsh-Hadamard factor: a 16 x 16 factor
-# times 512 columns is 2**17 multiply-adds, under pool.BLAS_SERIAL_SIZE.
+# Columns per stacked slice of a Walsh-Hadamard factor: a 16 x 512 float64
+# slice is 64 KiB, so each product works in cache.  At one BLAS thread the
+# scaling curve's f-averages (k = 4, 7, 9, 12 at t = 4, 2 pool workers) took
+# 104-141 ms in 512-column slices against 124-156 ms as one product over the
+# whole axis (medians of 30 calls in 3 alternating fresh processes each).
 _WH_SLICE = 512
 
 
@@ -347,8 +349,7 @@ def unitary_power(u: SubUnitary, t) -> SubUnitary:
 
     theta is np.angle of the Schur diagonal, so for an eigenvalue -1 the
     rounding of that factorization picks +pi or -pi: unlike
-    parent_hamiltonian, this path has no fixed branch.  The product is
-    _eigenpath's, in serial-size slices at K <= 64.
+    parent_hamiltonian, this path has no fixed branch.
     """
     if isinstance(t, (int, np.integer)):
         if t < 0:
@@ -364,23 +365,8 @@ def evolve(h: SubHamiltonian, t: float) -> SubUnitary:
 
 
 def _eigenpath(k: int, v: np.ndarray, phases: np.ndarray) -> SubUnitary:
-    """The gate v diag(phases) v^dagger, for an orthonormal basis v.
-
-    The product is one np.matmul over stacked slices of w rows of the
-    result.  Where the ZZ trace kernel runs its seed chunks on the pool
-    (pool.zz_chunks_pooled, K <= 64), w is pool.COMPLEX_BLAS_SERIAL_SIZE //
-    K**2, at most K: 8 rows at K = 64, so each product runs on the calling
-    thread and leaves no OpenBLAS thread spinning into the pool's pass that
-    follows.  From K = 128 the kernel runs inline and threads its own
-    complex products, so w = K, one product (2-row slices at K = 128 took
-    four times as long).  Every entry sums the same K terms in the same
-    order as one product, so the gate is the same bit for bit.
-    """
-    K = 1 << k
-    w = min(K, COMPLEX_BLAS_SERIAL_SIZE // (K * K)) if zz_chunks_pooled(K) else K
-    m = np.empty((K // w, w, K), dtype=np.complex128)
-    np.matmul((v * phases[None, :]).reshape(K // w, w, K), v.conj().T, out=m)
-    return _trusted(k, m.reshape(K, K))
+    """The gate v diag(phases) v^dagger, for an orthonormal basis v."""
+    return _trusted(k, (v * phases[None, :]) @ v.conj().T)
 
 
 def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -395,10 +381,9 @@ def _walsh_hadamard(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     2**b Hadamard factor with the (2**h, 2**b, rest * cols) view, from one
     buffer into the other, 3 * 16 = 48 multiply-adds per entry at k = 12.
     A last axis that is a multiple of _WH_SLICE (every one longer than that
-    for a power-of-two cols) goes in stacked slices of _WH_SLICE columns, so
-    no product exceeds pool.BLAS_SERIAL_SIZE and OpenBLAS runs each on the
-    calling thread; every entry sums the same 2**b terms in the same order
-    as one product over the whole axis.
+    for a power-of-two cols) goes in stacked slices of _WH_SLICE columns;
+    every entry sums the same 2**b terms in the same order as one product
+    over the whole axis.
     """
     K, cols = a.shape
     k = K.bit_length() - 1

@@ -624,8 +624,8 @@ sys.exit(main([experiment, "--config", sys.argv[2], "--out", sys.argv[3], "--thr
 """
 
 
-def _csvs_across_threads(tmp_path, cfg: dict, csv_name: str, settings) -> set[bytes]:
-    """The bytes of csv_name from cfg's driver run under each
+def _csvs_across_threads(tmp_path, cfg: dict, names: tuple[str, ...], settings) -> set[tuple[bytes, ...]]:
+    """The bytes of the output files names from cfg's driver run under each
     (OPENBLAS_NUM_THREADS, --threads) pair of settings, one fresh process
     per run, since OpenBLAS reads the variable when it loads."""
     cfg_path = tmp_path / "cfg.json"
@@ -642,7 +642,7 @@ def _csvs_across_threads(tmp_path, cfg: dict, csv_name: str, settings) -> set[by
     ]
     errs = [run.communicate(timeout=120)[1] for run in runs]
     assert all(run.returncode == 0 for run in runs), errs
-    return {(out / csv_name).read_bytes() for out in outs.values()}
+    return {tuple((out / name).read_bytes() for name in names) for out in outs.values()}
 
 
 _BLAS_AND_DRIVER_THREADS = [(blas, threads) for blas in (1, 2) for threads in (1, 2)]
@@ -656,9 +656,10 @@ _BLAS_AND_DRIVER_THREADS = [(blas, threads) for blas in (1, 2) for threads in (1
 def test_otoc_trace_csv_is_independent_of_blas_and_driver_threads(tmp_path, shape):
     """Integer t only: otoc_trace.csv is the same bytes under
     OPENBLAS_NUM_THREADS 1 and 2 crossed with --threads 1 and 2, at a table
-    shape whose K = 256 Gram products OpenBLAS threads and at a Feistel one."""
+    shape whose K = 256 Gram products OpenBLAS would thread and at a Feistel
+    one."""
     cfg = {"experiment": "otoc-trace", "ensemble": 2, "t_grid": [0, 1, 2, 3, 4], **shape}
-    assert len(_csvs_across_threads(tmp_path, cfg, "otoc_trace.csv", _BLAS_AND_DRIVER_THREADS)) == 1
+    assert len(_csvs_across_threads(tmp_path, cfg, ("otoc_trace.csv",), _BLAS_AND_DRIVER_THREADS)) == 1
 
 
 @pytest.mark.parametrize("u_spec", [{"type": "random_sign_hadamard", "seed": 3}, {"type": "hadamard"}], ids=["random_sign_hadamard", "hadamard"])
@@ -668,16 +669,33 @@ def test_fractional_otoc_trace_csv_is_independent_of_blas_threads(tmp_path, u_sp
     OPENBLAS_NUM_THREADS 1 and 2, for random-sign gates and for the Hadamard
     layer, whose -1 eigenspace is degenerate."""
     cfg = {"experiment": "otoc-trace", "n": 17, "k": 6, "sites": [0, 16], "ensemble": 2, "t_grid": [0.25, 0.5, 1.5, 3.5], "u_spec": u_spec}
-    assert len(_csvs_across_threads(tmp_path, cfg, "otoc_trace.csv", [(1, 1), (2, 1)])) == 1
+    assert len(_csvs_across_threads(tmp_path, cfg, ("otoc_trace.csv",), [(1, 1), (2, 1)])) == 1
 
 
 def test_coherence_csv_is_independent_of_blas_and_driver_threads(tmp_path):
     """coherence.csv at n = 16, k = 6 is the same bytes under
     OPENBLAS_NUM_THREADS 1 and 2 crossed with --threads 1 and 2: the
-    Hadamard layer is _walsh_hadamard, whose products all stay under
-    pool.BLAS_SERIAL_SIZE."""
+    Hadamard layer is _walsh_hadamard, whose products rsed runs on numpy's
+    BLAS at one thread."""
     cfg = {"experiment": "coherence", "n": 16, "k": 6, "ensemble": 4}
-    assert len(_csvs_across_threads(tmp_path, cfg, "coherence.csv", _BLAS_AND_DRIVER_THREADS)) == 1
+    assert len(_csvs_across_threads(tmp_path, cfg, ("coherence.csv",), _BLAS_AND_DRIVER_THREADS)) == 1
+
+
+@pytest.mark.parametrize(
+    "cfg, names",
+    [
+        ({"experiment": "level-stats", "n": 10, "k": 9, "ensemble": 1}, ("level_stats_hist.csv", "level_stats_summary.json")),
+        ({"experiment": "sff", "n": 10, "k": 9}, ("sff.csv", "sff_summary.json")),
+        ({"experiment": "otoc-scaling", "n_list": [4, 6, 8, 11], "t_fixed": 4, "ensemble": 1}, ("otoc_scaling.csv", "otoc_scaling_summary.json")),
+    ],
+    ids=["level-stats", "sff", "otoc-scaling"],
+)
+def test_eigensolver_and_scaling_outputs_are_independent_of_blas_threads(tmp_path, cfg, names):
+    """The eigensolver drivers (level-stats: histogram and KS values; sff)
+    and the scaling curve write the same bytes under OPENBLAS_NUM_THREADS 1
+    and 2: rsed runs numpy's OpenBLAS on one thread whatever the variable
+    says.  Without that pin both eigensolver cases differ at k = 9."""
+    assert len(_csvs_across_threads(tmp_path, cfg, names, [(1, 1), (2, 1)])) == 1
 
 
 _SCIPY_PROBE = """

@@ -1,15 +1,18 @@
 """The ordered pool of the column-batch f-average and the small-K ZZ kernel:
 the same bits at any worker count, no thread for a single item or for
-K >= 128, and the traced layers called on the calling thread only."""
+K >= 128, and the traced layers called on the calling thread only; and
+numpy's OpenBLAS on one thread inside cli.main."""
 
+import ctypes
 import json
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rsedlab import cli, otoc, pool, subsystem
+from rsedlab import cli, otoc, pool
 from rsedlab.bitcore import SystemShape
 from rsedlab.cli import hadamard_sign_f_average, main, scaling_curve
 from rsedlab.otoc import otoc_zz_exact, otoc_zz_f_average, otoc_zz_sampled
@@ -172,31 +175,77 @@ def test_traced_layers_run_on_the_calling_thread(tmp_path, monkeypatch):
     assert {t for ts in threads.values() for t in ts} == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("u_spec", [{"type": "random_sign_hadamard"}, {"type": "pauli_syk"}], ids=["power", "evolve"])
-def test_fractional_powers_and_zz_products_stay_on_one_blas_thread(tmp_path, monkeypatch, u_spec):
-    """otoc-trace at the Feistel shape n = 17, k = 6 with fractional t: every
-    complex product that unitary_power (or evolve, for spin-SYK) and the ZZ
-    kernel make is at most pool.COMPLEX_BLAS_SERIAL_SIZE multiply-adds and
-    every real one at most pool.BLAS_SERIAL_SIZE, so no OpenBLAS thread
-    wakes beside the pool's."""
-    shapes = {np.dtype(np.float64): [], np.dtype(np.complex128): []}
+def _numpy_openblas():
+    """get() and set(n) of numpy's bundled OpenBLAS thread count, found here
+    apart from pool's own lookup; skip where numpy bundles none."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        pytest.skip("numpy bundles no scipy-openblas64 library")
+    lib = ctypes.CDLL(str(libs[0]))
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
-    class CountedNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
 
-        def matmul(self, a, b, out):
-            shapes[out.dtype].append((a.shape[-2], a.shape[-1], b.shape[-1]))
-            return np.matmul(a, b, out=out)
-
-    monkeypatch.setattr(subsystem, "np", CountedNumpy())
-    monkeypatch.setattr(otoc, "np", CountedNumpy())
-    cfg = {"experiment": "otoc-trace", "n": 17, "k": 6, "sites": [0, 16], "ensemble": 1, "t_grid": [0.5, 1.0, 1.5], "u_spec": u_spec}
-    path = tmp_path / "cfg.json"
+def _write(tmp_path, cfg: dict) -> Path:
+    path = tmp_path / f"{cfg['experiment']}.json"
     path.write_text(json.dumps(cfg))
-    assert main(["otoc-trace", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    real, complex_ = shapes.values()
-    assert max(map(np.prod, real), default=0) <= pool.BLAS_SERIAL_SIZE
-    assert max(map(np.prod, complex_)) == pool.COMPLEX_BLAS_SERIAL_SIZE
-    assert (8, 64, 64) in complex_ and (32, 32, 32) in complex_  # a gate's row slice and a Gram product
-    assert bool(real) == (u_spec["type"] == "random_sign_hadamard")  # its t = 1 gate is real
+    return path
+
+
+def test_main_runs_numpy_blas_on_one_thread_and_restores_the_count(tmp_path, monkeypatch):
+    """Inside cli.main, in the driver and on the pool's workers (the k = 9
+    f-average of the scaling curve, two column batches), numpy's OpenBLAS
+    reports one thread; after main returns, from a driver or from a config
+    error (exit 2), the count set before the call is back."""
+    get, set_ = _numpy_openblas()
+    previous, seen = get(), []
+    sff = cli._DRIVERS["sff"]
+    monkeypatch.setitem(cli._DRIVERS, "sff", lambda cfg, out: seen.append(get()) or sff(cfg, out))
+    monkeypatch.setattr(pool, "WORKERS", 2)
+    ordered_map = pool._ordered_map
+    monkeypatch.setattr(cli, "_ordered_map", lambda fn, *a, **kw: ordered_map(lambda *b: seen.append(get()) or fn(*b), *a, **kw))
+    runs = [
+        ({"experiment": "sff", "n": 6, "k": 3}, 0),
+        ({"experiment": "otoc-scaling", "n_list": [4, 6, 8], "t_fixed": 4, "ensemble": 1}, 0),
+        ({"experiment": "sff", "n": 6, "k": 9}, 2),  # k > n: a config error
+    ]
+    set_(2)
+    try:
+        assert get() == 2
+        for cfg, code in runs:
+            assert main([cfg["experiment"], "--config", str(_write(tmp_path, cfg)), "--out", str(tmp_path / "out")]) == code
+            assert get() == 2
+    finally:
+        set_(previous)
+    assert seen == [1] * 5  # the sff driver, then the batches: one each at k = 4 and 7, two at k = 9
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"experiment": "otoc-trace", "n": 17, "k": 6, "sites": [0, 16], "ensemble": 1, "t_grid": [0.5, 1.0, 1.5]},
+        {"experiment": "otoc-scaling", "n_list": [4, 6, 8], "t_fixed": 4, "ensemble": 1},
+    ],
+    ids=lambda cfg: cfg["experiment"],
+)
+def test_drivers_write_the_same_bytes_where_numpy_blas_cannot_be_found(tmp_path, monkeypatch, cfg):
+    """With pool's lookup forced to find nothing, one_blas_thread leaves
+    numpy's OpenBLAS at the two threads set before the call, and the driver
+    writes the same bytes as with the pin."""
+    get, set_ = _numpy_openblas()
+    path = _write(tmp_path, cfg)
+    assert main([cfg["experiment"], "--config", str(path), "--out", str(tmp_path / "pinned")]) == 0
+    monkeypatch.setattr(pool, "_numpy_blas_threads", lambda: None)
+    seen, driver = [], cli._DRIVERS[cfg["experiment"]]
+    monkeypatch.setitem(cli._DRIVERS, cfg["experiment"], lambda c, o: seen.append(get()) or driver(c, o))
+    previous = get()
+    set_(2)
+    try:
+        assert main([cfg["experiment"], "--config", str(path), "--out", str(tmp_path / "unpinned")]) == 0
+    finally:
+        set_(previous)
+    assert seen == [2]
+    names = sorted(p.name for p in (tmp_path / "pinned").iterdir())
+    assert names and all((tmp_path / "unpinned" / name).read_bytes() == (tmp_path / "pinned" / name).read_bytes() for name in names)

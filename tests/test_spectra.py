@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from rsedlab.bitcore import SystemShape
 from rsedlab.cli import ExperimentConfig, base_gate, main
+from rsedlab.pool import one_blas_thread
 from rsedlab.randomness import sample_permutation, sample_sign_function
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.rsed import RsedOperator
@@ -488,14 +489,17 @@ def test_histogram_export(tmp_path):
 def test_histogram_bins_the_spacings_the_ks_distances_read(tmp_path):
     """level_stats_hist.csv is np.histogram of the pooled spacings themselves,
     bit for bit, on the benchmark's level-stats shape at seed 1, whose
-    largest spacing (4.03) sets the top edge."""
+    largest spacing (4.03) sets the top edge.  The spectra are taken at one
+    BLAS thread, as rsed takes them."""
     cfg = {"experiment": "level-stats", "n": 13, "k": 10, "ensemble": 2, "seed": 1,
            "u_spec": {"type": "random_sign_hadamard", "seed": 1}}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert main(["level-stats", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
     gates = [base_gate(ExperimentConfig(**cfg), r) for r in range(2)]
+    with one_blas_thread():
+        spectra = [parent_spectrum(u) for u in gates]
     spacings = []
-    for gaps in (np.diff(parent_spectrum(u)) for u in gates):
+    for gaps in map(np.diff, spectra):
         gaps = gaps[gaps >= 1e-12]
         spacings.append(gaps / gaps.mean())
     spacings = np.concatenate(spacings)

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from rsedlab import pool, subsystem
+from rsedlab import subsystem
 from rsedlab.cli import hadamard_sign_f_average
 from rsedlab.rng import RngSeed, WordStream
 from rsedlab.subsystem import (
@@ -179,10 +179,10 @@ def test_unitary_power_paths_agree_random_sign_hadamard():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_sliced_fractional_power_equals_one_product(k):
-    """The fractional power, in row slices at K <= 64, equals the one
-    product (z e^{i theta t}) z^dagger bit for bit, for random-sign gates
-    and for the Hadamard layer, whose -1 eigenspace is degenerate; so does
-    the evolution e^{-iht} of a spin-SYK Hamiltonian, the same product."""
+    """The fractional power equals the one product (z e^{i theta t})
+    z^dagger bit for bit, for random-sign gates and for the Hadamard layer,
+    whose -1 eigenspace is degenerate; so does the evolution e^{-iht} of a
+    spin-SYK Hamiltonian, the same product."""
     for u in (hadamard_layer(k), random_sign_hadamard(k, RngSeed(44, k)), random_sign_hadamard(k, RngSeed(45, k))):
         theta, z = subsystem._unitary_eigh(u)
         for t in (0.25, 0.5, 1.5, 3.5):
@@ -416,9 +416,10 @@ def test_hadamard_sign_power_checks_k_first():
 
 
 def test_walsh_hadamard_products_stay_on_one_blas_thread(monkeypatch):
-    """A k = 12 f-average multiplies in products of at most 16 x 16 x 512
-    (2**17 multiply-adds), under the size at which OpenBLAS threads a GEMM,
-    so BLAS starts no threads beside the pool's."""
+    """A k = 12 f-average multiplies in slices of at most 16 x 16 x
+    _WH_SLICE = 2**17 multiply-adds, under the 2**18 from which OpenBLAS
+    0.3.31 threads a real GEMM, so even outside cli.main's one-thread pin
+    BLAS starts no threads beside the pool's."""
     sizes = []
 
     class CountedNumpy:
@@ -431,4 +432,4 @@ def test_walsh_hadamard_products_stay_on_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(subsystem, "np", CountedNumpy())
     hadamard_sign_f_average(12, RngSeed(59), 4)
-    assert max(sizes) == 16 * 16 * 512 < pool.BLAS_SERIAL_SIZE
+    assert max(sizes) == 16 * 16 * subsystem._WH_SLICE < 1 << 18
